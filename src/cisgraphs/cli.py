@@ -15,25 +15,9 @@ import sys
 
 from . import equistable as eq
 from . import gallery as gal
-from . import hasse, linegraph, search
-from .cliques import maximal_cliques, maximal_stable_sets
+from . import hasse, linegraph
 from .graphs import Graph, GraphError, bits, complement, encode_graph6, parse_graph
-from .recognizers import (
-    UnsupportedSize,
-    cis_certificate,
-    is_almost_cis,
-    is_cis,
-    is_cograph,
-    is_edge_simplicial,
-    is_perfect,
-    is_quasi_cis,
-    is_semi_weakly_cis,
-    is_split,
-    is_threshold,
-    is_triangle,
-    is_weakly_triangle,
-    triangle_violation,
-)
+from .recognizers import BASE_NAMES, cis_certificate, is_cis, triangle_violation
 
 JSON_SCHEMA_VERSION = 1
 
@@ -98,55 +82,12 @@ def _set(mask: int):
 # classify
 
 
-def _membership(g: Graph):
-    """All base predicates on g, with LP/size-capped entries marked
-    unsupported instead of raising."""
-    out = {}
-    plain = {
-        "threshold": is_threshold,
-        "cograph": is_cograph,
-        "split": is_split,
-        "edge_simplicial": is_edge_simplicial,
-        "cis": is_cis,
-        "almost_cis": is_almost_cis,
-        "quasi_cis": is_quasi_cis,
-        "semi_weakly_cis": is_semi_weakly_cis,
-        "weakly_cis": search.is_weakly_cis,
-        "triangle": is_triangle,
-        "weakly_triangle": is_weakly_triangle,
-        "normal": search.is_normal,
-    }
-    for name, fn in plain.items():
-        out[name] = fn(g)
-    try:
-        out["perfect"] = is_perfect(g)
-    except UnsupportedSize:
-        out["perfect"] = "unsupported"
-    if g.n <= eq.MAX_LP_VERTICES:
-        out["equistable"] = eq.is_equistable(g).verdict
-        out["strongly_equistable"] = eq.is_strongly_equistable(g).verdict
-    else:
-        out["equistable"] = "unsupported"
-        out["strongly_equistable"] = "unsupported"
-    return out
-
-
 def cmd_classify(args) -> int:
     g = _load_graph(args)
-    base = _membership(g)
-    co = _membership(complement(g))
-    table_props = {}
-    for prop in hasse.PROPERTY_ORDER:
-        name, modifier = hasse.PROPERTY_DEFS[prop]
-        a, b = base[name], co[name]
-        if "unsupported" in (a, b):
-            table_props[prop] = "unsupported"
-        elif modifier == "plain":
-            table_props[prop] = a
-        elif modifier == "cap":
-            table_props[prop] = a and b
-        else:
-            table_props[prop] = a or b
+    cache = hasse.MembershipCache()
+    base = {name: cache.base(name, g) for name in BASE_NAMES}
+    co = {name: cache.base(name, complement(g)) for name in BASE_NAMES}
+    table_props = {prop: cache.holds(prop, g) for prop in hasse.PROPERTY_ORDER}
     certs = {}
     pair = cis_certificate(g)
     if pair is not None:

@@ -18,10 +18,17 @@ class FamilyCapExceeded(RuntimeError):
 
 
 def maximal_cliques(g: Graph, cap: int = DEFAULT_FAMILY_CAP):
-    """All inclusion-maximal cliques of g, as bitmasks sorted ascending.
+    """All inclusion-maximal cliques of g, as a fresh list of bitmasks
+    sorted ascending; enumerated once per graph object."""
+    family = g.memo("maximal_cliques", lambda g: _bron_kerbosch(g, cap))
+    if len(family) > cap:
+        raise FamilyCapExceeded(f"more than {cap} maximal cliques")
+    return list(family)
 
-    Bron-Kerbosch with a max-degree pivot; deterministic for a given graph.
-    """
+
+def _bron_kerbosch(g: Graph, cap: int):
+    """Bron-Kerbosch with a max-degree pivot; deterministic for a given
+    graph.  Returns the sorted family as a tuple."""
     out = []
     closed = [g.closed_nbhd(v) for v in range(g.n)]
 
@@ -41,8 +48,7 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_FAMILY_CAP):
             excl |= 1 << v
 
     expand(0, g.full, 0)
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
 def maximal_stable_sets(g: Graph, cap: int = DEFAULT_FAMILY_CAP):

@@ -27,6 +27,7 @@ from math import lcm
 from .cliques import maximal_stable_sets
 from .graphs import Graph, bits
 from .lp import null_space, solve_equality_lp
+from .recognizers import UnsupportedSize
 
 MAX_LP_VERTICES = 16
 
@@ -94,6 +95,7 @@ def _analysis(g: Graph):
 
     Returns None when the polytope is empty, else (point, directions,
     stable_sets); the directions span the affine hull around the point.
+    Callers share one result per graph object and must not mutate it.
     """
     n = g.n
     poly = WeightPolytope.of(g)
@@ -222,10 +224,10 @@ def verify_weighting(g: Graph, weights) -> bool:
 
 def _check(g: Graph, strongly: bool) -> EquistableCertificate:
     if g.n > MAX_LP_VERTICES:
-        raise ValueError(
+        raise UnsupportedSize(
             f"equistability decision limited to n <= {MAX_LP_VERTICES}"
         )
-    res = _analysis(g)
+    res = g.memo("equistable_analysis", _analysis)
     if res is None:
         return EquistableCertificate(False, "infeasible")
     point, directions, stable_sets = res
@@ -260,7 +262,7 @@ def is_strongly_equistable(g: Graph) -> EquistableCertificate:
 def forced_value(g: Graph, subset: int):
     """The constant value of w(subset) over the polytope, or None if the
     value varies (or the polytope is empty)."""
-    res = _analysis(g)
+    res = g.memo("equistable_analysis", _analysis)
     if res is None:
         return None
     point, directions, _ = res

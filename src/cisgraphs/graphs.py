@@ -34,7 +34,7 @@ def mask_of(vertices) -> int:
 class Graph:
     """Undirected simple graph on at most 64 vertices, immutable."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj", "_hash", "_facts")
 
     def __init__(self, n: int, edges=()):
         if not 1 <= n <= 64:
@@ -50,6 +50,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._hash = None
+        self._facts = None
 
     @classmethod
     def from_adj(cls, adj) -> "Graph":
@@ -57,6 +58,7 @@ class Graph:
         g.n = len(adj)
         g.adj = tuple(adj)
         g._hash = None
+        g._facts = None
         return g
 
     @property
@@ -104,6 +106,15 @@ class Graph:
         ]
         return Graph(max(len(verts), 1), edges)
 
+    def memo(self, key: str, compute):
+        """``compute(self)``, evaluated on the first call for ``key`` and
+        kept for the graph's lifetime; sound because a graph never changes."""
+        if self._facts is None:
+            self._facts = {}
+        if key not in self._facts:
+            self._facts[key] = compute(self)
+        return self._facts[key]
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
 
@@ -117,8 +128,15 @@ class Graph:
 
 
 def complement(g: Graph) -> Graph:
-    full = g.full
-    return Graph.from_adj([full & ~g.closed_nbhd(v) for v in range(g.n)])
+    """The complement, built once per graph and paired both ways, so
+    ``complement(complement(g)) is g``."""
+    return g.memo("complement", _complement)
+
+
+def _complement(g: Graph) -> Graph:
+    co = Graph.from_adj([g.full & ~g.closed_nbhd(v) for v in range(g.n)])
+    co._facts = {"complement": g}
+    return co
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

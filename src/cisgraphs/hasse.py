@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import gallery as gal
 from .graphs import Graph, complement, encode_graph6, is_isomorphic, iso_invariant
-from .recognizers import apply_modifier, base_predicate, has_bad_p4
+from .recognizers import UnsupportedSize, base_predicate, has_bad_p4
 
 # ---------------------------------------------------------------------------
 # the 17 self-complementary properties, in table column order
@@ -118,39 +118,33 @@ TABLE = {
 
 
 class MembershipCache:
-    """Memoized evaluation of (base, modifier) properties; complements
-    are computed once per graph."""
+    """The package's evaluator: memoized base predicates, and their lifts
+    to the table properties.  A verdict is True, False, or "unsupported"
+    when the graph is too large for an exact predicate; that depends only
+    on n, so a graph and its complement always agree on it."""
 
     def __init__(self):
         self._vals = {}
-        self._comps = {}
 
-    def _co(self, g: Graph) -> Graph:
-        if g not in self._comps:
-            self._comps[g] = complement(g)
-        return self._comps[g]
-
-    def base(self, name: str, g: Graph) -> bool:
+    def base(self, name: str, g: Graph):
         key = (name, g)
         if key not in self._vals:
-            self._vals[key] = base_predicate(name)(g)
+            try:
+                self._vals[key] = base_predicate(name)(g)
+            except UnsupportedSize:
+                self._vals[key] = "unsupported"
         return self._vals[key]
 
-    def holds(self, prop_id: str, g: Graph) -> bool:
-        name, modifier = PROPERTY_DEFS[prop_id]
-        if modifier == "plain":
-            return self.base(name, g)
+    def holds(self, prop: str, g: Graph):
+        """A table property id (cap = on g and its complement, cup = on
+        either), or a plain base predicate name."""
+        name, modifier = PROPERTY_DEFS.get(prop, (prop, "plain"))
         on_g = self.base(name, g)
-        if modifier == "cap" and not on_g:
-            return False
-        if modifier == "cup" and on_g:
-            return True
-        on_co = self.base(name, self._co(g))
-        return on_co if modifier in ("cap", "cup") else on_co
-
-
-def property_holds(prop_id: str, g: Graph, cache: MembershipCache | None = None) -> bool:
-    return (cache or MembershipCache()).holds(prop_id, g)
+        if modifier == "plain" or on_g == "unsupported":
+            return on_g
+        if on_g == (modifier == "cup"):  # cap of False, cup of True
+            return on_g
+        return self.base(name, complement(g))
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +411,7 @@ def scan(max_n: int = 6, include_lp: bool = False,
                 fail(res)
             res = arrows["weakly_cis->cap-wtri"]
             res.checked += 1
-            if cache.base("weakly_cis", g) and not (
-                cache.base("weakly_triangle", g)
-                and cache.base("weakly_triangle", co)
-            ):
+            if cache.base("weakly_cis", g) and not cache.holds("cap-wtri", g):
                 fail(res)
             if with_lp:
                 res = arrows["equistable->no-bad-p4"]
@@ -429,10 +420,7 @@ def scan(max_n: int = 6, include_lp: bool = False,
                     fail(res)
             res = arrows["split<->aCIS-or-cap-es"]
             res.checked += 1
-            rhs = cache.base("almost_cis", g) or (
-                cache.base("edge_simplicial", g)
-                and cache.base("edge_simplicial", co)
-            )
+            rhs = cache.base("almost_cis", g) or cache.holds("cap-es", g)
             if cache.base("split", g) != rhs:
                 fail(res)
 
@@ -466,16 +454,10 @@ def find_separators(x: str, y: str, max_n: int,
     ``x``/``y`` are table property ids, or plain base predicate names.
     """
     cache = cache or MembershipCache()
-
-    def holds(prop, g):
-        if prop in PROPERTY_DEFS:
-            return cache.holds(prop, g)
-        return cache.base(prop, g)
-
     out = []
     reps = nonisomorphic_graphs(max_n)
     for n in range(1, max_n + 1):
         for g in reps[n]:
-            if holds(x, g) and not holds(y, g):
+            if cache.holds(x, g) and not cache.holds(y, g):
                 out.append(g)
     return out

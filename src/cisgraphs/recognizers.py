@@ -1,6 +1,6 @@
 """Class predicates: CIS and relatives, split/threshold/cograph, triangle
-conditions, edge simplicial, perfect, plus the co-/cap-/cup- modifier
-dispatch used by the table verifier and the scans.
+conditions, edge simplicial, perfect, and the lookup of the 15 base
+predicates by name (lifted to cap/cup forms by ``hasse.MembershipCache``).
 
 Degenerate verdicts are fixed: edgeless graphs are edge simplicial,
 semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
@@ -20,7 +20,8 @@ from .graphs import Graph, bits, complement, mask_of
 
 
 class UnsupportedSize(ValueError):
-    """Input too large for an exact predicate (perfect: n <= 16)."""
+    """Input too large for an exact predicate (perfect and the
+    equistability decisions: n <= 16)."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ def is_split(g: Graph) -> bool:
 
 def count_split_partitions(g: Graph) -> int:
     """Number of partitions V = C + S with C a clique and S stable
-    (clique side labeled; used by the almost-CIS cross-check)."""
+    (clique side labeled); a 2^n brute-force oracle for the tests."""
     return sum(
         1
         for c in range(1 << g.n)
@@ -118,13 +119,9 @@ def cis_certificate(g: Graph):
 
 
 def is_almost_cis(g: Graph) -> bool:
-    """Exactly one disjoint pair; cross-checked against the unique-split-
-    partition characterization.  Disagreement is a bug, hence the assert."""
-    by_pairs = len(disjoint_pairs(g, limit=2)) == 1
-    if g.n <= 20:
-        by_split = is_split(g) and count_split_partitions(g) == 1
-        assert by_pairs == by_split, "almost-CIS characterizations disagree"
-    return by_pairs
+    """Exactly one disjoint pair (equivalently: split with a unique split
+    partition, which the tests check against ``count_split_partitions``)."""
+    return len(disjoint_pairs(g, limit=2)) == 1
 
 
 def is_quasi_cis(g: Graph) -> bool:
@@ -255,9 +252,14 @@ def is_perfect(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# property dispatch
+# base predicates by name
 
-MODIFIERS = ("plain", "co", "cap", "cup")
+BASE_NAMES = (
+    "threshold", "cograph", "split", "edge_simplicial", "cis", "almost_cis",
+    "quasi_cis", "semi_weakly_cis", "weakly_cis", "triangle",
+    "weakly_triangle", "normal", "perfect", "equistable",
+    "strongly_equistable",
+)
 
 
 def _base_predicates():
@@ -292,18 +294,3 @@ def base_predicate(name: str):
     if _PREDICATES is None:
         _PREDICATES = _base_predicates()
     return _PREDICATES[name]
-
-
-def apply_modifier(base: str, modifier: str, g: Graph) -> bool:
-    """Evaluate (base, modifier): co = on the complement, cap = both,
-    cup = either."""
-    pred = base_predicate(base)
-    if modifier == "plain":
-        return pred(g)
-    if modifier == "co":
-        return pred(complement(g))
-    if modifier == "cap":
-        return pred(g) and pred(complement(g))
-    if modifier == "cup":
-        return pred(g) or pred(complement(g))
-    raise ValueError(f"unknown modifier {modifier!r}")

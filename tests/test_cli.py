@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cisgraphs import cliques, equistable
 from cisgraphs.cli import main
 from cisgraphs.gallery import gallery
 from cisgraphs.graphs import encode_graph6, parse_graph6
@@ -40,6 +41,30 @@ def test_classify_cir9(capsys):
     assert data["base"]["triangle"] is True
     assert data["base"]["equistable"] is False
     assert data["complement_base"]["weakly_triangle"] is False
+
+
+def test_classify_computes_each_fact_once(capsys, monkeypatch):
+    # one clique enumeration and one polytope analysis per graph object
+    # (G12 and its complement), however many predicates read them
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(g, *args):
+            key = (name, id(g))
+            calls[key] = calls.get(key, 0) + 1
+            return original(g, *args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cliques, "_bron_kerbosch")
+    counting(equistable, "_analysis")
+    code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
+    assert code == 0
+    assert sorted(name for name, _ in calls) == [
+        "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch"]
+    assert set(calls.values()) == {1}
 
 
 def test_classify_k1(capsys):

@@ -47,6 +47,11 @@ def test_maximal_cliques_sorted_and_maximal():
         for v in range(g.n):
             if not c >> v & 1:
                 assert not g.is_clique(c | 1 << v)
+    # each call returns a fresh list; the memoized family stays intact
+    expected = list(fam)
+    fam.clear()
+    maximal_stable_sets(complement(g)).append(-1)
+    assert maximal_cliques(g) == expected
 
 
 def test_stable_sets_are_complement_cliques():
@@ -60,7 +65,10 @@ def test_family_cap():
     # complement of a perfect matching on 2k vertices has 2^k maximal cliques
     k = 8
     g = complement(Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))
+    with pytest.raises(FamilyCapExceeded):
+        maximal_cliques(g, cap=100)
     assert len(maximal_cliques(g)) == 2 ** k
+    # the cap applies to a family already enumerated, too
     with pytest.raises(FamilyCapExceeded):
         maximal_cliques(g, cap=100)
 

@@ -103,6 +103,8 @@ def test_co_cir9_forced_subset():
     # vertices {3, 4, 9} (1-based) are forced to total weight 1
     t = mask_of([2, 3, 8])
     assert forced_value(co, t) == 1
+    # the analysis shared with is_equistable gives a fresh graph's value
+    assert forced_value(co, t) == forced_value(Graph.from_adj(co.adj), t)
 
 
 def test_co_cir9_hand_certificate():

@@ -86,6 +86,8 @@ def test_complement_involution():
     g = Graph(5, [(0, 1), (2, 3), (3, 4)])
     assert complement(complement(g)) == g
     cg = complement(g)
+    # built once and paired both ways
+    assert complement(g) is cg and complement(cg) is g
     for u, v in itertools.combinations(range(5), 2):
         assert g.has_edge(u, v) != cg.has_edge(u, v)
 

@@ -1,7 +1,7 @@
 import pytest
 
 from cisgraphs.gallery import cycle, gallery, path
-from cisgraphs.graphs import complement, encode_graph6, is_isomorphic
+from cisgraphs.graphs import Graph, complement, encode_graph6, is_isomorphic
 from cisgraphs.hasse import (
     ERRATA,
     EXPECTED_GRAPH_COUNTS,
@@ -13,7 +13,6 @@ from cisgraphs.hasse import (
     connected_graphs,
     find_separators,
     nonisomorphic_graphs,
-    property_holds,
     scan,
     verify_table,
 )
@@ -32,19 +31,24 @@ def test_table_shape():
 def test_property_holds_examples():
     cache = MembershipCache()
     p4 = path(4)
-    assert property_holds("aCIS", p4, cache)
-    assert property_holds("split", p4, cache)
-    assert not property_holds("CIS", p4, cache)
-    assert not property_holds("cup-wtri", p4, cache)
+    assert cache.holds("aCIS", p4)
+    assert cache.holds("split", p4)
+    assert not cache.holds("CIS", p4)
+    assert not cache.holds("cup-wtri", p4)
     c4 = cycle(4)
-    assert property_holds("CIS", c4, cache)
-    assert not property_holds("cap-es", c4, cache)
-    # the complement 2K2 is edge simplicial, so the cup variant holds
-    assert property_holds("cup-es", c4, cache)
+    assert cache.holds("CIS", c4)
+    # C4 is not edge simplicial, its complement 2K2 is
+    assert cache.holds("cap-es", c4) is False
+    assert cache.holds("cup-es", c4) is True
+    # plain base predicate names pass through
+    assert cache.holds("split", p4) is cache.base("split", p4) is True
     # self-complementarity by construction
     for prop in ("cap-es", "cup-tri"):
-        assert property_holds(prop, p4, cache) == \
-            property_holds(prop, complement(p4), cache)
+        assert cache.holds(prop, p4) == cache.holds(prop, complement(p4))
+    # size-capped predicates read "unsupported", on both sides alike
+    big = Graph(17)
+    for prop in ("perfect", "equistable", "cap-eq", "cup-seq"):
+        assert cache.holds(prop, big) == "unsupported"
 
 
 def test_verify_table_cells():

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisgraphs.cliques import maximal_stable_sets
+from cisgraphs.equistable import is_equistable
 from cisgraphs.gallery import complete, complete_bipartite, cycle, gallery, path
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
+from cisgraphs.hasse import nonisomorphic_graphs
 from cisgraphs.recognizers import (
+    BASE_NAMES,
     UnsupportedSize,
-    apply_modifier,
+    _base_predicates,
     base_predicate,
     cis_certificate,
     count_split_partitions,
@@ -207,14 +210,15 @@ def test_perfect_against_chromatic_definition():
 
 def test_dispatch():
     assert base_predicate("cis") is is_cis
-    assert apply_modifier("split", "plain", path(4))
-    assert apply_modifier("edge_simplicial", "co", cycle(4)) is True
-    assert apply_modifier("edge_simplicial", "cap", cycle(4)) is False
-    assert apply_modifier("edge_simplicial", "cup", cycle(4)) is True
-    with pytest.raises(ValueError):
-        apply_modifier("split", "bogus", path(4))
+    assert tuple(_base_predicates()) == BASE_NAMES
     with pytest.raises(KeyError):
         base_predicate("bogus")
+    with pytest.raises(UnsupportedSize):
+        is_equistable(Graph(17))
+
+
+def _almost_cis_by_split_partitions(g):
+    return is_split(g) and count_split_partitions(g) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,9 +226,13 @@ def test_dispatch():
 def test_almost_cis_is_unique_split_partition(seed):
     rng = random.Random(seed)
     g = random_graph(rng.randint(1, 9), 0.5, rng)
-    # the assert inside is_almost_cis cross-checks the two
-    # characterizations; just exercise it
-    is_almost_cis(g)
+    assert is_almost_cis(g) == _almost_cis_by_split_partitions(g)
+
+
+def test_almost_cis_is_unique_split_partition_exhaustive():
+    for graphs in nonisomorphic_graphs(6).values():
+        for g in graphs:
+            assert is_almost_cis(g) == _almost_cis_by_split_partitions(g)
 
 
 @settings(max_examples=30, deadline=None)
