@@ -7,7 +7,6 @@ small-graph scans -- with a CLI front end (``cisgraphs``).
 """
 
 from .graphs import (
-    BigGraph,
     Graph,
     GraphError,
     complement,
@@ -22,7 +21,6 @@ from .graphs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigGraph",
     "Graph",
     "GraphError",
     "complement",

@@ -26,27 +26,30 @@ class InputError(ValueError):
     pass
 
 
+# The commands' O(n^4) four-subset scans, clique-family caps and search
+# budgets are sized for graphs of at most this many vertices.
+MAX_VERTICES = 64
+
+
+def _check_order(n: int, what: str) -> None:
+    if n > MAX_VERTICES:
+        raise InputError(
+            f"{what} has {n} vertices; the limit is {MAX_VERTICES}"
+        )
+
+
 def _read_input(spec: str) -> Graph:
     if spec.startswith("gallery:"):
-        name = spec.split(":", 1)[1]
-        try:
-            return gal.gallery(name)
-        except GraphError as exc:
-            raise InputError(str(exc)) from exc
-    if spec.startswith("random-split:"):
-        raise InputError("random-split inputs need the classify command")
-    if spec == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+        return gal.gallery(spec.split(":", 1)[1])
+    try:
+        if spec == "-":
+            text = sys.stdin.read()
+        else:
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {spec}: {exc}") from exc
-    try:
-        return parse_graph(text)
-    except GraphError as exc:
-        raise InputError(str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {spec}: {exc}") from exc
+    return parse_graph(text)
 
 
 def _load_graph(args) -> Graph:
@@ -58,11 +61,12 @@ def _load_graph(args) -> Graph:
             k, l = (int(x) for x in spec.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise InputError("random-split spec must be random-split:K,L") from exc
-        g = gal.random_split(k, l, args.seed)
-        if not isinstance(g, Graph):
-            raise InputError("random-split input too large for classification")
-        return g
-    return _read_input(spec)
+        # checked before building, which takes time quadratic in k + l
+        _check_order(k + l, "random-split graph")
+        return gal.random_split(k, l, args.seed)
+    g = _read_input(spec)
+    _check_order(g.n, "input graph")
+    return g
 
 
 def _emit(args, payload, text_render):
@@ -174,6 +178,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.max_n > hasse.MAX_SCAN_N:
+        raise InputError(f"--max-n is limited to {hasse.MAX_SCAN_N}")
     report = hasse.scan(max_n=args.max_n, include_lp=args.include_lp)
     payload = report.to_dict()
     lines = [
@@ -205,31 +211,15 @@ def cmd_scan(args) -> int:
 
 def cmd_gallery(args) -> int:
     if args.action == "list":
-        payload = {
-            "graphs": list(gal.GALLERY_NAMES),
-            "big_graphs": list(gal.BIG_GALLERY_NAMES),
-        }
+        payload = {"graphs": list(gal.GALLERY_NAMES)}
         lines = []
         for name in gal.GALLERY_NAMES:
             g = gal.gallery(name)
             lines.append(f"{name:<8} n={g.n:<3} m={g.edge_count()}")
-        for name in gal.BIG_GALLERY_NAMES:
-            g = gal.big_gallery(name)
-            lines.append(f"{name:<8} n={g.n:<3} m={g.edge_count()}  (big)")
         _emit(args, payload, "\n".join(lines))
         return 0
-    name = args.id
-    if name in gal.BIG_GALLERY_NAMES:
-        g = gal.big_gallery(name)
-        edge_lines = [f"{g.n}"] + [f"{u} {v}" for u, v in sorted(g.edges())]
-        payload = {"id": name, "n": g.n, "edges": sorted(g.edges())}
-        _emit(args, payload, "\n".join(edge_lines))
-        return 0
-    try:
-        g = gal.gallery(name)
-    except GraphError as exc:
-        raise InputError(str(exc)) from exc
-    payload = {"id": name, "n": g.n, "graph6": encode_graph6(g)}
+    g = gal.gallery(args.id)
+    payload = {"id": args.id, "n": g.n, "graph6": encode_graph6(g)}
     _emit(args, payload, encode_graph6(g))
     return 0
 
@@ -248,6 +238,9 @@ def cmd_cis_line(args) -> int:
     else:
         role = "line-graph"
         roots = res.roots
+        for h in roots:
+            # up to twice the input's order: an isolated vertex's root is K2
+            _check_order(h.n, "root graph")
     verdicts = []
     for h in roots:
         verdict, cert, backend = linegraph.is_cis_line_root(h, args.backend)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graphs import BigGraph, Graph, GraphError, complement, disjoint_union
+from .graphs import Graph, GraphError, complement, disjoint_union
 
 # G12: adjacency is "u,v lie together in some listed maximal clique"
 # (1-based labels shifted to 0-based).
@@ -54,9 +54,8 @@ CIR9_STABLE_SETS = [
 
 GALLERY_NAMES = (
     "K1", "P4", "C4", "TwoK2", "Bull", "Net", "S3", "SK", "CK", "C5Star",
-    "C9", "Cir9", "F", "FK", "G12", "LK33",
+    "C9", "Cir9", "F", "FK", "G12", "LK33", "L", "LLbar",
 )
-BIG_GALLERY_NAMES = ("L", "LLbar")
 
 
 def _shift(sets):
@@ -112,17 +111,17 @@ def _glue_triangles(base: Graph) -> Graph:
     return Graph(n, out)
 
 
-def _rook33() -> Graph:
-    # line graph of K_{3,3}: vertices (i,j), adjacent iff they share a row
+def _rook(a: int, b: int) -> Graph:
+    # line graph of K_{a,b}: vertices (i,j), adjacent iff they share a row
     # or a column
-    verts = list(itertools.product(range(3), range(3)))
+    verts = list(itertools.product(range(a), range(b)))
     pos = {p: k for k, p in enumerate(verts)}
     edges = [
         (pos[p], pos[q])
         for p, q in itertools.combinations(verts, 2)
         if p[0] == q[0] or p[1] == q[1]
     ]
-    return Graph(9, edges)
+    return Graph(a * b, edges)
 
 
 def _projective_points(q: int):
@@ -141,8 +140,9 @@ def projective_split(q: int) -> Graph:
     """Split incidence graph of the projective plane over GF(q), q prime.
 
     Points come first and form a clique, lines follow and form a stable set;
-    a point is adjacent to the lines through it.  q in {2, 3, 5} keeps the
-    graph within 64 vertices.
+    a point is adjacent to the lines through it.  Coordinates are taken
+    modulo q, which gives a plane only for prime q; the accepted orders
+    {2, 3, 5} are the ones the witnesses and tests use.
     """
     if q not in (2, 3, 5):
         raise GraphError("projective plane order must be a prime in {2, 3, 5}")
@@ -164,21 +164,15 @@ def _cross_adjacency(k: int, l: int, seed: int):
     ]
 
 
-def random_split(k: int, l: int, seed: int):
+def random_split(k: int, l: int, seed: int) -> Graph:
     """Random split graph: clique of size k, stable set of size l, each
-    cross pair an edge with probability 1/2 under the seeded PRNG.
-
-    Returns a :class:`Graph` when k + l <= 64, else a :class:`BigGraph`
-    (the statistical acceptance run uses k = l = 40).
-    """
+    cross pair an edge with probability 1/2 under the seeded PRNG."""
     if k < 1 or l < 1:
         raise GraphError("both sides of the split must be nonempty")
     rows = _cross_adjacency(k, l, seed)
     edges = list(itertools.combinations(range(k), 2))
     edges += [(c, k + s) for c in range(k) for s in range(l) if rows[c] >> s & 1]
-    if k + l <= 64:
-        return Graph(k + l, edges)
-    return BigGraph(k + l, edges)
+    return Graph(k + l, edges)
 
 
 def random_split_lemma_properties(k: int, l: int, seed: int):
@@ -202,21 +196,9 @@ def random_split_lemma_properties(k: int, l: int, seed: int):
     return (s_maximal, c_maximal, common_nbr, common_nonnbr)
 
 
-def _big_L() -> BigGraph:
+def _big_L() -> Graph:
     """Line graph of K_{5,6} with a new triangle apex glued on every edge."""
-    verts = list(itertools.product(range(5), range(6)))
-    pos = {p: i for i, p in enumerate(verts)}
-    base_edges = [
-        (pos[p], pos[q])
-        for p, q in itertools.combinations(verts, 2)
-        if p[0] == q[0] or p[1] == q[1]
-    ]
-    n = len(verts)
-    edges = list(base_edges)
-    for j, (u, v) in enumerate(base_edges):
-        a = n + j
-        edges += [(a, u), (a, v)]
-    return BigGraph(n + len(base_edges), edges)
+    return _glue_triangles(_rook(5, 6))
 
 
 def big_L_clique_families():
@@ -235,25 +217,11 @@ def big_L_clique_families():
 
 
 def gallery(name: str) -> Graph:
-    """The named graph from the separating-example list (bitset graphs only;
-    L and LLbar live in :func:`big_gallery`)."""
-    if name in BIG_GALLERY_NAMES:
-        raise GraphError(
-            f"{name} exceeds 64 vertices; use big_gallery({name!r})"
-        )
+    """The named graph from the separating-example list."""
     try:
         return _GALLERY_BUILDERS[name]()
     except KeyError:
         raise GraphError(f"unknown gallery graph {name!r}") from None
-
-
-def big_gallery(name: str) -> BigGraph:
-    if name == "L":
-        return _big_L()
-    if name == "LLbar":
-        left = _big_L()
-        return left.disjoint_union(left.complement())
-    raise GraphError(f"unknown big gallery graph {name!r}")
 
 
 _GALLERY_BUILDERS = {
@@ -272,5 +240,7 @@ _GALLERY_BUILDERS = {
     "F": lambda: projective_split(2),
     "FK": lambda: disjoint_union(projective_split(2), complete(2)),
     "G12": lambda: _graph_from_cliques(12, _shift(G12_CLIQUES)),
-    "LK33": _rook33,
+    "LK33": lambda: _rook(3, 3),
+    "L": _big_L,
+    "LLbar": lambda: disjoint_union(_big_L(), complement(_big_L())),
 }

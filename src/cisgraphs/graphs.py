@@ -1,9 +1,8 @@
 """Small-graph core: bitset graphs, graph6 I/O, complement/union/join, isomorphism.
 
 Vertices are 0..n-1.  Adjacency rows and vertex sets are plain Python ints
-used as bitmasks, which keeps all the set algebra branch-free for n <= 64.
-Graphs too large for a single word (the L / L-Lbar gallery items) use the
-adjacency-set fallback :class:`BigGraph`.
+used as bitmasks; ints are arbitrary-precision, so one representation serves
+every order, from the small scan graphs to the 330-vertex gallery item LLbar.
 """
 
 from __future__ import annotations
@@ -14,6 +13,11 @@ import random
 
 class GraphError(ValueError):
     pass
+
+
+# The largest graph6 order with the four-byte "~" header; the eight-byte
+# "~~" form for larger graphs is not supported.
+MAX_ORDER = 258047
 
 
 def bits(mask: int):
@@ -32,13 +36,13 @@ def mask_of(vertices) -> int:
 
 
 class Graph:
-    """Undirected simple graph on at most 64 vertices, immutable."""
+    """Undirected simple graph, immutable."""
 
     __slots__ = ("n", "adj", "_hash", "_facts")
 
     def __init__(self, n: int, edges=()):
-        if not 1 <= n <= 64:
-            raise GraphError(f"vertex count {n} outside 1..64")
+        if n < 1:
+            raise GraphError(f"vertex count {n} below 1")
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -140,15 +144,11 @@ def _complement(g: Graph) -> Graph:
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    if g1.n + g2.n > 64:
-        raise GraphError("disjoint union exceeds 64 vertices")
     adj = list(g1.adj) + [row << g1.n for row in g2.adj]
     return Graph.from_adj(adj)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
-    if g1.n + g2.n > 64:
-        raise GraphError("join exceeds 64 vertices")
     m1 = (1 << g1.n) - 1
     m2 = ((1 << g2.n) - 1) << g1.n
     adj = [row | m2 for row in g1.adj]
@@ -173,7 +173,7 @@ def _g6_order(text: str):
         if len(text) < 4:
             raise GraphError("truncated graph6 order")
         if ord(text[1]) == 126:
-            raise GraphError("graph6 order above 258047 not supported")
+            raise GraphError(f"graph6 order above {MAX_ORDER} not supported")
         n = 0
         for ch in text[1:4]:
             d = ord(ch) - 63
@@ -187,12 +187,10 @@ def _g6_order(text: str):
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string (n <= 64)."""
+    """Decode a graph6 string."""
     n, payload = _g6_order(text.strip())
     if n < 1:
         raise GraphError("graph6 order must be at least 1")
-    if n > 64:
-        raise GraphError(f"graph6 order {n} exceeds 64")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(payload) < need:
@@ -218,6 +216,8 @@ def parse_graph6(text: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     n = g.n
+    if n > MAX_ORDER:
+        raise GraphError(f"graph6 cannot encode order {n} above {MAX_ORDER}")
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -250,17 +250,26 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) == 1 and n is None and not edges:
-            n = int(parts[0])
+            n = _int_token(parts[0], lineno)
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v'")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
+        edges.append((_int_token(parts[0], lineno),
+                      _int_token(parts[1], lineno)))
     if n is None:
         if not edges:
             raise GraphError("empty edge list and no vertex count")
         n = max(max(u, v) for u, v in edges) + 1
+    if n > MAX_ORDER:
+        raise GraphError(f"vertex count {n} above {MAX_ORDER}")
     return Graph(n, edges)
+
+
+def _int_token(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"line {lineno}: {token!r} is not an integer") from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -337,96 +346,6 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
 
     return extend(0)
-
-
-# ---------------------------------------------------------------------------
-# adjacency-set fallback for graphs above 64 vertices
-
-
-class BigGraph:
-    """Adjacency-set graph without the 64-vertex cap.
-
-    Only the operations needed by the oversized gallery items (L and its
-    complement) are provided; everything else in the package requires
-    :class:`Graph`.
-    """
-
-    def __init__(self, n: int, edges=()):
-        self.n = n
-        self.adj = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def edges(self):
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if v > u:
-                    yield (u, v)
-
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-    def is_clique(self, verts) -> bool:
-        vs = list(verts)
-        return all(v in self.adj[u] for u, v in itertools.combinations(vs, 2))
-
-    def is_stable(self, verts) -> bool:
-        vs = list(verts)
-        return not any(v in self.adj[u] for u, v in itertools.combinations(vs, 2))
-
-    def is_maximal_clique(self, verts) -> bool:
-        vs = set(verts)
-        if not self.is_clique(vs):
-            return False
-        outside = set(range(self.n)) - vs
-        return not any(vs <= self.adj[w] for w in outside)
-
-    def complement(self) -> "BigGraph":
-        g = BigGraph(self.n)
-        allv = set(range(self.n))
-        for v in range(self.n):
-            g.adj[v] = allv - self.adj[v] - {v}
-        return g
-
-    def disjoint_union(self, other: "BigGraph") -> "BigGraph":
-        g = BigGraph(self.n + other.n)
-        for v in range(self.n):
-            g.adj[v] = set(self.adj[v])
-        for v in range(other.n):
-            g.adj[self.n + v] = {self.n + w for w in other.adj[v]}
-        return g
-
-    def simplicial_cliques(self):
-        """All distinct closed neighborhoods that are cliques."""
-        seen = set()
-        out = []
-        for v in range(self.n):
-            nb = frozenset(self.adj[v]) | {v}
-            if nb in seen:
-                continue
-            if self.is_clique(nb):
-                seen.add(nb)
-                out.append(set(nb))
-        return out
-
-    def is_edge_simplicial(self) -> bool:
-        cliques = self.simplicial_cliques()
-        per_vertex = [[] for _ in range(self.n)]
-        for c in cliques:
-            for v in c:
-                per_vertex[v].append(c)
-        return all(
-            any(v in c for c in per_vertex[u]) for u, v in self.edges()
-        )
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -225,6 +225,8 @@ def verify_table(include_lp: bool = True, cache: MembershipCache | None = None):
 # exhaustive generation of small graphs up to isomorphism
 
 EXPECTED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# scans stop at the largest order whose class count is checked
+MAX_SCAN_N = max(EXPECTED_GRAPH_COUNTS)
 
 
 _REPS_CACHE = {1: [Graph(1)]}
@@ -367,8 +369,8 @@ def scan(max_n: int = 6, include_lp: bool = False,
     LP-backed classes (equistable, strongly equistable) are always run
     for n <= 6; ``include_lp`` extends them to larger n.
     """
-    if max_n > 7:
-        raise ValueError("exhaustive scan supported for max_n <= 7")
+    if max_n > MAX_SCAN_N:
+        raise ValueError(f"exhaustive scan supported for max_n <= {MAX_SCAN_N}")
     cache = cache or MembershipCache()
     lp_max_n = max_n if include_lp else min(max_n, 6)
     report = ScanReport(max_n=max_n, lp_max_n=lp_max_n)

@@ -21,8 +21,6 @@ def line_graph(h: Graph) -> Graph:
     edges = sorted(h.edges())
     if not edges:
         raise GraphError("line graph of an edgeless graph is empty")
-    if len(edges) > 64:
-        raise GraphError("line graph exceeds 64 vertices")
     lg_edges = [
         (i, j)
         for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2)
@@ -33,8 +31,6 @@ def line_graph(h: Graph) -> Graph:
 
 def tilde(h: Graph) -> Graph:
     """h with a new private (pendant) neighbor added to every vertex."""
-    if 2 * h.n > 64:
-        raise GraphError("tilde graph exceeds 64 vertices")
     edges = list(h.edges()) + [(v, h.n + v) for v in range(h.n)]
     return Graph(2 * h.n, edges)
 

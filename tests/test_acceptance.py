@@ -13,7 +13,6 @@ from cisgraphs.gallery import (
     GALLERY_NAMES,
     _shift,
     big_L_clique_families,
-    big_gallery,
     gallery,
     projective_split,
     random_split_lemma_properties,
@@ -194,15 +193,16 @@ def test_acceptance_7_projective_and_random_split():
 
 
 def test_acceptance_8_llbar_decomposed_checks():
-    L = big_gallery("L")
-    ok = L.is_edge_simplicial()
+    L = gallery("L")
+    ok = is_edge_simplicial(L)
+    cliques = maximal_cliques(L)
     six, five = big_L_clique_families()
     ok &= len(six) == 5 and len(five) == 6
     for fam, size in ((six, 6), (five, 5)):
         covered = set()
         for cl in fam:
             ok &= len(cl) == size
-            ok &= L.is_maximal_clique(cl)
+            ok &= mask_of(cl) in cliques
             ok &= not covered & cl
             covered |= cl
         ok &= covered == set(range(30))

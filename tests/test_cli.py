@@ -1,11 +1,13 @@
+import io
 import json
 
 import pytest
 
 from cisgraphs import cliques, equistable
+from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
 from cisgraphs.gallery import gallery
-from cisgraphs.graphs import encode_graph6, parse_graph6
+from cisgraphs.graphs import Graph, encode_graph6, parse_graph6
 
 
 def run(capsys, *args):
@@ -100,7 +102,7 @@ def test_classify_random_split(capsys):
     assert data["base"]["split"] is True
 
 
-def test_input_errors(capsys):
+def test_input_errors(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "classify", "-i", "no/such/file")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "classify", "-i", "gallery:nope")
@@ -109,18 +111,54 @@ def test_input_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "classify", "-i", "random-split:oops")
     assert code == 2
+    code, _, err = run(capsys, "scan", "--max-n", "8")
+    assert code == 2 and "error" in err
+    bad_utf8 = tmp_path / "bad.txt"
+    bad_utf8.write_bytes(b"0 1\n\xff\n")
+    code, _, err = run(capsys, "classify", "-i", str(bad_utf8))
+    assert code == 2 and "error" in err
+    for text in ("a b\n", "0 1\n1 x\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, "classify", "-i", "-")
+        assert code == 2 and "line" in err
+
+
+def test_vertex_limit(capsys, monkeypatch):
+    # the CLI's one size bound: at most 64 vertices from every source
+    code, _, err = run(capsys, "classify", "-i", "gallery:L")
+    assert code == 2 and "165 vertices" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(Graph(65))))
+    code, _, err = run(capsys, "classify", "-i", "-")
+    assert code == 2 and "65 vertices" in err
+    # a line graph on 40 vertices, 39 of them isolated, has a 79-vertex root
+    monkeypatch.setattr("sys.stdin", io.StringIO("40\n0 1\n"))
+    code, _, err = run(capsys, "cis-line", "-i", "-")
+    assert code == 2 and "79 vertices" in err
+
+    # random-split sizes are refused before the graph is built
+    def unreachable(*args):
+        raise AssertionError("random_split called for an oversized spec")
+
+    monkeypatch.setattr(gallery_module, "random_split", unreachable)
+    for spec in ("random-split:40,40", "random-split:100000,100000"):
+        code, _, err = run(capsys, "classify", "-i", spec)
+        assert code == 2 and "error" in err
 
 
 def test_gallery_list_and_emit(capsys):
     code, out, _ = run(capsys, "gallery", "list")
     assert code == 0
-    assert "G12" in out and "LLbar" in out
+    assert "G12" in out
+    assert out.splitlines()[-1] == "LLbar    n=330 m=13530"  # no "(big)"
+    code, out, _ = run(capsys, "gallery", "list", "--format", "json")
+    assert json.loads(out)["graphs"][-2:] == ["L", "LLbar"]
     code, out, _ = run(capsys, "gallery", "emit", "G12")
     assert code == 0
     assert parse_graph6(out.strip()) == gallery("G12")
     code, out, _ = run(capsys, "gallery", "emit", "L")
     assert code == 0
-    assert out.splitlines()[0] == "165"
+    assert out.startswith("~")
+    assert parse_graph6(out.strip()) == gallery("L")
     code, _, err = run(capsys, "gallery", "emit", "nope")
     assert code == 2
 

@@ -4,7 +4,6 @@ import pytest
 
 from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import (
-    BIG_GALLERY_NAMES,
     CIR9_STABLE_SETS,
     G12_CLIQUE_SUBFAMILY,
     G12_CLIQUES,
@@ -13,7 +12,6 @@ from cisgraphs.gallery import (
     GALLERY_NAMES,
     _shift,
     big_L_clique_families,
-    big_gallery,
     complete,
     complete_bipartite,
     cycle,
@@ -23,7 +21,13 @@ from cisgraphs.gallery import (
     random_split,
     random_split_lemma_properties,
 )
-from cisgraphs.graphs import BigGraph, Graph, GraphError, bits
+from cisgraphs.graphs import (
+    Graph,
+    GraphError,
+    complement,
+    disjoint_union,
+    mask_of,
+)
 
 
 def masks(sets_1based):
@@ -36,6 +40,7 @@ EXPECTED_SIZES = {
     "Bull": (5, 5), "Net": (6, 6), "S3": (6, 9), "SK": (8, 10),
     "CK": (6, 5), "C5Star": (10, 15), "C9": (9, 9), "Cir9": (9, 21),
     "F": (14, 42), "FK": (16, 43), "G12": (12, 30), "LK33": (9, 18),
+    "L": (165, 405), "LLbar": (330, 13530),
 }
 
 
@@ -48,10 +53,6 @@ def test_gallery_sizes_frozen():
 def test_gallery_unknown_name():
     with pytest.raises(GraphError):
         gallery("nope")
-    with pytest.raises(GraphError):
-        gallery("L")  # big graphs live in big_gallery
-    with pytest.raises(GraphError):
-        big_gallery("nope")
 
 
 def test_g12_maximal_families_match_definition():
@@ -149,10 +150,9 @@ def test_random_split_small_matches_masks():
 
 def test_random_split_big_and_errors():
     g = random_split(40, 40, seed=0)
-    assert isinstance(g, BigGraph)
     assert g.n == 80
-    assert g.is_clique(range(40))
-    assert g.is_stable(range(40, 80))
+    assert g.is_clique((1 << 40) - 1)
+    assert g.is_stable(((1 << 40) - 1) << 40)
     with pytest.raises(GraphError):
         random_split(0, 4, seed=0)
 
@@ -163,18 +163,21 @@ def test_random_split_deterministic():
     assert sorted(a.edges()) == sorted(b.edges())
 
 
-def test_big_gallery_sizes():
-    L = big_gallery("L")
-    assert L.n == 165
-    # 30 rook vertices, 135 rook edges, one apex per rook edge
-    assert L.edge_count() == 135 + 2 * 135
-    both = big_gallery("LLbar")
-    assert both.n == 330
-    assert BIG_GALLERY_NAMES == ("L", "LLbar")
+def test_L_structure():
+    from cisgraphs.linegraph import line_graph
+
+    L = gallery("L")
+    # L(K_{5,6}) on the first 30 vertices, then one apex per rook edge
+    rook = (1 << 30) - 1
+    assert L.subgraph(rook) == line_graph(complete_bipartite(5, 6))
+    for a in range(30, 165):
+        assert L.degree(a) == 2 and L.adj[a] & ~rook == 0
+        assert L.is_clique(L.closed_nbhd(a))
+    assert gallery("LLbar") == disjoint_union(L, complement(L))
 
 
 def test_big_L_clique_families():
-    L = big_gallery("L")
+    cliques = maximal_cliques(gallery("L"))
     six, five = big_L_clique_families()
     assert len(six) == 5 and all(len(c) == 6 for c in six)
     assert len(five) == 6 and all(len(c) == 5 for c in five)
@@ -184,4 +187,4 @@ def test_big_L_clique_families():
         for a, b in itertools.combinations(fam, 2):
             assert not a & b
         for c in fam:
-            assert L.is_maximal_clique(c)
+            assert mask_of(c) in cliques

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cisgraphs.gallery import gallery
 from cisgraphs.graphs import (
-    BigGraph,
+    MAX_ORDER,
     Graph,
     GraphError,
     bits,
@@ -23,6 +24,7 @@ from cisgraphs.graphs import (
     parse_graph6,
     random_graph,
 )
+from cisgraphs.recognizers import is_edge_simplicial
 
 
 def graphs(max_n=10):
@@ -67,8 +69,7 @@ def test_construction_and_basics():
 def test_construction_errors():
     with pytest.raises(GraphError):
         Graph(0)
-    with pytest.raises(GraphError):
-        Graph(65)
+    assert Graph(65).n == 65  # no word-size cap
     with pytest.raises(GraphError):
         Graph(3, [(0, 0)])
     with pytest.raises(GraphError):
@@ -98,6 +99,11 @@ def test_disjoint_union_and_join():
     assert g.n == 4 and sorted(g.edges()) == [(0, 1), (2, 3)]
     j = join(k2, k2)
     assert j.edge_count() == 2 + 4
+    # beyond 64 vertices: every cross pair of the join is an edge
+    big = join(Graph(40), Graph(30, [(0, 29)]))
+    assert big.n == 70 and big.edge_count() == 40 * 30 + 1
+    assert big.has_edge(0, 69) and big.has_edge(40, 69)
+    assert not big.has_edge(0, 39)
 
 
 @given(graphs())
@@ -127,11 +133,13 @@ def test_graph6_against_networkx():
 
 def test_graph6_extended_order():
     rng = random.Random(1)
-    for n in (63, 64):
-        g = random_graph(n, 0.3, rng)
+    for g in (random_graph(63, 0.3, rng), random_graph(64, 0.3, rng),
+              random_graph(70, 0.3, rng), gallery("L"), gallery("LLbar")):
         s = encode_graph6(g)
         assert s.startswith("~")
         assert parse_graph6(s) == g
+        theirs = nx.from_graph6_bytes(s.encode())
+        assert sorted(theirs.edges()) == sorted(g.edges())
 
 
 def test_graph6_errors():
@@ -145,6 +153,17 @@ def test_graph6_errors():
         parse_graph6("~~????")  # order too large
 
 
+def test_order_limit():
+    # graph6 has no four-byte header above MAX_ORDER; the encoder refuses
+    # before its quadratic loop, and the edge-list parser before allocating
+    with pytest.raises(GraphError):
+        encode_graph6(Graph(MAX_ORDER + 1))
+    assert parse_edge_list(f"{MAX_ORDER}\n").n == MAX_ORDER
+    for text in (f"{MAX_ORDER + 1}\n", "1000000000\n", f"0 {MAX_ORDER}\n"):
+        with pytest.raises(GraphError):
+            parse_edge_list(text)
+
+
 def test_parse_edge_list():
     g = parse_edge_list("0 1\n1 2\n")
     assert g.n == 3 and g.edge_count() == 2
@@ -154,6 +173,13 @@ def test_parse_edge_list():
         parse_edge_list("0 1 2\n")
     with pytest.raises(GraphError):
         parse_edge_list("")
+
+
+def test_parse_edge_list_bad_tokens():
+    for text, line in (("a b\n", 1), ("x\n0 1\n", 1), ("3\n0 1\n\n1 y\n", 4),
+                       ("0 1.5\n", 1)):
+        with pytest.raises(GraphError, match=f"line {line}: "):
+            parse_edge_list(text)
 
 
 def test_parse_graph_dispatch():
@@ -187,26 +213,30 @@ def test_is_isomorphic_against_networkx():
 
 
 def test_big_graph_basics():
-    g = BigGraph(70, [(0, 1), (1, 2), (68, 69)])
-    assert g.has_edge(1, 0)
+    g = Graph(70, [(0, 1), (1, 2), (68, 69)])
+    assert g.has_edge(1, 0) and g.has_edge(69, 68)
     assert g.degree(1) == 2
     assert g.edge_count() == 3
-    assert g.is_clique({0, 1})
-    assert not g.is_clique({0, 2})
-    assert g.is_stable({0, 2, 68})
-    assert g.is_maximal_clique({0, 1, 2}) is False
-    assert g.is_maximal_clique({68, 69})
-    co = g.complement()
+    assert g.is_clique(mask_of([0, 1]))
+    assert not g.is_clique(mask_of([0, 2]))
+    assert g.is_stable(mask_of([0, 2, 68]))
+    assert g.is_clique(mask_of([68, 69]))
+    co = complement(g)
     assert co.has_edge(0, 2) and not co.has_edge(0, 1)
-    both = g.disjoint_union(g)
+    assert co.has_edge(3, 69) and not co.has_edge(68, 69)
+    assert co.edge_count() == 70 * 69 // 2 - 3
+    both = disjoint_union(g, g)
     assert both.n == 140 and both.edge_count() == 6
+    assert both.has_edge(138, 139) and not both.has_edge(69, 70)
 
 
 def test_big_graph_edge_simplicial():
-    tri = BigGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert tri.is_edge_simplicial()
-    c4 = BigGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert not c4.is_edge_simplicial()
+    # the triangle and the C4 sit above bit 64
+    pad = Graph(64)
+    tri = disjoint_union(pad, Graph(3, [(0, 1), (1, 2), (0, 2)]))
+    assert is_edge_simplicial(tri)
+    c4 = disjoint_union(pad, Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert not is_edge_simplicial(c4)
 
 
 @settings(max_examples=30)

@@ -30,6 +30,9 @@ def test_line_graph_basics():
     assert is_isomorphic(line_graph(claw), complete(3))
     with pytest.raises(GraphError):
         line_graph(Graph(3))
+    # beyond 64 vertices: 72 edges, each meeting 7 + 8 others
+    lg = line_graph(complete_bipartite(8, 9))
+    assert lg.n == 72 and lg.edge_count() == 72 * 15 // 2
 
 
 def test_tilde():
@@ -37,8 +40,9 @@ def test_tilde():
     assert t.n == 4 and t.edge_count() == 3
     for v in range(2):
         assert t.degree(2 + v) == 1
-    with pytest.raises(GraphError):
-        tilde(Graph(33))
+    t = tilde(Graph(33, [(0, 32)]))
+    assert t.n == 66 and t.edge_count() == 34
+    assert t.has_edge(32, 65)
 
 
 def test_root_graph_known_cases():
