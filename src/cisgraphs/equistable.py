@@ -66,19 +66,6 @@ class EquistableCertificate:
         return d
 
 
-def lp_optimize(poly: WeightPolytope, coeffs, maximize=True):
-    """Exact optimum of a linear objective over the polytope.
-
-    Returns None when the polytope is empty, else (value, point).
-    """
-    status, value, x = solve_equality_lp(
-        poly.rows(), [1] * len(poly.stable_sets), list(coeffs), maximize
-    )
-    if status == "infeasible":
-        return None
-    return value, x
-
-
 def _subset_sums(values, n):
     """values per vertex -> array indexed by vertex mask with the sums."""
     out = [0] * (1 << n)
@@ -99,21 +86,18 @@ def _analysis(g: Graph):
     """
     n = g.n
     poly = WeightPolytope.of(g)
-    zero_obj = [0] * n
-    if lp_optimize(poly, zero_obj, maximize=False) is None:
+    rows = poly.rows()
+    # implicitly tight bounds and a relative interior point, from the
+    # maxima of the n coordinates
+    units = [[int(u == v) for u in range(n)] for v in range(n)]
+    optima = solve_equality_lp(rows, [1] * len(rows), units, maximize=True)
+    if optima is None:
         return None
-    # implicitly tight bounds and a relative interior point
+    implicit_zero = [v for v, (value, _) in enumerate(optima) if value == 0]
     total = [Fraction(0)] * n
-    implicit_zero = []
-    for v in range(n):
-        obj = [0] * n
-        obj[v] = 1
-        value, point = lp_optimize(poly, obj, maximize=True)
-        if value == 0:
-            implicit_zero.append(v)
+    for _, point in optima:
         total = [a + b for a, b in zip(total, point)]
     point = [t / n for t in total]
-    rows = poly.rows()
     for v in implicit_zero:
         row = [0] * n
         row[v] = 1
@@ -186,22 +170,33 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
                     step = lim
         if step is None:
             step = Fraction(1)
-        bad = set()
-        for m in range(1, 1 << n):
-            if m not in stable and dsums[m]:
-                # w(T) at step t is base/denom_p + t * dsums/denom_d
-                bad.add(
-                    Fraction(denom_p - base[m], denom_p)
-                    * Fraction(denom_d, dsums[m])
-                )
         k = 2
-        while step / k in bad:
+        while _meets_hyperplane(
+            step / k, denom_p, base, denom_d, dsums, stable
+        ):
             k += 1
         eps = step / k
         cand = [p + eps * d for p, d in zip(point, dvec)]
         if _verify_weighting(g, cand, stable_sets):
             return cand
     raise RuntimeError("weight construction failed to avoid all hyperplanes")
+
+
+def _meets_hyperplane(t, denom_p, base, denom_d, dsums, stable):
+    """Whether some non-stable T has w(T) = 1 at step t of the walk.
+
+    w(T) at step t is base/denom_p + t * dsums/denom_d, so it equals 1
+    iff dsums * t * denom_p == (denom_p - base) * denom_d, a test in
+    integers.  A T with dsums = 0 (the empty mask among them) does not
+    move along the walk and is skipped: the caller has already rejected
+    every direction that leaves such a T at 1.
+    """
+    num = t.numerator * denom_p
+    den = t.denominator * denom_d
+    return any(
+        d and d * num == (denom_p - b) * den and m not in stable
+        for m, (d, b) in enumerate(zip(dsums, base))
+    )
 
 
 def _verify_weighting(g: Graph, weights, stable_sets) -> bool:

@@ -122,6 +122,20 @@ def _krausz_partition(g: Graph):
     return cells
 
 
+def _has_claw(g: Graph) -> bool:
+    """Whether g has an induced K_{1,3}: a vertex with three pairwise
+    non-adjacent neighbors."""
+    adj = g.adj
+    for v in range(g.n):
+        for a in bits(adj[v]):
+            # later neighbors of v not adjacent to a
+            rest = adj[v] & ~adj[a] & ~((2 << a) - 1)
+            for b in bits(rest):
+                if rest & ~adj[b] & ~((2 << b) - 1):
+                    return True
+    return False
+
+
 def _root_from_cells(g: Graph, cells) -> Graph:
     membership = [[] for _ in range(g.n)]
     for cid, cell in enumerate(cells):
@@ -148,6 +162,10 @@ def root_graph(g: Graph) -> RootResult:
         k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
         k13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
         return RootResult("ambiguous", [k3, k13])
+    # line graphs are claw-free (Beineke), and the Krausz search can take
+    # exponential time to reject a graph with large cliques and a claw
+    if _has_claw(g):
+        return RootResult("not-line-graph")
     cells = _krausz_partition(g)
     if cells is None:
         return RootResult("not-line-graph")

@@ -46,13 +46,15 @@ def _iterate(tab, basis, ncols):
         _pivot(tab, basis, best[1], col)
 
 
-def solve_equality_lp(a_rows, b, c, maximize=False):
-    """Solve optimize c.x subject to a_rows @ x == b, x >= 0, exactly.
+def _feasible_tableau(a_rows, b, n):
+    """Phase 1: a basic feasible tableau of a_rows @ x == b, x >= 0.
 
-    Returns (status, value, x) with status in {"optimal", "infeasible"}.
+    Returns None when the system is infeasible, else (rows, basis), each
+    row holding the n variable coefficients and the right-hand side.
+    Redundant rows are dropped.  The objective is never read, so one
+    phase 1 serves every objective over the same system.
     """
     m = len(a_rows)
-    n = len(c) if c else (len(a_rows[0]) if a_rows else 0)
     fr = Fraction
     rows = []
     rhs = []
@@ -64,11 +66,8 @@ def solve_equality_lp(a_rows, b, c, maximize=False):
             bi = -bi
         rows.append(ai)
         rhs.append(bi)
-    c = [fr(x) for x in c]
-    if maximize:
-        c = [-x for x in c]
 
-    # phase 1: artificial variable per row
+    # artificial variable per row
     width = n + m
     tab = []
     for i in range(m):
@@ -84,7 +83,7 @@ def solve_equality_lp(a_rows, b, c, maximize=False):
     tab.append(objrow)
     _iterate(tab, basis, width)
     if -tab[-1][-1] != 0:
-        return ("infeasible", None, None)
+        return None
     # drive artificials out of the basis where possible; rows that cannot
     # be pivoted are redundant and get dropped
     tab.pop()
@@ -99,23 +98,47 @@ def solve_equality_lp(a_rows, b, c, maximize=False):
     for i in reversed(drop):
         tab.pop(i)
         basis.pop(i)
-    tab = [row[:n] + [row[-1]] for row in tab]
+    return [row[:n] + [row[-1]] for row in tab], basis
 
-    # phase 2
-    objrow = c + [fr(0)]
+
+def _optimize(start, c, n, maximize):
+    """Phase 2 from a feasible tableau, which is left unchanged."""
+    rows, basis = start
+    tab = list(rows)  # _pivot replaces rows, it never edits one in place
+    basis = list(basis)
+    objrow = [Fraction(x) for x in c] + [Fraction(0)]
+    if maximize:
+        objrow = [-x for x in objrow]
     for i, bv in enumerate(basis):
         if objrow[bv]:
             f = objrow[bv]
             objrow = [a - f * b_ for a, b_ in zip(objrow, tab[i])]
     tab.append(objrow)
     _iterate(tab, basis, n)
-    x = [fr(0)] * n
+    x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         x[bv] = tab[i][-1]
     value = -tab[-1][-1]
     if maximize:
         value = -value
-    return ("optimal", value, x)
+    return value, x
+
+
+def solve_equality_lp(a_rows, b, objectives, maximize=False):
+    """Optimize each objective c.x subject to a_rows @ x == b, x >= 0,
+    exactly.
+
+    Phase 1 runs once; phase 2 runs for each objective, in order, from a
+    fresh copy of the feasible tableau.  Returns None when the system is
+    infeasible, else one (value, x) per objective.  Raises
+    :class:`Unbounded` when an objective is unbounded.
+    """
+    objectives = list(objectives)
+    n = len(objectives[0]) if objectives else (len(a_rows[0]) if a_rows else 0)
+    start = _feasible_tableau(a_rows, b, n)
+    if start is None:
+        return None
+    return [_optimize(start, c, n, maximize) for c in objectives]
 
 
 def rref(rows, ncols):

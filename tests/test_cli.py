@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+import random
+import time
 
 import pytest
 
@@ -7,7 +10,7 @@ from cisgraphs import cliques, equistable
 from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
 from cisgraphs.gallery import gallery
-from cisgraphs.graphs import Graph, encode_graph6, parse_graph6
+from cisgraphs.graphs import Graph, encode_graph6, parse_graph6, random_graph
 
 
 def run(capsys, *args):
@@ -228,6 +231,52 @@ def test_equistable_cli(capsys):
     assert data["equistable"]["reason"] == "forced-subset"
     code, _, err = run(capsys, "equistable", "-i", "gallery:LLbar")
     assert code == 2
+
+
+# SHA-256 of `equistable --verify --format json` stdout.  The printed
+# weights and forced subsets follow from the simplex pivot sequence (the
+# interior point) and the weighting walk's step; neither may drift.
+EQUISTABLE_PINS = {
+    "gallery:C5Star":
+        "f74d1fa7d168b91666cc61e97ca24fcb58881f13ceac78e09efbf9f3b860877e",
+    "gallery:Cir9":
+        "09e0a997e90f9345d5044cf2db138b61898c385702b9a7f70507acf5ac926fca",
+    "gallery:FK":
+        "2cda8692296771d2d588338b231b3801b7f016b6ef900bc91a6bd1f5d7594305",
+    # equistable, with a 3-dimensional polytope to walk in
+    "random:9,0.5,28":
+        "bd701b00ee7f14898dc909a0634ddd4083ffed5b3d5f7210026f30deeb5ef328",
+}
+
+
+@pytest.mark.parametrize("source,digest", sorted(EQUISTABLE_PINS.items()))
+def test_equistable_certificates_pinned(capsys, tmp_path, source, digest):
+    spec = source
+    if source.startswith("random:"):
+        n, p, seed = source.split(":")[1].split(",")
+        g = random_graph(int(n), float(p), random.Random(int(seed)))
+        spec = str(tmp_path / "g.g6")
+        with open(spec, "w") as fh:
+            fh.write(encode_graph6(g))
+    code, out, _ = run(capsys, "equistable", "-i", spec, "--verify",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cis_line_rejects_claw_before_krausz_search(capsys):
+    # not a line graph (it has a claw), with cliques of 13: the Krausz
+    # search alone took over 10 s to reject it
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cis-line", "-i", "random-split:13,13",
+                       "--seed", "2", "--verify", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9c2c4fb2c041f925abef78adeee0eb10d39398a66803f6750a3aa62ea8b5a09a")
+    assert json.loads(out)["input_role"] == "root"
+    assert elapsed < 1.0
 
 
 def test_byte_determinism(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cisgraphs import equistable, lp
 from cisgraphs.cliques import maximal_stable_sets
 from cisgraphs.equistable import (
     MAX_LP_VERTICES,
@@ -13,7 +14,6 @@ from cisgraphs.equistable import (
     forced_value,
     is_equistable,
     is_strongly_equistable,
-    lp_optimize,
     verify_forced_subset,
     verify_weighting,
 )
@@ -28,19 +28,19 @@ def brute_constant_subsets(g):
     whose weight is constant, or None if the polytope is empty.
     """
     poly = WeightPolytope.of(g)
-    if lp_optimize(poly, [0] * g.n, maximize=False) is None:
-        return None
+    rows, ones = poly.rows(), [1] * len(poly.stable_sets)
     stable = set(poly.stable_sets)
-    out = {}
-    for m in range(1, 1 << g.n):
-        if m in stable:
-            continue
-        coeffs = [m >> v & 1 for v in range(g.n)]
-        lo, _ = lp_optimize(poly, coeffs, maximize=False)
-        hi, _ = lp_optimize(poly, coeffs, maximize=True)
-        if lo == hi:
-            out[m] = lo
-    return out
+    subsets = [m for m in range(1, 1 << g.n) if m not in stable]
+    coeffs = [[m >> v & 1 for v in range(g.n)] for m in subsets]
+    lows = lp.solve_equality_lp(rows, ones, coeffs, maximize=False)
+    if lows is None:
+        return None
+    highs = lp.solve_equality_lp(rows, ones, coeffs, maximize=True)
+    return {
+        m: lo
+        for m, (lo, _), (hi, _) in zip(subsets, lows, highs)
+        if lo == hi
+    }
 
 
 def brute_equistable(g, strongly):
@@ -134,6 +134,27 @@ def test_verify_forced_subset_rejects_bad_input():
         verify_forced_subset(
             g, [(mask_of([0, 2]), 1), (mask_of([0, 3]), 1)]
         )
+
+
+def test_analysis_runs_phase_one_once(monkeypatch):
+    # the n coordinate maxima share one constraint system, so one LP call
+    # and one phase 1 serve them all
+    calls = {"solve": 0, "phase1": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(equistable, "solve_equality_lp", "solve")
+    counting(lp, "_feasible_tableau", "phase1")
+    g = gallery("G12")
+    assert equistable._analysis(g) is not None
+    assert calls == {"solve": 1, "phase1": 1}
 
 
 def test_size_cap():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from cisgraphs.gallery import complete, complete_bipartite, cycle, gallery, path
 from cisgraphs.graphs import Graph, GraphError, is_isomorphic, random_graph
+from cisgraphs.hasse import nonisomorphic_graphs
 from cisgraphs.linegraph import (
+    _krausz_partition,
     check_condition_vii,
     find_bull_subgraph,
     is_cis_line_root,
@@ -100,6 +103,16 @@ def test_non_line_graphs_rejected():
     k14 = Graph(5, [(0, i) for i in range(1, 5)])
     assert root_graph(k14).kind == "not-line-graph"
     del k5_minus_pm
+
+
+def test_claw_check_agrees_with_krausz_search():
+    # the claw check may only reject what the exact search rejects
+    rejected = 0
+    for g in itertools.chain(*nonisomorphic_graphs(6).values()):
+        not_line = root_graph(g).kind == "not-line-graph"
+        assert not_line == (_krausz_partition(g) is None), g
+        rejected += not_line
+    assert rejected > 0
 
 
 def test_matching_backends_agree():

@@ -8,69 +8,75 @@ from scipy.optimize import linprog
 from cisgraphs.lp import Unbounded, null_space, rref, solve_equality_lp
 
 
+def solve_one(a, b, c, maximize=False):
+    res = solve_equality_lp(a, b, [c], maximize)
+    return None if res is None else res[0]
+
+
 def test_simple_max():
-    status, value, x = solve_equality_lp([[1, 1, 1]], [1], [2, 1, 0],
-                                         maximize=True)
-    assert status == "optimal"
+    value, x = solve_one([[1, 1, 1]], [1], [2, 1, 0], maximize=True)
     assert value == 2
     assert x == [F(1), F(0), F(0)]
 
 
 def test_simple_min():
-    status, value, x = solve_equality_lp([[1, 1]], [1], [3, 5],
-                                         maximize=False)
-    assert (status, value) == ("optimal", 3)
+    value, _ = solve_one([[1, 1]], [1], [3, 5], maximize=False)
+    assert value == 3
 
 
 def test_exact_fractions():
     # x + 2y = 1, 3x + y = 1 -> x = 1/5, y = 2/5
-    status, value, x = solve_equality_lp(
-        [[1, 2], [3, 1]], [1, 1], [1, 1], maximize=False
-    )
-    assert status == "optimal"
+    value, x = solve_one([[1, 2], [3, 1]], [1, 1], [1, 1], maximize=False)
     assert x == [F(1, 5), F(2, 5)]
     assert value == F(3, 5)
 
 
 def test_infeasible():
-    status, _, _ = solve_equality_lp([[1, 1], [1, 1]], [1, 2], [1, 0])
-    assert status == "infeasible"
+    assert solve_equality_lp([[1, 1], [1, 1]], [1, 2], [[1, 0]]) is None
     # negativity makes it infeasible even with consistent equalities
-    status, _, _ = solve_equality_lp([[1, -1]], [-1], [0, 0])
-    assert status == "optimal"  # x=0, y=1 works
-    status, _, _ = solve_equality_lp([[-1, -1]], [1], [0, 0])
-    assert status == "infeasible"
+    assert solve_one([[1, -1]], [-1], [0, 0]) is not None  # x=0, y=1 works
+    assert solve_equality_lp([[-1, -1]], [1], [[0, 0]]) is None
+    # infeasibility is found without any objective
+    assert solve_equality_lp([[-1, -1]], [1], []) is None
+    assert solve_equality_lp([[1, 1]], [1], []) == []
 
 
 def test_redundant_rows():
-    status, value, x = solve_equality_lp(
-        [[1, 1], [2, 2]], [1, 2], [1, 0], maximize=True
-    )
-    assert (status, value) == ("optimal", 1)
+    value, _ = solve_one([[1, 1], [2, 2]], [1, 2], [1, 0], maximize=True)
+    assert value == 1
 
 
 def test_unbounded():
     with pytest.raises(Unbounded):
-        solve_equality_lp([[1, -1]], [0], [1, 0], maximize=True)
+        solve_equality_lp([[1, -1]], [0], [[1, 0]], maximize=True)
+    # a bounded objective listed first does not hide a later unbounded one
+    with pytest.raises(Unbounded):
+        solve_equality_lp([[1, -1]], [0], [[-1, 0], [1, 0]], maximize=True)
 
 
 def test_degenerate_cycling_guard():
     # classic degenerate instance; Bland's rule must terminate
     rows = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [1, 1, 0, 0, 0, 1]]
-    status, value, _ = solve_equality_lp(rows, [0, 0, 0], [1, 1, 0, 0, 0, 0],
-                                         maximize=True)
-    assert (status, value) == ("optimal", 0)
+    value, _ = solve_one(rows, [0, 0, 0], [1, 1, 0, 0, 0, 0], maximize=True)
+    assert value == 0
 
 
-def test_against_scipy_random():
-    rng = random.Random(0)
-    for _ in range(40):
+def random_systems(seed=0, count=40):
+    """Feasible random systems a @ x == b, x >= 0 with a random objective."""
+    rng = random.Random(seed)
+    for _ in range(count):
         m = rng.randint(1, 4)
         n = rng.randint(m, 6)
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         feas = [F(rng.randint(0, 3)) for _ in range(n)]
         b = [sum(r[j] * feas[j] for j in range(n)) for r in a]
         c = [rng.randint(-3, 3) for _ in range(n)]
+        yield a, b, c
+
+
+def test_against_scipy_random():
+    for a, b, c in random_systems():
+        n = len(c)
         res = linprog(
             np.array(c, dtype=float),
             A_eq=np.array(a, dtype=float),
@@ -79,17 +85,47 @@ def test_against_scipy_random():
             method="highs",
         )
         try:
-            status, value, x = solve_equality_lp(a, b, c, maximize=False)
+            value, x = solve_one(a, b, c, maximize=False)
         except Unbounded:
             assert res.status == 3  # scipy: unbounded
             continue
-        assert status == "optimal"
         assert res.status == 0
         assert abs(float(value) - res.fun) < 1e-7
         # solution is feasible and exact
         for r, bv in zip(a, b):
             assert sum(F(ri) * xi for ri, xi in zip(r, x)) == bv
         assert all(xi >= 0 for xi in x)
+
+
+def test_many_objectives_match_single_calls():
+    # one phase 1 shared by k objectives gives exactly the optima (values
+    # and vertices) of k separate solves, and Unbounded still propagates
+    rng = random.Random(1)
+    unbounded = 0
+    for a, b, c in random_systems():
+        n = len(c)
+        objectives = [c] + [
+            [rng.randint(-3, 3) for _ in range(n)] for _ in range(4)
+        ]
+        for maximize in (False, True):
+            singles = []
+            for obj in objectives:
+                try:
+                    singles.append(solve_one(a, b, obj, maximize))
+                except Unbounded:
+                    singles.append(Unbounded)
+            if Unbounded in singles:
+                unbounded += 1
+                with pytest.raises(Unbounded):
+                    solve_equality_lp(a, b, objectives, maximize)
+                # the objectives before the first unbounded one still solve
+                first = singles.index(Unbounded)
+                assert solve_equality_lp(
+                    a, b, objectives[:first], maximize
+                ) == singles[:first]
+            else:
+                assert solve_equality_lp(a, b, objectives, maximize) == singles
+    assert unbounded > 0
 
 
 def test_rref():
