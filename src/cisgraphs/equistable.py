@@ -115,24 +115,35 @@ def _scaled_int_sums(vec, n):
     return denom, _subset_sums(ints, n)
 
 
-def _forced_subsets(g: Graph, point, directions, stable_sets):
-    """Masks T (nonempty, not maximal stable) with w(T) constant on the
-    polytope, each with its constant value."""
+def _forced_subsets(g: Graph):
+    """The forced subsets that the certificates name.
+
+    A subset T is forced when it is nonempty, not a maximal stable set,
+    and w(T) is constant on the (nonempty) polytope.  Returns the first
+    forced T of value 1 and the first of value at most 1, first meaning
+    fewest vertices, then smallest mask; each as (mask, value) or None.
+    """
+    point, directions, stable_sets = g.memo("equistable_analysis", _analysis)
     n = g.n
     stable = set(stable_sets)
     denom, base = _scaled_int_sums(point, n)
     live = bytearray([1]) * (1 << n)
     for d in directions:
-        dd, sums = _scaled_int_sums(d, n)
-        del dd
+        _, sums = _scaled_int_sums(d, n)
         for m in range(1 << n):
             if live[m] and sums[m]:
                 live[m] = 0
-    out = []
-    for m in range(1, 1 << n):
-        if live[m] and m not in stable:
-            out.append((m, Fraction(base[m], denom)))
-    return out
+    at_most_one = [
+        m for m in range(1, 1 << n)
+        if live[m] and base[m] <= denom and m not in stable
+    ]
+
+    def first(masks):
+        m = min(masks, key=lambda m: (m.bit_count(), m), default=None)
+        return None if m is None else (m, Fraction(base[m], denom))
+
+    equal_one = [m for m in at_most_one if base[m] == denom]
+    return first(equal_one), first(at_most_one)
 
 
 def _find_weighting(g: Graph, point, directions, stable_sets):
@@ -225,23 +236,17 @@ def _check(g: Graph, strongly: bool) -> EquistableCertificate:
     res = g.memo("equistable_analysis", _analysis)
     if res is None:
         return EquistableCertificate(False, "infeasible")
-    point, directions, stable_sets = res
-    forced = _forced_subsets(g, point, directions, stable_sets)
-    threshold_hit = [
-        (m, val)
-        for m, val in forced
-        if (val <= 1 if strongly else val == 1)
-    ]
-    if threshold_hit:
-        m, val = min(
-            threshold_hit, key=lambda mv: (mv[0].bit_count(), mv[0])
-        )
+    # both decisions read the same sweep, so it is kept with the analysis
+    equal_one, at_most_one = g.memo("forced_subsets", _forced_subsets)
+    hit = at_most_one if strongly else equal_one
+    if hit is not None:
+        m, val = hit
         return EquistableCertificate(
             False, "forced-subset", forced_subset=m, forced_value=val
         )
     if strongly:
         return EquistableCertificate(True, "weights")
-    weights = _find_weighting(g, point, directions, stable_sets)
+    weights = _find_weighting(g, *res)
     return EquistableCertificate(True, "weights", weights=tuple(weights))
 
 

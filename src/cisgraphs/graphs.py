@@ -1,4 +1,5 @@
-"""Small-graph core: bitset graphs, graph6 I/O, complement/union/join, isomorphism.
+"""Small-graph core: bitset graphs, graph6 I/O, complement/union/join,
+canonical form and isomorphism.
 
 Vertices are 0..n-1.  Adjacency rows and vertex sets are plain Python ints
 used as bitmasks; ints are arbitrary-precision, so one representation serves
@@ -283,69 +284,67 @@ def parse_graph(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (permutation backtracking with degree pruning; fine to n ~ 10)
+# canonical form (colour refinement plus individualisation, after McKay,
+# "Practical Graph Isomorphism", 1981).  Only twin swaps prune the search,
+# so it can grow exponentially on very symmetric graphs, such as many
+# disjoint copies of one component; it serves the small-graph scans.
 
 
-def _refine_colors(g: Graph, rounds: int = 3):
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(rounds):
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [relabel[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+def _refine(adj, cells):
+    """Split the ordered cells (vertex masks) until the partition is
+    equitable: every vertex of a cell has the same number of neighbours
+    in each cell.  A cell splits by that count vector, in ascending
+    order, so the result depends on the labelling only through ``cells``."""
+    while True:
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            groups = {}
+            for v in bits(cell):
+                key = tuple([(adj[v] & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | 1 << v
+            split.extend(groups[key] for key in sorted(groups))
+        if len(split) == len(cells):
+            return cells
+        cells = split
 
 
-def iso_invariant(g: Graph):
-    """Cheap isomorphism invariant used for bucketing before exact checks."""
-    return (g.n, g.edge_count(), tuple(sorted(_refine_colors(g))))
+def canonical_form(g: Graph) -> tuple:
+    """Adjacency rows of a canonical relabelling of ``g``: two graphs
+    have the same form iff they are isomorphic.
+
+    Each leaf of the search is a discrete partition reached by refining
+    and then individualising, in turn, each vertex of the first
+    non-singleton cell; the form is the smallest leaf's relabelled rows.
+    A vertex that is a twin of one already tried is skipped: swapping
+    two twins is an automorphism that fixes the partition, so its
+    subtree has the same leaves.
+    """
+    adj = g.adj
+
+    def leaves(cells):
+        cells = _refine(adj, cells)
+        if len(cells) == len(adj):
+            label = {c.bit_length() - 1: i for i, c in enumerate(cells)}
+            yield tuple([mask_of(label[u] for u in bits(adj[v]))
+                         for v in label])
+            return
+        i, cell = next((i, c) for i, c in enumerate(cells) if c & (c - 1))
+        tried = []
+        for v in bits(cell):
+            if all(adj[u] & ~(1 << v) != adj[v] & ~(1 << u) for u in tried):
+                tried.append(v)
+                rest = cell & ~(1 << v)
+                yield from leaves(cells[:i] + [1 << v, rest] + cells[i + 1:])
+
+    return min(leaves([g.full]))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    c1, c2 = _refine_colors(g1), _refine_colors(g2)
-    if sorted(c1) != sorted(c2):
-        return False
-    n = g1.n
-    # map vertices of g1 in order of decreasing constraint (rarest color first)
-    from collections import Counter
-
-    freq = Counter(c1)
-    order = sorted(range(n), key=lambda v: (freq[c1[v]], -g1.degree(v)))
-    candidates = [[w for w in range(n) if c2[w] == c1[v]] for v in order]
-    mapping = [-1] * n
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[i]:
-            if used >> w & 1:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if (g1.adj[v] >> u & 1) != (g2.adj[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used |= 1 << w
-                if extend(i + 1):
-                    return True
-                used ^= 1 << w
-                mapping[v] = -1
-        return False
-
-    return extend(0)
+    return (g1.n == g2.n and g1.edge_count() == g2.edge_count()
+            and canonical_form(g1) == canonical_form(g2))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

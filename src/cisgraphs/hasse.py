@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gallery as gal
-from .graphs import Graph, complement, encode_graph6, is_isomorphic, iso_invariant
+from .graphs import Graph, canonical_form, complement, encode_graph6
 from .recognizers import UnsupportedSize, base_predicate, has_bad_p4
 
 # ---------------------------------------------------------------------------
@@ -236,29 +236,23 @@ def nonisomorphic_graphs(max_n: int):
     """Representatives of all isomorphism classes with 1..max_n vertices.
 
     Built by extending each (n-1)-vertex representative with a new
-    vertex attached by every possible neighborhood, then deduplicating
-    inside invariant buckets.  Returns {n: list of Graph}.
+    vertex attached by every possible neighborhood; the first extension
+    with each canonical form represents its class.  Returns {n: list of
+    Graph}, each list sorted by (edge count, adjacency rows).
     """
     reps = _REPS_CACHE
     for n in range(2, max_n + 1):
         if n in reps:
             continue
-        buckets = {}
+        classes = {}
         for g in reps[n - 1]:
             for mask in range(1 << (n - 1)):
                 adj = [row | ((mask >> v & 1) << (n - 1))
                        for v, row in enumerate(g.adj)]
                 adj.append(mask)
                 cand = Graph.from_adj(adj)
-                buckets.setdefault(iso_invariant(cand), []).append(cand)
-        out = []
-        for group in buckets.values():
-            kept = []
-            for cand in group:
-                if not any(is_isomorphic(cand, k) for k in kept):
-                    kept.append(cand)
-            out.extend(kept)
-        out.sort(key=lambda g: (g.edge_count(), g.adj))
+                classes.setdefault(canonical_form(cand), cand)
+        out = sorted(classes.values(), key=lambda g: (g.edge_count(), g.adj))
         reps[n] = out
         expect = EXPECTED_GRAPH_COUNTS.get(n)
         if expect is not None and len(out) != expect:

@@ -49,8 +49,9 @@ def test_classify_cir9(capsys):
 
 
 def test_classify_computes_each_fact_once(capsys, monkeypatch):
-    # one clique enumeration and one polytope analysis per graph object
-    # (G12 and its complement), however many predicates read them
+    # one clique enumeration, one polytope analysis and one forced-subset
+    # sweep per graph object (G12 and its complement), however many
+    # predicates read them
     calls = {}
 
     def counting(module, name):
@@ -65,10 +66,12 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
 
     counting(cliques, "_bron_kerbosch")
     counting(equistable, "_analysis")
+    counting(equistable, "_forced_subsets")
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     assert sorted(name for name, _ in calls) == [
-        "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch"]
+        "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
+        "_forced_subsets", "_forced_subsets"]
     assert set(calls.values()) == {1}
 
 

@@ -3,7 +3,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cisgraphs.gallery import gallery
@@ -12,11 +12,11 @@ from cisgraphs.graphs import (
     Graph,
     GraphError,
     bits,
+    canonical_form,
     complement,
     disjoint_union,
     encode_graph6,
     is_isomorphic,
-    iso_invariant,
     join,
     mask_of,
     parse_edge_list,
@@ -24,6 +24,7 @@ from cisgraphs.graphs import (
     parse_graph6,
     random_graph,
 )
+from cisgraphs.hasse import EXPECTED_GRAPH_COUNTS, nonisomorphic_graphs
 from cisgraphs.recognizers import is_edge_simplicial
 
 
@@ -208,8 +209,31 @@ def test_is_isomorphic_against_networkx():
             g2 = random_graph(n, 0.5, rng)
         expect = nx.is_isomorphic(to_nx(g1), to_nx(g2))
         assert is_isomorphic(g1, g2) == expect
-        if is_isomorphic(g1, g2):
-            assert iso_invariant(g1) == iso_invariant(g2)
+        assert is_isomorphic(g2, g1) == expect
+
+
+def test_canonical_forms_match_graph_atlas():
+    # the atlas lists every graph on 0..7 vertices once; drop the null graph
+    atlas = nx.graph_atlas_g()[1:]
+    forms = {canonical_form(Graph(len(h), h.edges())) for h in atlas}
+    assert len(forms) == len(atlas) == sum(EXPECTED_GRAPH_COUNTS.values())
+    reps = nonisomorphic_graphs(7)
+    assert {canonical_form(g) for gs in reps.values() for g in gs} == forms
+    for n, count in EXPECTED_GRAPH_COUNTS.items():
+        assert sum(len(form) == n for form in forms) == count
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(9), st.randoms(use_true_random=False))
+@example(Graph(9), random.Random(0))
+@example(complement(Graph(9)), random.Random(0))
+def test_canonical_form_invariant_and_isomorphic(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    form = canonical_form(g)
+    assert canonical_form(h) == form
+    assert nx.is_isomorphic(to_nx(Graph.from_adj(form)), to_nx(g))
 
 
 def test_big_graph_basics():
