@@ -2,7 +2,8 @@
 run exhaustive scans, emit gallery graphs, recognize CIS line graphs, and
 decide equistability.
 
-Exit codes: 0 success, 1 internal verification failure, 2 input error.
+Exit codes: 0 success, 1 internal verification failure, 2 input error,
+3 undecided (a search or clique-family budget ran out).
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import sys
 from . import equistable as eq
 from . import gallery as gal
 from . import hasse, linegraph
+from .cliques import FamilyCapExceeded
 from .graphs import Graph, GraphError, bits, complement, encode_graph6, parse_graph
 from .recognizers import BASE_NAMES, cis_certificate, is_cis, triangle_violation
+from .search import SearchUndecided
 
 JSON_SCHEMA_VERSION = 1
 
@@ -412,6 +415,9 @@ def main(argv=None) -> int:
     except (InputError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SearchUndecided, FamilyCapExceeded) as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

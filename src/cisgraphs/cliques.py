@@ -55,15 +55,6 @@ def maximal_stable_sets(g: Graph, cap: int = DEFAULT_FAMILY_CAP):
     return maximal_cliques(complement(g), cap)
 
 
-def is_strong_clique(g: Graph, clique: int, stables=None) -> bool:
-    """True iff the clique meets every maximal stable set of g."""
-    if not g.is_clique(clique):
-        raise ValueError("vertex set is not a clique")
-    if stables is None:
-        stables = maximal_stable_sets(g)
-    return all(clique & s for s in stables)
-
-
 def simplicial_cliques(g: Graph):
     """All distinct closed neighborhoods N[v] that are cliques."""
     seen = set()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cliques import (
+    covers_edges,
     covers_nonedges,
     maximal_cliques,
     maximal_stable_sets,
@@ -133,10 +134,7 @@ def is_quasi_cis(g: Graph) -> bool:
 
 
 def is_edge_simplicial(g: Graph) -> bool:
-    simp = simplicial_cliques(g)
-    return all(
-        any(m >> u & 1 and m >> v & 1 for m in simp) for u, v in g.edges()
-    )
+    return covers_edges(g, simplicial_cliques(g))
 
 
 def strong_maximal_cliques(g: Graph):
@@ -151,38 +149,35 @@ def is_semi_weakly_cis(g: Graph) -> bool:
     a maximal clique meets every stable set the bigger clique misses, so
     strength is monotone under taking clique supersets.
     """
-    strong = strong_maximal_cliques(g)
-    return all(
-        any(m >> u & 1 and m >> v & 1 for m in strong) for u, v in g.edges()
-    )
+    return covers_edges(g, strong_maximal_cliques(g))
 
 
 # ---------------------------------------------------------------------------
 # triangle conditions
 
 
+def _triangle_violating_edge(g: Graph, s: int):
+    """First edge that misses the stable set s and has no common neighbor
+    in it, or None if s has the triangle property."""
+    for u, v in g.edges():
+        if s >> u & 1 or s >> v & 1:
+            continue
+        if not g.adj[u] & g.adj[v] & s:
+            return (u, v)
+    return None
+
+
 def triangle_violation(g: Graph):
     """First (stable set, edge) violating the triangle condition, or None."""
     for s in maximal_stable_sets(g):
-        for u, v in g.edges():
-            if s >> u & 1 or s >> v & 1:
-                continue
-            if not g.adj[u] & g.adj[v] & s:
-                return (s, (u, v))
+        edge = _triangle_violating_edge(g, s)
+        if edge is not None:
+            return (s, edge)
     return None
 
 
 def is_triangle(g: Graph) -> bool:
     return triangle_violation(g) is None
-
-
-def _stable_set_has_triangle_property(g: Graph, s: int) -> bool:
-    for u, v in g.edges():
-        if s >> u & 1 or s >> v & 1:
-            continue
-        if not g.adj[u] & g.adj[v] & s:
-            return False
-    return True
 
 
 def is_weakly_triangle(g: Graph) -> bool:
@@ -196,7 +191,7 @@ def is_weakly_triangle(g: Graph) -> bool:
     admissible = [
         s
         for s in maximal_stable_sets(g)
-        if _stable_set_has_triangle_property(g, s)
+        if _triangle_violating_edge(g, s) is None
     ]
     return covers_nonedges(g, admissible)
 

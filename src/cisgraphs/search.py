@@ -1,18 +1,28 @@
 """Existence search for cross-intersecting clique/stable-set subfamilies.
 
-One boolean per candidate maximal clique / maximal stable set, binary
-exclusion constraints for disjoint pairs, one covering clause per edge,
-non-edge or vertex.  Solved by unit-propagating backtracking that always
-branches on the unsatisfied clause with the fewest open candidates, in
-canonical family order, so certificates are reproducible.
+The candidates are the maximal cliques, numbered 0..nc-1, and the maximal
+stable sets, numbered nc..nc+ns-1; a set of candidates is an int mask over
+those numbers.  There is one covering clause per edge, non-edge or vertex
+(the mask of candidates containing it), and each candidate excludes the
+candidates of the other family that are disjoint from it.  The search
+state is two masks, the candidates chosen and the candidates ruled out.
+It always branches on the first unsatisfied clause with the fewest open
+candidates, in ascending candidate order, so certificates are
+reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .cliques import maximal_cliques, maximal_stable_sets
-from .graphs import Graph
+from .cliques import (
+    covers_edges,
+    covers_nonedges,
+    covers_vertices,
+    maximal_cliques,
+    maximal_stable_sets,
+)
+from .graphs import Graph, bits
 
 DEFAULT_BACKTRACK_CAP = 1_000_000
 
@@ -21,32 +31,26 @@ class SearchUndecided(RuntimeError):
     """Backtrack budget exhausted; never silently reported as 'no'."""
 
 
-def _coverage_clauses(g: Graph, cliques, stables, clique_target, stable_target):
-    clauses = []
-    nc = len(cliques)
-    if clique_target == "edges":
-        for u, v in g.edges():
-            need = 1 << u | 1 << v
-            clauses.append([i for i, c in enumerate(cliques) if c & need == need])
-    elif clique_target == "vertices":
-        for v in range(g.n):
-            clauses.append([i for i, c in enumerate(cliques) if c >> v & 1])
-    else:
-        raise ValueError(clique_target)
-    if stable_target == "nonedges":
-        for u, v in itertools.combinations(range(g.n), 2):
-            if g.has_edge(u, v):
-                continue
-            need = 1 << u | 1 << v
-            clauses.append(
-                [nc + j for j, s in enumerate(stables) if s & need == need]
-            )
-    elif stable_target == "vertices":
-        for v in range(g.n):
-            clauses.append([nc + j for j, s in enumerate(stables) if s >> v & 1])
-    else:
-        raise ValueError(stable_target)
-    return clauses
+def _holders(family, n: int, first: int):
+    """Per vertex, the mask of the candidates (numbered from ``first``)
+    that contain it."""
+    holders = [0] * n
+    for i, mask in enumerate(family, first):
+        for v in bits(mask):
+            holders[v] |= 1 << i
+    return holders
+
+
+def _exclusions(family, other_holders, other_all: int):
+    """Per member of ``family``, the mask of the other family's candidates
+    disjoint from it."""
+    out = []
+    for mask in family:
+        meets = 0
+        for v in bits(mask):
+            meets |= other_holders[v]
+        out.append(other_all & ~meets)
+    return out
 
 
 def exists_cross_intersecting(
@@ -65,90 +69,80 @@ def exists_cross_intersecting(
     cliques = maximal_cliques(g)
     stables = maximal_stable_sets(g)
     nc, ns = len(cliques), len(stables)
-    nv = nc + ns
-    excl = [[] for _ in range(nv)]
-    for i, c in enumerate(cliques):
-        for j, s in enumerate(stables):
-            if not c & s:
-                excl[i].append(nc + j)
-                excl[nc + j].append(i)
-    clauses = _coverage_clauses(g, cliques, stables, clique_target, stable_target)
-    if any(not cl for cl in clauses):
+    ch = _holders(cliques, g.n, 0)
+    sh = _holders(stables, g.n, nc)
+    if clique_target == "edges":
+        clauses = [ch[u] & ch[v] for u, v in g.edges()]
+    elif clique_target == "vertices":
+        clauses = list(ch)
+    else:
+        raise ValueError(clique_target)
+    if stable_target == "nonedges":
+        clauses += [
+            sh[u] & sh[v]
+            for u, v in itertools.combinations(range(g.n), 2)
+            if not g.has_edge(u, v)
+        ]
+    elif stable_target == "vertices":
+        clauses += sh
+    else:
+        raise ValueError(stable_target)
+    if not all(clauses):
         return None
-
-    state = [None] * nv  # None / True / False
-    trail = []
+    excl = _exclusions(cliques, sh, ((1 << ns) - 1) << nc) + _exclusions(
+        stables, ch, (1 << nc) - 1
+    )
     backtracks = 0
 
-    def assign(var, value):
-        """Set a variable, propagating exclusions; False on conflict."""
-        queue = [(var, value)]
-        while queue:
-            v, val = queue.pop()
-            if state[v] is not None:
-                if state[v] != val:
-                    return False
-                continue
-            state[v] = val
-            trail.append(v)
-            if val:
-                for w in excl[v]:
-                    if state[w] is True:
-                        return False
-                    if state[w] is None:
-                        queue.append((w, False))
-        return True
-
-    def undo(mark):
-        while len(trail) > mark:
-            state[trail.pop()] = None
-
-    def pick_clause():
-        best = None
-        for cl in clauses:
-            if any(state[v] is True for v in cl):
-                continue
-            open_vars = [v for v in cl if state[v] is None]
-            if not open_vars:
-                return []
-            if best is None or len(open_vars) < len(best):
-                best = open_vars
-                if len(best) == 1:
-                    break
-        return best
-
-    def solve():
+    def solve(true: int, false: int):
+        """The chosen mask of a solution extending (true, false), or None."""
         nonlocal backtracks
-        cl = pick_clause()
-        if cl is None:
-            return True
-        entry = len(trail)
-        for v in cl:
-            mark = len(trail)
-            if assign(v, True) and solve():
-                return True
-            undo(mark)
+        branch, fewest = 0, None
+        for clause in clauses:
+            if clause & true:
+                continue
+            open_ = clause & ~false
+            k = open_.bit_count()
+            if fewest is None or k < fewest:
+                branch, fewest = open_, k
+                if k <= 1:
+                    break
+        if fewest is None:
+            return true
+        for v in bits(branch):
+            if not excl[v] & true:
+                found = solve(true | 1 << v, false | excl[v])
+                if found is not None:
+                    return found
             backtracks += 1
             if backtracks > backtrack_cap:
                 raise SearchUndecided("backtrack cap exceeded")
-            if not assign(v, False):
-                undo(entry)
-                return False
-        undo(entry)
-        return False
-
-    if not solve():
+            false |= 1 << v
         return None
-    chosen_c = [c for i, c in enumerate(cliques) if state[i] is True]
-    chosen_s = [s for j, s in enumerate(stables) if state[nc + j] is True]
-    return chosen_c, chosen_s
+
+    chosen = solve(0, 0)
+    if chosen is None:
+        return None
+    return (
+        [c for i, c in enumerate(cliques) if chosen >> i & 1],
+        [s for j, s in enumerate(stables) if chosen >> nc + j & 1],
+    )
+
+
+_CLIQUE_COVERS = {"edges": covers_edges, "vertices": covers_vertices}
+_STABLE_COVERS = {"nonedges": covers_nonedges, "vertices": covers_vertices}
 
 
 def verify_cover_certificate(
     g: Graph, chosen_cliques, chosen_stables, clique_target="edges",
     stable_target="nonedges",
 ) -> bool:
-    """Re-verify an (externally supplied) certificate by set arithmetic."""
+    """Re-verify an (externally supplied) certificate by set arithmetic,
+    independently of the search's clauses."""
+    if clique_target not in _CLIQUE_COVERS:
+        raise ValueError(clique_target)
+    if stable_target not in _STABLE_COVERS:
+        raise ValueError(stable_target)
     cliques = set(maximal_cliques(g))
     stables = set(maximal_stable_sets(g))
     if not all(c in cliques for c in chosen_cliques):
@@ -157,11 +151,9 @@ def verify_cover_certificate(
         return False
     if any(not c & s for c in chosen_cliques for s in chosen_stables):
         return False
-    clauses = _coverage_clauses(
-        g, list(chosen_cliques), list(chosen_stables), clique_target,
-        stable_target,
+    return _CLIQUE_COVERS[clique_target](g, chosen_cliques) and (
+        _STABLE_COVERS[stable_target](g, chosen_stables)
     )
-    return all(clauses)
 
 
 def is_weakly_cis(g: Graph) -> bool:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cisgraphs import cliques, equistable
+from cisgraphs import cliques, equistable, search
 from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
 from cisgraphs.gallery import gallery
@@ -127,6 +127,25 @@ def test_input_errors(capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, _, err = run(capsys, "classify", "-i", "-")
         assert code == 2 and "line" in err
+
+
+@pytest.mark.parametrize("module, name, error", [
+    (search, "exists_cross_intersecting", search.SearchUndecided),
+    (cliques, "_bron_kerbosch", cliques.FamilyCapExceeded),
+])
+def test_budget_exhaustion_is_undecided(capsys, monkeypatch, module, name,
+                                        error):
+    # a budget that runs out is one stderr line and exit code 3, not a
+    # traceback
+    def exhausted(*args, **kwargs):
+        raise error("budget spent")
+
+    monkeypatch.setattr(module, name, exhausted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("5\n0 1\n1 2\n2 3\n3 4\n4 0\n"))
+    code, out, err = run(capsys, "classify", "-i", "-")
+    assert code == 3
+    assert out == ""
+    assert err == "undecided: budget spent\n"
 
 
 def test_vertex_limit(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from cisgraphs.cliques import (
     covers_edges,
     covers_nonedges,
     covers_vertices,
-    is_strong_clique,
     maximal_cliques,
     maximal_cliques_brute,
     maximal_stable_sets,
@@ -71,17 +70,6 @@ def test_family_cap():
     # the cap applies to a family already enumerated, too
     with pytest.raises(FamilyCapExceeded):
         maximal_cliques(g, cap=100)
-
-
-def test_is_strong_clique():
-    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    # every edge of C4 meets both diagonals
-    assert is_strong_clique(c4, mask_of([0, 1]))
-    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    # {1,2} misses the stable set {0,3}
-    assert not is_strong_clique(p4, mask_of([1, 2]))
-    with pytest.raises(ValueError):
-        is_strong_clique(p4, mask_of([0, 2]))
 
 
 def test_simplicial_cliques():

@@ -143,6 +143,8 @@ def test_strong_cliques_and_semi_weakly_cis():
         m for m in __import__("cisgraphs.cliques", fromlist=["maximal_cliques"])
         .maximal_cliques(c4)
     ]
+    # the middle edge of P4 misses the stable set {0, 3}
+    assert strong_maximal_cliques(path(4)) == [mask_of([0, 1]), mask_of([2, 3])]
     assert is_semi_weakly_cis(c4)
     assert not is_semi_weakly_cis(path(4))
     assert is_semi_weakly_cis(Graph(3))  # edgeless: vacuous

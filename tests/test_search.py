@@ -1,4 +1,8 @@
+import functools
+import hashlib
 import itertools
+import json
+import operator
 import random
 
 import pytest
@@ -14,7 +18,8 @@ from cisgraphs.gallery import (
     gallery,
     path,
 )
-from cisgraphs.graphs import Graph, random_graph
+from cisgraphs.graphs import Graph, mask_of, random_graph
+from cisgraphs.hasse import nonisomorphic_graphs
 from cisgraphs.recognizers import is_cis
 from cisgraphs.search import (
     SearchUndecided,
@@ -49,6 +54,26 @@ def brute_weakly_cis(g):
             if all(c & s for c in cc for s in ss):
                 return True
     return False
+
+
+def brute_normal(g):
+    """Subfamily-enumeration oracle: vertex-covering families of maximal
+    cliques and of maximal stable sets that cross-intersect."""
+
+    def covering(family):
+        return [
+            sub
+            for k in range(1, len(family) + 1)
+            for sub in itertools.combinations(family, k)
+            if functools.reduce(operator.or_, sub) == g.full
+        ]
+
+    stable_covers = covering(maximal_stable_sets(g))
+    return any(
+        all(c & s for c in cc for s in ss)
+        for cc in covering(maximal_cliques(g))
+        for ss in stable_covers
+    )
 
 
 def test_examples():
@@ -91,6 +116,12 @@ def test_verify_cover_certificate_rejects():
     pc = maximal_cliques(p)
     ps = maximal_stable_sets(p)
     assert not verify_cover_certificate(p, pc, ps)
+    # normal target on P4: the stable family must cover every vertex
+    ends = [mask_of([0, 1]), mask_of([2, 3])]
+    ps = [mask_of([0, 2]), mask_of([0, 3]), mask_of([1, 3])]
+    assert verify_cover_certificate(p, ends, ps, "vertices", "vertices")
+    assert not verify_cover_certificate(p, ends, ps[:2], "vertices",
+                                        "vertices")  # misses vertex 1
 
 
 def test_cis_implies_weakly_cis_small():
@@ -113,3 +144,33 @@ def test_backtrack_cap():
                                   backtrack_cap=0)
     # a budget large enough to finish gives the definite "no"
     assert exists_cross_intersecting(path(4), "edges", "nonedges") is None
+
+
+def test_normal_against_subfamily_oracle():
+    for graphs in nonisomorphic_graphs(5).values():
+        for g in graphs:
+            assert is_normal(g) == brute_normal(g)
+
+
+def test_results_and_budget_pinned():
+    # certificates of both searches on seeded graphs of 8-24 vertices,
+    # recorded before the search kept its state in bitmasks
+    results = []
+    for n in range(8, 25, 2):
+        for k in (1, 3, 5, 7, 9):
+            g = random_graph(n, k / 10, random.Random(100 * n + k))
+            results.append(exists_cross_intersecting(g, "edges", "nonedges"))
+            results.append(
+                exists_cross_intersecting(g, "vertices", "vertices")
+            )
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == (
+        "a7012a6961dc5659989fbc448a565e4ad97313e5b9509f5a824e31c821923154"
+    )
+    # the search refutes normality of this graph in exactly 108 backtracks
+    g = random_graph(24, 0.5, random.Random(1))
+    with pytest.raises(SearchUndecided):
+        exists_cross_intersecting(g, "vertices", "vertices", backtrack_cap=107)
+    assert exists_cross_intersecting(
+        g, "vertices", "vertices", backtrack_cap=108
+    ) is None
