@@ -3,7 +3,8 @@ run exhaustive scans, emit gallery graphs, recognize CIS line graphs, and
 decide equistability.
 
 Exit codes: 0 success, 1 internal verification failure, 2 input error,
-3 undecided (a search or clique-family budget ran out).
+3 undecided (a search or clique-family budget ran out, or the equistable
+weighting walk found no weighting).
 """
 
 from __future__ import annotations
@@ -415,7 +416,7 @@ def main(argv=None) -> int:
     except (InputError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SearchUndecided, FamilyCapExceeded) as exc:
+    except (SearchUndecided, FamilyCapExceeded, eq.WeightingUndecided) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
 

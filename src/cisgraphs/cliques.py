@@ -88,16 +88,3 @@ def covers_vertices(g: Graph, family) -> bool:
     for mask in family:
         covered |= mask
     return covered & g.full == g.full
-
-
-def maximal_cliques_brute(g: Graph):
-    """Subset-lattice oracle for small n; used only in tests."""
-    cliques = [m for m in range(1, 1 << g.n) if g.is_clique(m)]
-    as_set = set(cliques)
-    out = []
-    for c in cliques:
-        if not any(
-            c | 1 << v in as_set for v in range(g.n) if not c >> v & 1
-        ):
-            out.append(c)
-    return sorted(out)

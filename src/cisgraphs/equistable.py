@@ -12,8 +12,9 @@ together with the implicitly tight bounds w(v) = 0.  So:
   identically equal to a value <= 1.
 
 Constancy of w(T) is tested against a null-space basis of the equality
-system, which replaces the per-subset LP loop with subset-sum sweeps and
-keeps the 14-16 vertex gallery graphs inside the time budget.
+system, which replaces the per-subset LP loop with subset-sum sweeps (one
+for the point, one for all directions packed into one integer vector)
+and keeps the 14-16 vertex gallery graphs inside the time budget.
 
 All arithmetic is exact; no floating point enters this module.
 """
@@ -30,6 +31,12 @@ from .lp import null_space, solve_equality_lp
 from .recognizers import UnsupportedSize
 
 MAX_LP_VERTICES = 16
+
+
+class WeightingUndecided(RuntimeError):
+    """The walk from the interior point found no weighting in its attempts;
+    the graph is equistable (no forced subset), but no certificate was
+    built."""
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,34 @@ def _analysis(g: Graph):
     return point, directions, poly.stable_sets
 
 
+def _scaled_ints(vec):
+    """A rational vector scaled to integers: (denominator, ints)."""
+    denom = lcm(*[f.denominator for f in vec])
+    return denom, [f.numerator * (denom // f.denominator) for f in vec]
+
+
 def _scaled_int_sums(vec, n):
     """Subset sums of a rational vector, scaled to integers.
 
     Returns (denominator, sums) with sums[mask] = denom * vec-sum."""
-    denom = lcm(*[f.denominator for f in vec]) if vec else 1
-    ints = [int(f * denom) for f in vec]
+    denom, ints = _scaled_ints(vec)
     return denom, _subset_sums(ints, n)
+
+
+def _packed(directions, n):
+    """One integer vector whose subset sum is 0 exactly on the masks where
+    every direction's subset sum is 0.
+
+    Each direction d, scaled to integers, is one digit of a balanced
+    mixed radix: packed = packed * B + d with B = 2 * sum(|d|) + 1, so
+    every subset sum of d lies strictly between -B/2 and B/2.
+    """
+    packed = [0] * n
+    for d in directions:
+        _, ints = _scaled_ints(d)
+        radix = 2 * sum(map(abs, ints)) + 1
+        packed = [p * radix + x for p, x in zip(packed, ints)]
+    return packed
 
 
 def _forced_subsets(g: Graph):
@@ -127,15 +155,10 @@ def _forced_subsets(g: Graph):
     n = g.n
     stable = set(stable_sets)
     denom, base = _scaled_int_sums(point, n)
-    live = bytearray([1]) * (1 << n)
-    for d in directions:
-        _, sums = _scaled_int_sums(d, n)
-        for m in range(1 << n):
-            if live[m] and sums[m]:
-                live[m] = 0
+    moving = _subset_sums(_packed(directions, n), n)
     at_most_one = [
         m for m in range(1, 1 << n)
-        if live[m] and base[m] <= denom and m not in stable
+        if not moving[m] and base[m] <= denom and m not in stable
     ]
 
     def first(masks):
@@ -190,7 +213,9 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
         cand = [p + eps * d for p, d in zip(point, dvec)]
         if _verify_weighting(g, cand, stable_sets):
             return cand
-    raise RuntimeError("weight construction failed to avoid all hyperplanes")
+    raise WeightingUndecided(
+        "weight construction failed to avoid all hyperplanes"
+    )
 
 
 def _meets_hyperplane(t, denom_p, base, denom_d, dsums, stable):
@@ -273,28 +298,3 @@ def forced_value(g: Graph, subset: int):
         return None
     return sum((point[v] for v in bits(subset)), Fraction(0))
 
-
-def verify_forced_subset(g: Graph, combination):
-    """Check a signed combination of maximal stable sets in the style of
-    the hand-written non-equistability certificates.
-
-    ``combination`` is a list of (vertex mask, +1/-1).  The signed sum of
-    characteristic vectors must be 0/1-valued; the subset it selects is
-    returned (its polytope value is then forced to the signed sign-sum).
-    """
-    stable = set(maximal_stable_sets(g))
-    coeff = [0] * g.n
-    for mask, sign in combination:
-        if sign not in (1, -1):
-            raise ValueError("signs must be +1 or -1")
-        if mask not in stable:
-            raise ValueError("combination member is not a maximal stable set")
-        for v in bits(mask):
-            coeff[v] += sign
-    if any(c not in (0, 1) for c in coeff):
-        raise ValueError("signed combination is not 0/1-valued")
-    out = 0
-    for v, c in enumerate(coeff):
-        if c:
-            out |= 1 << v
-    return out

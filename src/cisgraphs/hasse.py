@@ -263,27 +263,6 @@ def nonisomorphic_graphs(max_n: int):
     return {n: reps[n] for n in range(1, max_n + 1)}
 
 
-def connected_graphs(max_n: int):
-    """Connected representatives only (for the line-graph sweeps)."""
-    out = {}
-    for n, graphs in nonisomorphic_graphs(max_n).items():
-        out[n] = [g for g in graphs if _is_connected(g)]
-    return out
-
-
-def _is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in range(g.n):
-            if frontier >> v & 1:
-                nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == g.full
-
-
 # ---------------------------------------------------------------------------
 # inclusion arrow scan
 
@@ -441,19 +420,3 @@ def scan(max_n: int = 6, include_lp: bool = False,
     report.subset_cells = subset_cells
     report.collapse = collapse
     return report
-
-
-def find_separators(x: str, y: str, max_n: int,
-                    cache: MembershipCache | None = None):
-    """All scanned graphs satisfying x but not y; empty is not a proof.
-
-    ``x``/``y`` are table property ids, or plain base predicate names.
-    """
-    cache = cache or MembershipCache()
-    out = []
-    reps = nonisomorphic_graphs(max_n)
-    for n in range(1, max_n + 1):
-        for g in reps[n]:
-            if cache.holds(x, g) and not cache.holds(y, g):
-                out.append(g)
-    return out

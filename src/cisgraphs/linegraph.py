@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .cliques import maximal_stable_sets
-from .graphs import Graph, GraphError, bits, is_isomorphic, mask_of
+from .graphs import Graph, GraphError, bits, mask_of
 
 
 def line_graph(h: Graph) -> Graph:
@@ -337,21 +337,3 @@ def check_condition_vii(h: Graph) -> bool:
             if not any(nb & ~(1 << u | 1 << v) == 0 for u, v in matching):
                 return False
     return True
-
-
-def roots_agree(h: Graph) -> bool:
-    """Test hook: root reconstruction inverts line_graph up to isomorphism.
-
-    Isolated vertices of h are invisible to the line graph and ignored;
-    the comparison is only meaningful when the reconstruction is unique,
-    i.e. when no component of h is a triangle or a star (the classical
-    Whitney exceptions), apart from h being K3 itself.
-    """
-    covered = 0
-    for u, v in h.edges():
-        covered |= 1 << u | 1 << v
-    h = h.subgraph(covered) if covered else Graph(1)
-    res = root_graph(line_graph(h))
-    if res.kind == "ambiguous":
-        return any(is_isomorphic(r, h) for r in res.roots)
-    return res.kind == "root" and is_isomorphic(res.root, h)

@@ -1,12 +1,22 @@
-"""Exact simplex over the rationals (two-phase, Bland's rule).
+"""Exact simplex over the rationals (two-phase, Bland's rule), run in
+integers.
 
-Problems here are tiny (at most a few dozen variables and rows), so a
-dense tableau with :class:`fractions.Fraction` entries is plenty.
+Problems here are tiny (at most a few dozen variables and rows).  The
+dense tableau holds integer rows and one common denominator ``den > 0``
+(entry ``T[i][j]`` stands for ``T[i][j] / den``), and each pivot is
+integer-preserving (Edmonds 1967): every other row becomes
+``(T[i]·p − T[i][c]·T[r]) // den``, which divides exactly, and ``den``
+becomes the pivot ``|p|``.  The pivot sequence is the one a rational
+tableau would take, so the optima are the same.  :func:`rref` and
+:func:`null_space` use fraction-free elimination (Bareiss 1968) and
+divide once at the end.  :class:`fractions.Fraction` appears only in
+the returned values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class Unbounded(RuntimeError):
@@ -14,75 +24,89 @@ class Unbounded(RuntimeError):
     signals a modeling bug."""
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
+def _scaled(values, scale):
+    """Rational values (ints or Fractions) times scale, a common multiple
+    of their denominators, as ints."""
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _pivot(tab, basis, den, row, col):
+    """Integer-preserving pivot on (row, col); returns the new denominator.
+
+    Rows are replaced, never edited in place.
+    """
+    prow = tab[row]
+    p = prow[col]
+    if p < 0:
+        prow = tab[row] = [-x for x in prow]
+        p = -p
     for i, r in enumerate(tab):
-        if i != row and r[col]:
-            f = r[col]
-            tab[i] = [a - f * b for a, b in zip(r, tab[row])]
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tab[i] = [(a * p - f * b) // den for a, b in zip(r, prow)]
+        elif p != den:
+            tab[i] = [a * p // den for a in r]
     basis[row] = col
+    return p
 
 
-def _iterate(tab, basis, ncols):
+def _iterate(tab, basis, den, ncols):
     """Run simplex steps on a tableau whose last row is the (minimization)
-    objective in reduced form.  Bland's rule throughout."""
+    objective in reduced form.  Bland's rule throughout; the ratio test
+    compares by cross-multiplication.  Returns the final denominator."""
     m = len(tab) - 1
     while True:
         obj = tab[-1]
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
-            return
+            return den
         best = None
         for i in range(m):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
+            a = tab[i][col]
+            if a > 0:
+                if best is None:
+                    best, num, div = i, tab[i][-1], a
+                    continue
+                lhs, rhs = tab[i][-1] * div, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, num, div = i, tab[i][-1], a
         if best is None:
             raise Unbounded("no leaving variable")
-        _pivot(tab, basis, best[1], col)
+        den = _pivot(tab, basis, den, best, col)
 
 
 def _feasible_tableau(a_rows, b, n):
     """Phase 1: a basic feasible tableau of a_rows @ x == b, x >= 0.
 
-    Returns None when the system is infeasible, else (rows, basis), each
-    row holding the n variable coefficients and the right-hand side.
-    Redundant rows are dropped.  The objective is never read, so one
-    phase 1 serves every objective over the same system.
+    Returns None when the system is infeasible, else (rows, basis, den),
+    each integer row holding the n variable coefficients and the
+    right-hand side over the common denominator den.  Redundant rows are
+    dropped.  The objective is never read, so one phase 1 serves every
+    objective over the same system.
     """
     m = len(a_rows)
-    fr = Fraction
-    rows = []
-    rhs = []
-    for ai, bi in zip(a_rows, b):
-        ai = [fr(x) for x in ai]
-        bi = fr(bi)
-        if bi < 0:
-            ai = [-x for x in ai]
-            bi = -bi
-        rows.append(ai)
-        rhs.append(bi)
-
-    # artificial variable per row
-    width = n + m
+    system = [list(ai) + [bi] for ai, bi in zip(a_rows, b)]
+    # one multiple for the whole system: scaling rows separately would
+    # change the phase-1 objective (the sum of the rows) and its pivots
+    scale = lcm(*[x.denominator for row in system for x in row])
     tab = []
-    for i in range(m):
-        row = rows[i] + [fr(0)] * m + [rhs[i]]
-        row[n + i] = fr(1)
-        tab.append(row)
-    basis = list(range(n, n + m))
-    objrow = [fr(0)] * (width + 1)
-    for i in range(m):
-        objrow = [a - b_ for a, b_ in zip(objrow, tab[i])]
-    for j in range(n, n + m):
-        objrow[j] = fr(0)
+    for i, row in enumerate(system):
+        ints = _scaled(row, scale)
+        if ints[-1] < 0:
+            ints = [-x for x in ints]
+        # artificial variable per row
+        art = [0] * m
+        art[i] = 1
+        tab.append(ints[:n] + art + ints[n:])
+    width = n + m
+    basis = list(range(n, width))
+    objrow = [-sum(col) for col in zip(*tab)] if tab else [0] * (width + 1)
+    objrow[n:width] = [0] * m
     tab.append(objrow)
-    _iterate(tab, basis, width)
-    if -tab[-1][-1] != 0:
+    den = _iterate(tab, basis, 1, width)
+    if tab[-1][-1] != 0:
         return None
     # drive artificials out of the basis where possible; rows that cannot
     # be pivoted are redundant and get dropped
@@ -94,33 +118,33 @@ def _feasible_tableau(a_rows, b, n):
             if col is None:
                 drop.append(i)
             else:
-                _pivot(tab, basis, i, col)
+                den = _pivot(tab, basis, den, i, col)
     for i in reversed(drop):
         tab.pop(i)
         basis.pop(i)
-    return [row[:n] + [row[-1]] for row in tab], basis
+    return [row[:n] + [row[-1]] for row in tab], basis, den
 
 
 def _optimize(start, c, n, maximize):
     """Phase 2 from a feasible tableau, which is left unchanged."""
-    rows, basis = start
+    rows, basis, den = start
     tab = list(rows)  # _pivot replaces rows, it never edits one in place
     basis = list(basis)
-    objrow = [Fraction(x) for x in c] + [Fraction(0)]
-    if maximize:
-        objrow = [-x for x in objrow]
+    sign = -den if maximize else den
+    scale = lcm(*[x.denominator for x in c])
+    # the objective times scale, carried at the tableau's denominator
+    objrow = [sign * x for x in _scaled(c, scale)] + [0]
     for i, bv in enumerate(basis):
-        if objrow[bv]:
-            f = objrow[bv]
-            objrow = [a - f * b_ for a, b_ in zip(objrow, tab[i])]
+        f = objrow[bv]
+        if f:
+            # basic columns are den times a unit vector, so this divides
+            objrow = [a - f * b_ // den for a, b_ in zip(objrow, tab[i])]
     tab.append(objrow)
-    _iterate(tab, basis, n)
+    den = _iterate(tab, basis, den, n)
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
-        x[bv] = tab[i][-1]
-    value = -tab[-1][-1]
-    if maximize:
-        value = -value
+        x[bv] = Fraction(tab[i][-1], den)
+    value = Fraction(tab[-1][-1] if maximize else -tab[-1][-1], den * scale)
     return value, x
 
 
@@ -130,8 +154,8 @@ def solve_equality_lp(a_rows, b, objectives, maximize=False):
 
     Phase 1 runs once; phase 2 runs for each objective, in order, from a
     fresh copy of the feasible tableau.  Returns None when the system is
-    infeasible, else one (value, x) per objective.  Raises
-    :class:`Unbounded` when an objective is unbounded.
+    infeasible, else one (value, x) per objective, with Fraction entries.
+    Raises :class:`Unbounded` when an objective is unbounded.
     """
     objectives = list(objectives)
     n = len(objectives[0]) if objectives else (len(a_rows[0]) if a_rows else 0)
@@ -141,42 +165,48 @@ def solve_equality_lp(a_rows, b, objectives, maximize=False):
     return [_optimize(start, c, n, maximize) for c in objectives]
 
 
+def _rref_ints(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination.
+
+    Returns (integer rows, pivot column list, den): the reduced row
+    echelon form is the returned rows divided by den, and every pivot
+    entry equals den.
+    """
+    mat = [_scaled(row, lcm(*[x.denominator for x in row])) for row in rows]
+    pivots = [None] * len(mat)
+    den = 1
+    r = 0
+    for col in range(ncols):
+        if r == len(mat):
+            break
+        pr = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        den = _pivot(mat, pivots, den, r, col)
+        r += 1
+    return mat[:r], pivots[:r], den
+
+
 def rref(rows, ncols):
     """Reduced row echelon form over the rationals.
 
     Returns (reduced rows, pivot column list).
     """
-    fr = Fraction
-    mat = [[fr(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][col]
-        mat[r] = [x / piv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    mat, pivots, den = _rref_ints(rows, ncols)
+    return [[Fraction(x, den) for x in row] for row in mat], pivots
 
 
 def null_space(rows, ncols):
-    """Basis of the null space of the matrix, as rational vectors."""
-    red, pivots = rref(rows, ncols)
+    """Basis of the null space of the matrix, as rational vectors: one
+    per free column, 1 there and 0 at the other free columns."""
+    mat, pivots, den = _rref_ints(rows, ncols)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for row, p in zip(mat, pivots):
+            v[p] = Fraction(-row[f], den)
         basis.append(v)
     return basis

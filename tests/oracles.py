@@ -1,0 +1,306 @@
+"""Reference implementations that the tests compare the package against.
+
+None of this runs in the CLI: each function is a slower or more direct
+version of something ``src/cisgraphs`` does, kept here as an oracle.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from cisgraphs.cliques import maximal_stable_sets
+from cisgraphs.graphs import Graph, bits, is_isomorphic
+from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
+from cisgraphs.linegraph import line_graph, root_graph
+from cisgraphs.lp import Unbounded
+
+# ---------------------------------------------------------------------------
+# the exact simplex over Fraction entries (the integer tableau's reference)
+
+
+def _pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    tab[row] = [x / piv for x in tab[row]]
+    for i, r in enumerate(tab):
+        if i != row and r[col]:
+            f = r[col]
+            tab[i] = [a - f * b for a, b in zip(r, tab[row])]
+    basis[row] = col
+
+
+def _iterate(tab, basis, ncols):
+    """Run simplex steps on a tableau whose last row is the (minimization)
+    objective in reduced form.  Bland's rule throughout."""
+    m = len(tab) - 1
+    while True:
+        obj = tab[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return
+        best = None
+        for i in range(m):
+            if tab[i][col] > 0:
+                ratio = tab[i][-1] / tab[i][col]
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        if best is None:
+            raise Unbounded("no leaving variable")
+        _pivot(tab, basis, best[1], col)
+
+
+def _feasible_tableau(a_rows, b, n):
+    """Phase 1: a basic feasible tableau of a_rows @ x == b, x >= 0, or
+    None when the system is infeasible.  Redundant rows are dropped."""
+    m = len(a_rows)
+    fr = Fraction
+    rows = []
+    rhs = []
+    for ai, bi in zip(a_rows, b):
+        ai = [fr(x) for x in ai]
+        bi = fr(bi)
+        if bi < 0:
+            ai = [-x for x in ai]
+            bi = -bi
+        rows.append(ai)
+        rhs.append(bi)
+
+    # artificial variable per row
+    width = n + m
+    tab = []
+    for i in range(m):
+        row = rows[i] + [fr(0)] * m + [rhs[i]]
+        row[n + i] = fr(1)
+        tab.append(row)
+    basis = list(range(n, n + m))
+    objrow = [fr(0)] * (width + 1)
+    for i in range(m):
+        objrow = [a - b_ for a, b_ in zip(objrow, tab[i])]
+    for j in range(n, n + m):
+        objrow[j] = fr(0)
+    tab.append(objrow)
+    _iterate(tab, basis, width)
+    if -tab[-1][-1] != 0:
+        return None
+    # drive artificials out of the basis where possible; rows that cannot
+    # be pivoted are redundant and get dropped
+    tab.pop()
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                drop.append(i)
+            else:
+                _pivot(tab, basis, i, col)
+    for i in reversed(drop):
+        tab.pop(i)
+        basis.pop(i)
+    return [row[:n] + [row[-1]] for row in tab], basis
+
+
+def _optimize(start, c, n, maximize):
+    """Phase 2 from a feasible tableau, which is left unchanged."""
+    rows, basis = start
+    tab = list(rows)  # _pivot replaces rows, it never edits one in place
+    basis = list(basis)
+    objrow = [Fraction(x) for x in c] + [Fraction(0)]
+    if maximize:
+        objrow = [-x for x in objrow]
+    for i, bv in enumerate(basis):
+        if objrow[bv]:
+            f = objrow[bv]
+            objrow = [a - f * b_ for a, b_ in zip(objrow, tab[i])]
+    tab.append(objrow)
+    _iterate(tab, basis, n)
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        x[bv] = tab[i][-1]
+    value = -tab[-1][-1]
+    if maximize:
+        value = -value
+    return value, x
+
+
+def solve_equality_lp(a_rows, b, objectives, maximize=False):
+    """Same contract as :func:`cisgraphs.lp.solve_equality_lp`."""
+    objectives = list(objectives)
+    n = len(objectives[0]) if objectives else (len(a_rows[0]) if a_rows else 0)
+    start = _feasible_tableau(a_rows, b, n)
+    if start is None:
+        return None
+    return [_optimize(start, c, n, maximize) for c in objectives]
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over the rationals, dividing as it goes.
+
+    Returns (reduced rows, pivot column list).
+    """
+    fr = Fraction
+    mat = [[fr(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        piv = mat[r][col]
+        mat[r] = [x / piv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def null_space(rows, ncols):
+    """Same contract as :func:`cisgraphs.lp.null_space`, from :func:`rref`."""
+    red, pivots = rref(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(v)
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# forced subsets, one sweep per null direction
+
+
+def forced_subsets_per_direction(point, directions, stable_sets, n):
+    """What :func:`cisgraphs.equistable._forced_subsets` returns, from the
+    same analysis: a subset is forced when every direction, on its own,
+    sums to 0 over it.  Returns the first forced T of value 1 and the
+    first of value at most 1 (fewest vertices, then smallest mask)."""
+    live = bytearray([1]) * (1 << n)
+    for d in directions:
+        scale = lcm(*[x.denominator for x in d])
+        ints = [int(x * scale) for x in d]
+        sums = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            sums[m] = sums[m ^ low] + ints[low.bit_length() - 1]
+            if sums[m]:
+                live[m] = 0
+    stable = set(stable_sets)
+    value = {
+        m: sum((point[v] for v in bits(m)), Fraction(0))
+        for m in range(1, 1 << n) if live[m] and m not in stable
+    }
+
+    def first(masks):
+        m = min(masks, key=lambda m: (m.bit_count(), m), default=None)
+        return None if m is None else (m, value[m])
+
+    return (first(m for m in value if value[m] == 1),
+            first(m for m in value if value[m] <= 1))
+
+
+def verify_forced_subset(g: Graph, combination):
+    """Check a signed combination of maximal stable sets in the style of
+    the hand-written non-equistability certificates.
+
+    ``combination`` is a list of (vertex mask, +1/-1).  The signed sum of
+    characteristic vectors must be 0/1-valued; the subset it selects is
+    returned (its polytope value is then forced to the signed sign-sum).
+    """
+    stable = set(maximal_stable_sets(g))
+    coeff = [0] * g.n
+    for mask, sign in combination:
+        if sign not in (1, -1):
+            raise ValueError("signs must be +1 or -1")
+        if mask not in stable:
+            raise ValueError("combination member is not a maximal stable set")
+        for v in bits(mask):
+            coeff[v] += sign
+    if any(c not in (0, 1) for c in coeff):
+        raise ValueError("signed combination is not 0/1-valued")
+    out = 0
+    for v, c in enumerate(coeff):
+        if c:
+            out |= 1 << v
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cliques, line graphs and scans
+
+
+def maximal_cliques_brute(g: Graph):
+    """Subset-lattice oracle for small n."""
+    cliques = [m for m in range(1, 1 << g.n) if g.is_clique(m)]
+    as_set = set(cliques)
+    out = []
+    for c in cliques:
+        if not any(
+            c | 1 << v in as_set for v in range(g.n) if not c >> v & 1
+        ):
+            out.append(c)
+    return sorted(out)
+
+
+def roots_agree(h: Graph) -> bool:
+    """Root reconstruction inverts line_graph up to isomorphism.
+
+    Isolated vertices of h are invisible to the line graph and ignored;
+    the comparison is only meaningful when the reconstruction is unique,
+    i.e. when no component of h is a triangle or a star (the classical
+    Whitney exceptions), apart from h being K3 itself.
+    """
+    covered = 0
+    for u, v in h.edges():
+        covered |= 1 << u | 1 << v
+    h = h.subgraph(covered) if covered else Graph(1)
+    res = root_graph(line_graph(h))
+    if res.kind == "ambiguous":
+        return any(is_isomorphic(r, h) for r in res.roots)
+    return res.kind == "root" and is_isomorphic(res.root, h)
+
+
+def connected_graphs(max_n: int):
+    """Connected representatives only (for the line-graph sweeps)."""
+    out = {}
+    for n, graphs in nonisomorphic_graphs(max_n).items():
+        out[n] = [g for g in graphs if _is_connected(g)]
+    return out
+
+
+def _is_connected(g: Graph) -> bool:
+    seen = 1
+    frontier = 1
+    while frontier:
+        nxt = 0
+        for v in range(g.n):
+            if frontier >> v & 1:
+                nxt |= g.adj[v]
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen == g.full
+
+
+def find_separators(x: str, y: str, max_n: int,
+                    cache: MembershipCache | None = None):
+    """All scanned graphs satisfying x but not y; empty is not a proof.
+
+    ``x``/``y`` are table property ids, or plain base predicate names.
+    """
+    cache = cache or MembershipCache()
+    out = []
+    reps = nonisomorphic_graphs(max_n)
+    for n in range(1, max_n + 1):
+        for g in reps[n]:
+            if cache.holds(x, g) and not cache.holds(y, g):
+                out.append(g)
+    return out

@@ -132,6 +132,7 @@ def test_input_errors(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("module, name, error", [
     (search, "exists_cross_intersecting", search.SearchUndecided),
     (cliques, "_bron_kerbosch", cliques.FamilyCapExceeded),
+    (equistable, "_verify_weighting", equistable.WeightingUndecided),
 ])
 def test_budget_exhaustion_is_undecided(capsys, monkeypatch, module, name,
                                         error):
@@ -140,12 +141,24 @@ def test_budget_exhaustion_is_undecided(capsys, monkeypatch, module, name,
     def exhausted(*args, **kwargs):
         raise error("budget spent")
 
+    requests = [("classify", "5\n0 1\n1 2\n2 3\n3 4\n4 0\n")]  # C5
+    reason = "budget spent"
+    if error is equistable.WeightingUndecided:
+        # the weighting walk gives up when no candidate verifies; C4 is
+        # equistable and its polytope has two null directions, so it walks
+        def exhausted(*args, **kwargs):
+            return False
+
+        c4 = "4\n0 1\n1 2\n2 3\n3 0\n"
+        requests = [("equistable", c4), ("classify", c4)]
+        reason = "weight construction failed to avoid all hyperplanes"
     monkeypatch.setattr(module, name, exhausted)
-    monkeypatch.setattr("sys.stdin", io.StringIO("5\n0 1\n1 2\n2 3\n3 4\n4 0\n"))
-    code, out, err = run(capsys, "classify", "-i", "-")
-    assert code == 3
-    assert out == ""
-    assert err == "undecided: budget spent\n"
+    for command, text in requests:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, command, "-i", "-")
+        assert code == 3
+        assert out == ""
+        assert err == f"undecided: {reason}\n"
 
 
 def test_vertex_limit(capsys, monkeypatch):

@@ -11,11 +11,11 @@ from cisgraphs.cliques import (
     covers_nonedges,
     covers_vertices,
     maximal_cliques,
-    maximal_cliques_brute,
     maximal_stable_sets,
     simplicial_cliques,
 )
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
+from oracles import maximal_cliques_brute
 
 
 def all_graphs(n):

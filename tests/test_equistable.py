@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cisgraphs import equistable, lp
@@ -14,11 +14,14 @@ from cisgraphs.equistable import (
     forced_value,
     is_equistable,
     is_strongly_equistable,
-    verify_forced_subset,
     verify_weighting,
 )
 from cisgraphs.gallery import complete, cycle, gallery, path
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
+from cisgraphs.hasse import nonisomorphic_graphs
+
+import oracles
+from oracles import verify_forced_subset
 
 
 def brute_constant_subsets(g):
@@ -204,3 +207,42 @@ def test_certificates_verify(seed, n):
     if strong.reason == "forced-subset":
         assert strong.forced_value <= 1
         assert forced_value(g, strong.forced_subset) == strong.forced_value
+
+
+def subset_sum(vec, mask):
+    return sum(vec[v] for v in bits(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9) | st.integers(-10**15, 10**15),
+             min_size=n, max_size=n),
+    max_size=5,
+)))
+@example([[1], [-1]])  # one digit's sum cancels the next one's
+@example([[3, 4, 5], [-2, -7, 1], [1, 1, 1]])  # full-mask sums at ±(B-1)/2
+@example([[-5, -5], [5, 5], [-10**15, 10**15]])
+def test_packed_sweep_zero_exactly_where_every_direction_is(directions):
+    n = len(directions[0]) if directions else 3
+    sums = equistable._subset_sums(equistable._packed(directions, n), n)
+    for m in range(1 << n):
+        assert (sums[m] == 0) == all(
+            subset_sum(d, m) == 0 for d in directions
+        )
+
+
+LP_GALLERY = ("FK", "F", "G12", "C5Star", "Cir9", "LK33", "C9", "SK")
+
+
+def test_forced_subsets_match_per_direction_sweeps():
+    graphs = [g for gs in nonisomorphic_graphs(6).values() for g in gs]
+    graphs += [gallery(name) for name in LP_GALLERY]
+    packed = 0
+    for g in graphs:
+        res = equistable._analysis(g)
+        if res is None:
+            continue
+        packed += len(res[1]) > 1
+        assert equistable._forced_subsets(g) == \
+            oracles.forced_subsets_per_direction(*res, g.n)
+    assert packed > 0

@@ -20,10 +20,10 @@ from cisgraphs.linegraph import (
     maximal_matchings,
     neighborhood_subgraph,
     root_graph,
-    roots_agree,
     tilde,
 )
 from cisgraphs.recognizers import is_cis
+from oracles import roots_agree
 
 
 def test_line_graph_basics():

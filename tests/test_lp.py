@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cisgraphs import lp
 from cisgraphs.lp import Unbounded, null_space, rref, solve_equality_lp
+
+import oracles
 
 
 def solve_one(a, b, c, maximize=False):
@@ -157,3 +160,88 @@ def test_null_space_dimension_random():
         for v in basis:
             for r in rows:
                 assert sum(F(a) * b for a, b in zip(r, v)) == 0
+
+
+def reference_systems(seed, count):
+    """Random systems a @ x == b over the rationals, with several
+    objectives: negative right-hand sides, redundant rows, infeasible and
+    unbounded cases all occur.  A third are 0/1 systems with b = 1, the
+    weight polytopes' shape, where degenerate ratio-test ties are common;
+    zero and 0/1 objectives have many optima, so a different pivot
+    sequence shows as a different vertex."""
+    rng = random.Random(seed)
+
+    def entry():
+        return F(rng.randint(-5, 5), rng.choice((1, 1, 1, 2, 3, 4, 7)))
+
+    for _ in range(count):
+        m = rng.randint(0, 4)
+        n = rng.randint(1, 6)
+        if rng.random() < 1 / 3:
+            a = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+            b = [1] * m
+        else:
+            a = [[entry() for _ in range(n)] for _ in range(m)]
+            if a and rng.random() < 0.3:
+                # a redundant row: a rational multiple of an earlier one
+                k = F(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                a.insert(rng.randint(0, len(a)),
+                         [k * x for x in rng.choice(a)])
+            feas = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+            b = [sum(r[j] * feas[j] for j in range(n)) for r in a]
+            if b and rng.random() < 0.25:
+                b[rng.randrange(len(b))] += F(rng.randint(1, 3),
+                                              rng.randint(1, 2))
+        objectives = [
+            rng.choice((
+                [entry() for _ in range(n)],
+                [rng.randint(0, 1) for _ in range(n)],
+                [0] * n,
+            ))
+            for _ in range(rng.randint(0, 3))
+        ]
+        yield a, b, objectives
+
+
+def outcome(solve, a, b, objectives, maximize):
+    try:
+        return solve(a, b, objectives, maximize)
+    except Unbounded:
+        return Unbounded
+
+
+def test_integer_simplex_matches_fraction_reference():
+    # the integer tableau takes the rational tableau's pivots, so values
+    # and vertices are equal, not merely both optimal
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "negative_b": 0}
+    for a, b, objectives in reference_systems(seed=7, count=2000):
+        seen["negative_b"] += any(v < 0 for v in b)
+        # phase 1 ends on the same basis, with the same rational tableau
+        n = len(a[0]) if a else 0
+        start = lp._feasible_tableau(a, b, n)
+        want = oracles._feasible_tableau(a, b, n)
+        if want is None:
+            assert start is None
+        else:
+            rows, basis, den = start
+            assert basis == want[1]
+            assert [[F(x, den) for x in row] for row in rows] == want[0]
+        for maximize in (False, True):
+            got = outcome(solve_equality_lp, a, b, objectives, maximize)
+            want = outcome(oracles.solve_equality_lp, a, b, objectives,
+                           maximize)
+            assert got == want, (a, b, objectives, maximize)
+            if want is None:
+                seen["infeasible"] += 1
+            elif want is Unbounded:
+                seen["unbounded"] += 1
+            else:
+                seen["optimal"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_fraction_free_rref_matches_fraction_reference():
+    for a, _, _ in reference_systems(seed=8, count=2000):
+        n = len(a[0]) if a else 3
+        assert rref(a, n) == oracles.rref(a, n)
+        assert null_space(a, n) == oracles.null_space(a, n)
