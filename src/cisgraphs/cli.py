@@ -20,7 +20,13 @@ from . import gallery as gal
 from . import hasse, linegraph
 from .cliques import FamilyCapExceeded
 from .graphs import Graph, GraphError, bits, complement, encode_graph6, parse_graph
-from .recognizers import BASE_NAMES, cis_certificate, is_cis, triangle_violation
+from .recognizers import (
+    BASE_NAMES,
+    COMPLEMENT_INVARIANT,
+    cis_certificate,
+    is_cis,
+    triangle_violation,
+)
 from .search import SearchUndecided
 
 JSON_SCHEMA_VERSION = 1
@@ -94,7 +100,11 @@ def cmd_classify(args) -> int:
     g = _load_graph(args)
     cache = hasse.MembershipCache()
     base = {name: cache.base(name, g) for name in BASE_NAMES}
-    co = {name: cache.base(name, complement(g)) for name in BASE_NAMES}
+    co = {
+        name: base[name] if name in COMPLEMENT_INVARIANT
+        else cache.base(name, complement(g))
+        for name in BASE_NAMES
+    }
     table_props = {prop: cache.holds(prop, g) for prop in hasse.PROPERTY_ORDER}
     certs = {}
     pair = cis_certificate(g)

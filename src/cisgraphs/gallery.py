@@ -175,45 +175,9 @@ def random_split(k: int, l: int, seed: int) -> Graph:
     return Graph(k + l, edges)
 
 
-def random_split_lemma_properties(k: int, l: int, seed: int):
-    """The four structural properties of the random split construction:
-    S maximal stable, C maximal clique, common neighbors in S for clique
-    pairs, common non-neighbors in C for stable pairs.
-    """
-    rows = _cross_adjacency(k, l, seed)
-    s_maximal = all(rows[c] != 0 for c in range(k))
-    c_maximal = all(
-        any(not rows[c] >> s & 1 for c in range(k)) for s in range(l)
-    )
-    common_nbr = all(
-        rows[c1] & rows[c2]
-        for c1, c2 in itertools.combinations(range(k), 2)
-    )
-    common_nonnbr = all(
-        any((~rows[c] >> s1 & 1) and (~rows[c] >> s2 & 1) for c in range(k))
-        for s1, s2 in itertools.combinations(range(l), 2)
-    )
-    return (s_maximal, c_maximal, common_nbr, common_nonnbr)
-
-
 def _big_L() -> Graph:
     """Line graph of K_{5,6} with a new triangle apex glued on every edge."""
     return _glue_triangles(_rook(5, 6))
-
-
-def big_L_clique_families():
-    """The 5 disjoint 6-cliques and 6 disjoint 5-cliques of L covering the
-    line-graph-of-K_{5,6} part of the vertex set (rows/columns of the rook's
-    graph)."""
-    verts = list(itertools.product(range(5), range(6)))
-    pos = {p: i for i, p in enumerate(verts)}
-    six_cliques = [
-        {pos[(i, j)] for j in range(6)} for i in range(5)
-    ]
-    five_cliques = [
-        {pos[(i, j)] for i in range(5)} for j in range(6)
-    ]
-    return six_cliques, five_cliques
 
 
 def gallery(name: str) -> Graph:

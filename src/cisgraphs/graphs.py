@@ -100,17 +100,6 @@ class Graph:
                 return False
         return True
 
-    def subgraph(self, mask: int) -> "Graph":
-        """Induced subgraph on the vertices of ``mask``, relabeled 0..k-1."""
-        verts = list(bits(mask))
-        pos = {v: i for i, v in enumerate(verts)}
-        edges = [
-            (pos[u], pos[v])
-            for u, v in itertools.combinations(verts, 2)
-            if self.has_edge(u, v)
-        ]
-        return Graph(max(len(verts), 1), edges)
-
     def memo(self, key: str, compute):
         """``compute(self)``, evaluated on the first call for ``key`` and
         kept for the graph's lifetime; sound because a graph never changes."""

@@ -1,6 +1,8 @@
 """Class predicates: CIS and relatives, split/threshold/cograph, triangle
 conditions, edge simplicial, perfect, and the lookup of the 15 base
 predicates by name (lifted to cap/cup forms by ``hasse.MembershipCache``).
+``COMPLEMENT_INVARIANT`` names the bases that give a graph and its
+complement the same verdict, which ``classify`` therefore decides once.
 
 Degenerate verdicts are fixed: edgeless graphs are edge simplicial,
 semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
@@ -210,37 +212,47 @@ def has_bad_p4(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # perfect (Berge: no odd hole in g or its complement), n <= 16
+#
+# An odd hole is found by a depth-first search over chordless paths
+# s = p0, p1, ..., pk grown from its smallest vertex s through larger
+# vertices.  The path's vertex set determines the path, so the search
+# visits at most as many states as there are vertex subsets, and in
+# practice far fewer.
 
 
 def _has_odd_hole(g: Graph) -> bool:
-    n = g.n
-    for m in range(1, 1 << n):
-        k = m.bit_count()
-        if k < 5 or k % 2 == 0:
-            continue
-        ok = True
-        for v in bits(m):
-            if (g.adj[v] & m).bit_count() != 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        # 2-regular: a single cycle iff connected
-        start = (m & -m).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & m
-            frontier = nxt & ~seen
-            seen |= nxt
-        if seen & m == m:
+    """An induced cycle of odd length >= 5.
+
+    ``blocked`` holds {0..s} and N[p1], ..., N[p(k-1)].  A neighbour of pk
+    outside it extends the path without a chord if it is not adjacent to
+    s, and closes a hole of length k + 2 if it is.  Once ``blocked``
+    covers N(s), no extension can close, so the path is dropped.
+    """
+    adj = g.adj
+
+    def grow(p, blocked, k, ns):
+        cand = adj[p] & ~blocked
+        if k >= 3 and k & 1 and cand & ns:
             return True
+        blocked |= adj[p] | 1 << p
+        if ns & ~blocked:
+            for q in bits(cand & ~ns):
+                if grow(q, blocked, k + 1, ns):
+                    return True
+        return False
+
+    for s in range(g.n - 4):
+        low = (2 << s) - 1
+        ns = adj[s] & ~low
+        for p1 in bits(ns):
+            if grow(p1, low, 1, ns):
+                return True
     return False
 
 
 def is_perfect(g: Graph) -> bool:
+    """No odd hole in g or in its complement (Chudnovsky, Robertson,
+    Seymour and Thomas 2006)."""
     if g.n > 16:
         raise UnsupportedSize("perfect test limited to n <= 16")
     return not (_has_odd_hole(g) or _has_odd_hole(complement(g)))
@@ -255,6 +267,17 @@ BASE_NAMES = (
     "weakly_triangle", "normal", "perfect", "equistable",
     "strongly_equistable",
 )
+
+# The bases whose verdict on complement(g) is the verdict on g.  The CIS
+# family, weakly CIS and normal are symmetric in the maximal cliques and
+# the maximal stable sets, which complementing swaps; split, threshold and
+# cograph have forbidden induced subgraphs closed under complement; perfect
+# by Lovász's perfect graph theorem (1972).  Weakly triangle agrees on
+# every class with n <= 7 but is not proven, so it is left out.
+COMPLEMENT_INVARIANT = frozenset({
+    "threshold", "cograph", "split", "cis", "almost_cis", "quasi_cis",
+    "weakly_cis", "normal", "perfect",
+})
 
 
 def _base_predicates():

@@ -6,10 +6,12 @@ version of something ``src/cisgraphs`` does, kept here as an oracle.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
 from cisgraphs.cliques import maximal_stable_sets
+from cisgraphs.gallery import _cross_adjacency
 from cisgraphs.graphs import Graph, bits, is_isomorphic
 from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
 from cisgraphs.linegraph import line_graph, root_graph
@@ -235,7 +237,41 @@ def verify_forced_subset(g: Graph, combination):
 
 
 # ---------------------------------------------------------------------------
-# cliques, line graphs and scans
+# graphs, cliques, line graphs and scans
+
+
+def induced_subgraph(g: Graph, mask: int) -> Graph:
+    """Induced subgraph on the vertices of ``mask``, relabeled 0..k-1."""
+    verts = list(bits(mask))
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [
+        (pos[u], pos[v])
+        for u, v in itertools.combinations(verts, 2)
+        if g.has_edge(u, v)
+    ]
+    return Graph(max(len(verts), 1), edges)
+
+
+def has_odd_hole_by_subsets(g: Graph) -> bool:
+    """Odd hole by trying every vertex subset: an odd one of size >= 5
+    that induces a connected 2-regular graph."""
+    for m in range(1, 1 << g.n):
+        k = m.bit_count()
+        if k < 5 or k % 2 == 0:
+            continue
+        if any((g.adj[v] & m).bit_count() != 2 for v in bits(m)):
+            continue
+        # 2-regular: a single cycle iff connected
+        seen = frontier = m & -m
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= g.adj[v] & m
+            frontier = nxt & ~seen
+            seen |= nxt
+        if seen == m:
+            return True
+    return False
 
 
 def maximal_cliques_brute(g: Graph):
@@ -262,7 +298,7 @@ def roots_agree(h: Graph) -> bool:
     covered = 0
     for u, v in h.edges():
         covered |= 1 << u | 1 << v
-    h = h.subgraph(covered) if covered else Graph(1)
+    h = induced_subgraph(h, covered) if covered else Graph(1)
     res = root_graph(line_graph(h))
     if res.kind == "ambiguous":
         return any(is_isomorphic(r, h) for r in res.roots)
@@ -304,3 +340,43 @@ def find_separators(x: str, y: str, max_n: int,
             if cache.holds(x, g) and not cache.holds(y, g):
                 out.append(g)
     return out
+
+
+# ---------------------------------------------------------------------------
+# gallery constructions
+
+
+def random_split_lemma_properties(k: int, l: int, seed: int):
+    """The four structural properties of the random split construction:
+    S maximal stable, C maximal clique, common neighbors in S for clique
+    pairs, common non-neighbors in C for stable pairs.
+    """
+    rows = _cross_adjacency(k, l, seed)
+    s_maximal = all(rows[c] != 0 for c in range(k))
+    c_maximal = all(
+        any(not rows[c] >> s & 1 for c in range(k)) for s in range(l)
+    )
+    common_nbr = all(
+        rows[c1] & rows[c2]
+        for c1, c2 in itertools.combinations(range(k), 2)
+    )
+    common_nonnbr = all(
+        any((~rows[c] >> s1 & 1) and (~rows[c] >> s2 & 1) for c in range(k))
+        for s1, s2 in itertools.combinations(range(l), 2)
+    )
+    return (s_maximal, c_maximal, common_nbr, common_nonnbr)
+
+
+def big_L_clique_families():
+    """The 5 disjoint 6-cliques and 6 disjoint 5-cliques of the gallery
+    graph L covering its line-graph-of-K_{5,6} part (rows/columns of the
+    rook's graph)."""
+    verts = list(itertools.product(range(5), range(6)))
+    pos = {p: i for i, p in enumerate(verts)}
+    six_cliques = [
+        {pos[(i, j)] for j in range(6)} for i in range(5)
+    ]
+    five_cliques = [
+        {pos[(i, j)] for i in range(5)} for j in range(6)
+    ]
+    return six_cliques, five_cliques

@@ -12,10 +12,8 @@ from cisgraphs.gallery import (
     G12_STABLE_SUBFAMILY,
     GALLERY_NAMES,
     _shift,
-    big_L_clique_families,
     gallery,
     projective_split,
-    random_split_lemma_properties,
 )
 from cisgraphs.graphs import complement, mask_of, random_graph
 from cisgraphs.hasse import (
@@ -40,7 +38,11 @@ from cisgraphs.recognizers import (
     is_weakly_triangle,
 )
 from cisgraphs.search import verify_cover_certificate
-from oracles import connected_graphs
+from oracles import (
+    big_L_clique_families,
+    connected_graphs,
+    random_split_lemma_properties,
+)
 
 
 def report(num, title, ok):

