@@ -280,11 +280,6 @@ BASE_ARROWS = (
     ("cograph", "cis"),
 )
 
-LP_ARROW_BASES = frozenset(
-    {"equistable", "strongly_equistable"}
-)
-
-
 @dataclass
 class ArrowResult:
     name: str
@@ -373,7 +368,7 @@ def scan(max_n: int = 6, include_lp: bool = False,
                 result.failures.append(result_g6)
 
             for a, b in BASE_ARROWS:
-                if not with_lp and (a in LP_ARROW_BASES or b in LP_ARROW_BASES):
+                if not with_lp and (a in LP_BASES or b in LP_BASES):
                     continue
                 res = arrows[f"{a}->{b}"]
                 res.checked += 1

@@ -1,5 +1,5 @@
-"""Line graphs: construction, Krausz-partition root reconstruction, maximum
-weight matching, and the CIS-line-graph recognizer.
+"""Line graphs: construction, root reconstruction from forced Krausz
+cells, maximum weight matching, and the CIS-line-graph recognizer.
 
 The recognizer tests, for a root graph H: no bull subgraph, and for every
 relevant vertex x no matching of H(x) with at least two edges covering all
@@ -36,7 +36,7 @@ def tilde(h: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# root graph via Krausz partition backtracking
+# root graph via forced Krausz cells
 
 
 @dataclass
@@ -51,89 +51,78 @@ class RootResult:
 
 def _krausz_partition(g: Graph):
     """Partition of E(g) into cliques with every vertex in at most two
-    cells, or None.  Isolated vertices get singleton cells."""
-    capacity = [2] * g.n
-    edge_owner = {}
-    cells = []
-    edges = sorted(g.edges())
+    cells, or None.  Isolated vertices get singleton cells.
 
-    def cliques_on(u, v):
-        """All cliques containing edge (u, v) built from currently usable
-        common neighbors."""
-        pool = [
-            w
-            for w in bits(g.adj[u] & g.adj[v])
-            if capacity[w] >= 1
-            and (min(u, w), max(u, w)) not in edge_owner
-            and (min(v, w), max(v, w)) not in edge_owner
-        ]
-        out = []
+    A triangle uvw is odd when some vertex sees one or three of u, v, w.
+    A triangle of a root graph is even, so an odd triangle is a star and
+    w shares the cell of uv.  Of the even common neighbours of u and v,
+    only the root-triangle edge can lie outside that cell, and apart from
+    K3, L(K4), L(K4 - e) and L(K1,3 + e) every star triangle is odd (van
+    Rooij & Wilf 1965; Whitney 1932).  So in a component of more than 6
+    vertices the cell of the first uncovered edge uv is forced: u, v and
+    their odd common neighbours.  A smaller component also tries the
+    cells that hold all but at most one even common neighbour, in sorted
+    order.  Each component is searched on its own, and the cells are
+    those of the first partition found by a backtracking search over all
+    sub-cliques, which the tests keep as the oracle.
+    """
+    adj = g.adj
+    free = list(adj)  # neighbours not yet in a cell with v
+    room = [2] * g.n  # cells v may still join
+    placed = []  # (first edge, cell)
 
-        def grow(cell, rest):
-            out.append(tuple(cell))
-            for idx, w in enumerate(rest):
-                if all(
-                    g.has_edge(w, z)
-                    and (min(w, z), max(w, z)) not in edge_owner
-                    for z in cell
-                ):
-                    grow(cell + [w], rest[idx + 1:])
+    def options(u, v, small):
+        common = list(bits(adj[u] & adj[v]))
+        even = [w for w in common if not adj[u] ^ adj[v] ^ adj[w]]
+        if not small:
+            return [tuple(w for w in common if w not in even)]
+        return sorted({tuple(w for w in common if w != x)
+                       for x in [None, *even]})
 
-        grow([u, v], pool)
-        return out
+    def fits(cell):
+        m = mask_of(cell)
+        return all(room[w] and m & ~(1 << w) & ~free[w] == 0 for w in cell)
 
-    def place(cell_verts):
-        cell_id = len(cells)
-        cells.append(cell_verts)
-        for w in cell_verts:
-            capacity[w] -= 1
-        pairs = list(itertools.combinations(sorted(cell_verts), 2))
-        for p in pairs:
-            edge_owner[p] = cell_id
-        return pairs
+    def join(cell, step):
+        m = mask_of(cell)
+        for w in cell:
+            free[w] ^= m & ~(1 << w)
+            room[w] -= step
 
-    def unplace(pairs):
-        cell_verts = cells.pop()
-        for w in cell_verts:
-            capacity[w] += 1
-        for p in pairs:
-            del edge_owner[p]
-
-    def solve():
-        target = next((e for e in edges if e not in edge_owner), None)
-        if target is None:
+    def solve(comp, small):
+        u = next((x for x in bits(comp) if free[x] >> x + 1), None)
+        if u is None:
             return True
-        u, v = target
-        if capacity[u] == 0 or capacity[v] == 0:
-            return False
-        for cell in cliques_on(u, v):
-            pairs = place(cell)
-            if solve():
-                return True
-            unplace(pairs)
+        later = free[u] >> u + 1
+        v = u + (later & -later).bit_length()
+        for extra in options(u, v, small):
+            cell = (u, v, *extra)
+            if fits(cell):
+                join(cell, 1)
+                placed.append(((u, v), cell))
+                if solve(comp, small):
+                    return True
+                placed.pop()
+                join(cell, -1)
         return False
 
-    if not solve():
-        return None
+    seen = 0
     for v in range(g.n):
-        if capacity[v] == 2 and not g.adj[v]:
-            cells.append((v,))
-            capacity[v] -= 1
+        if seen >> v & 1:
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            nxt = 0
+            for w in bits(frontier):
+                nxt |= adj[w]
+            frontier = nxt & ~comp
+            comp |= nxt
+        seen |= comp
+        if not solve(comp, comp.bit_count() <= 6):
+            return None
+    cells = [cell for _, cell in sorted(placed)]
+    cells += [(v,) for v in range(g.n) if not adj[v]]
     return cells
-
-
-def _has_claw(g: Graph) -> bool:
-    """Whether g has an induced K_{1,3}: a vertex with three pairwise
-    non-adjacent neighbors."""
-    adj = g.adj
-    for v in range(g.n):
-        for a in bits(adj[v]):
-            # later neighbors of v not adjacent to a
-            rest = adj[v] & ~adj[a] & ~((2 << a) - 1)
-            for b in bits(rest):
-                if rest & ~adj[b] & ~((2 << b) - 1):
-                    return True
-    return False
 
 
 def _root_from_cells(g: Graph, cells) -> Graph:
@@ -154,7 +143,7 @@ def _root_from_cells(g: Graph, cells) -> Graph:
 
 
 def root_graph(g: Graph) -> RootResult:
-    """Root graph H with L(H) isomorphic to g, via exact Krausz search.
+    """Root graph H with L(H) isomorphic to g, via forced Krausz cells.
 
     The K3 ambiguity (roots K3 and K_{1,3}) is reported explicitly.
     """
@@ -162,10 +151,6 @@ def root_graph(g: Graph) -> RootResult:
         k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
         k13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
         return RootResult("ambiguous", [k3, k13])
-    # line graphs are claw-free (Beineke), and the Krausz search can take
-    # exponential time to reject a graph with large cliques and a claw
-    if _has_claw(g):
-        return RootResult("not-line-graph")
     cells = _krausz_partition(g)
     if cells is None:
         return RootResult("not-line-graph")

@@ -83,16 +83,6 @@ def is_split(g: Graph) -> bool:
     return split_partition(g) is not None
 
 
-def count_split_partitions(g: Graph) -> int:
-    """Number of partitions V = C + S with C a clique and S stable
-    (clique side labeled); a 2^n brute-force oracle for the tests."""
-    return sum(
-        1
-        for c in range(1 << g.n)
-        if g.is_clique(c) and g.is_stable(g.full & ~c)
-    )
-
-
 # ---------------------------------------------------------------------------
 # CIS family
 
@@ -123,7 +113,7 @@ def cis_certificate(g: Graph):
 
 def is_almost_cis(g: Graph) -> bool:
     """Exactly one disjoint pair (equivalently: split with a unique split
-    partition, which the tests check against ``count_split_partitions``)."""
+    partition, which the tests check by counting split partitions)."""
     return len(disjoint_pairs(g, limit=2)) == 1
 
 

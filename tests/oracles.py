@@ -274,6 +274,16 @@ def has_odd_hole_by_subsets(g: Graph) -> bool:
     return False
 
 
+def count_split_partitions(g: Graph) -> int:
+    """Number of partitions V = C + S with C a clique and S stable
+    (clique side labeled); 2^n brute force."""
+    return sum(
+        1
+        for c in range(1 << g.n)
+        if g.is_clique(c) and g.is_stable(g.full & ~c)
+    )
+
+
 def maximal_cliques_brute(g: Graph):
     """Subset-lattice oracle for small n."""
     cliques = [m for m in range(1, 1 << g.n) if g.is_clique(m)]
@@ -287,13 +297,87 @@ def maximal_cliques_brute(g: Graph):
     return sorted(out)
 
 
+def krausz_partition_by_subcliques(g: Graph):
+    """What :func:`cisgraphs.linegraph._krausz_partition` returns, by
+    backtracking over every sub-clique of each uncovered edge's usable
+    common neighbours (exponential on large cliques)."""
+    capacity = [2] * g.n
+    edge_owner = {}
+    cells = []
+    edges = sorted(g.edges())
+
+    def cliques_on(u, v):
+        """All cliques containing edge (u, v) built from currently usable
+        common neighbors."""
+        pool = [
+            w
+            for w in bits(g.adj[u] & g.adj[v])
+            if capacity[w] >= 1
+            and (min(u, w), max(u, w)) not in edge_owner
+            and (min(v, w), max(v, w)) not in edge_owner
+        ]
+        out = []
+
+        def grow(cell, rest):
+            out.append(tuple(cell))
+            for idx, w in enumerate(rest):
+                if all(
+                    g.has_edge(w, z)
+                    and (min(w, z), max(w, z)) not in edge_owner
+                    for z in cell
+                ):
+                    grow(cell + [w], rest[idx + 1:])
+
+        grow([u, v], pool)
+        return out
+
+    def place(cell_verts):
+        cell_id = len(cells)
+        cells.append(cell_verts)
+        for w in cell_verts:
+            capacity[w] -= 1
+        pairs = list(itertools.combinations(sorted(cell_verts), 2))
+        for p in pairs:
+            edge_owner[p] = cell_id
+        return pairs
+
+    def unplace(pairs):
+        cell_verts = cells.pop()
+        for w in cell_verts:
+            capacity[w] += 1
+        for p in pairs:
+            del edge_owner[p]
+
+    def solve():
+        target = next((e for e in edges if e not in edge_owner), None)
+        if target is None:
+            return True
+        u, v = target
+        if capacity[u] == 0 or capacity[v] == 0:
+            return False
+        for cell in cliques_on(u, v):
+            pairs = place(cell)
+            if solve():
+                return True
+            unplace(pairs)
+        return False
+
+    if not solve():
+        return None
+    for v in range(g.n):
+        if capacity[v] == 2 and not g.adj[v]:
+            cells.append((v,))
+            capacity[v] -= 1
+    return cells
+
+
 def roots_agree(h: Graph) -> bool:
     """Root reconstruction inverts line_graph up to isomorphism.
 
-    Isolated vertices of h are invisible to the line graph and ignored;
-    the comparison is only meaningful when the reconstruction is unique,
-    i.e. when no component of h is a triangle or a star (the classical
-    Whitney exceptions), apart from h being K3 itself.
+    Isolated vertices of h are invisible to the line graph and ignored.
+    Only a K1,3 component fails to round-trip (unless h is K1,3 itself,
+    which root_graph reports as ambiguous): its line graph K3 gets the
+    triangle root.
     """
     covered = 0
     for u, v in h.edges():

@@ -364,6 +364,39 @@ def test_cis_line_rejects_claw_before_krausz_search(capsys):
     assert elapsed < 1.0
 
 
+def _complete_minus_edge(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if (u, v) != (0, 1)])
+
+
+def _triangles_beside_k5_minus_edge(k):
+    edges = [(3 * t + a, 3 * t + b) for t in range(k)
+             for a, b in ((0, 1), (0, 2), (1, 2))]
+    k5e = _complete_minus_edge(5)
+    return Graph(3 * k + 5, edges + [(3 * k + u, 3 * k + v)
+                                     for u, v in k5e.edges()])
+
+
+@pytest.mark.parametrize("g", [
+    _complete_minus_edge(18),
+    _complete_minus_edge(64),
+    _triangles_beside_k5_minus_edge(14),
+], ids=["K18-e", "K64-e", "14K3+K5-e"])
+def test_cis_line_rejects_claw_free_non_line_graphs_quickly(
+        capsys, tmp_path, g):
+    # claw-free and not line graphs (each contains K5 - e): the sub-clique
+    # Krausz search took from seconds to minutes on these
+    path = tmp_path / "g.g6"
+    path.write_text(encode_graph6(g))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cis-line", "-i", str(path), "--verify",
+                       "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["input_role"] == "root"
+    assert elapsed < 1.0
+
+
 def test_byte_determinism(capsys):
     a = run(capsys, "classify", "-i", "gallery:G12", "--format", "json")
     b = run(capsys, "classify", "-i", "gallery:G12", "--format", "json")

@@ -23,7 +23,7 @@ from cisgraphs.linegraph import (
     tilde,
 )
 from cisgraphs.recognizers import is_cis
-from oracles import roots_agree
+from oracles import krausz_partition_by_subcliques, roots_agree
 
 
 def test_line_graph_basics():
@@ -106,13 +106,41 @@ def test_non_line_graphs_rejected():
 
 
 def test_claw_check_agrees_with_krausz_search():
-    # the claw check may only reject what the exact search rejects
+    # root_graph may only reject what the sub-clique search rejects
     rejected = 0
     for g in itertools.chain(*nonisomorphic_graphs(6).values()):
         not_line = root_graph(g).kind == "not-line-graph"
-        assert not_line == (_krausz_partition(g) is None), g
+        assert not_line == (krausz_partition_by_subcliques(g) is None), g
         rejected += not_line
     assert rejected > 0
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_forced_cells_match_subclique_search():
+    # the same cells in the same order, so every root_graph6 byte stays
+    def agree(g):
+        assert _krausz_partition(g) == krausz_partition_by_subcliques(g), g
+
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in range(1 << len(pairs)):
+            agree(Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1]))
+    rng = random.Random(7)
+    for g in itertools.chain(*nonisomorphic_graphs(7).values()):
+        agree(_relabelled(g, rng))
+        agree(_relabelled(g, rng))
+    done = 0
+    while done < 300:
+        h = random_graph(rng.randint(2, 12), rng.choice([0.25, 0.4, 0.6]), rng)
+        if not 0 < h.edge_count() <= 24:
+            continue
+        agree(_relabelled(line_graph(h), rng))
+        done += 1
 
 
 def test_matching_backends_agree():

@@ -20,7 +20,6 @@ from cisgraphs.recognizers import (
     _has_odd_hole,
     base_predicate,
     cis_certificate,
-    count_split_partitions,
     disjoint_pairs,
     has_bad_p4,
     induced_p4s,
@@ -39,7 +38,11 @@ from cisgraphs.recognizers import (
     strong_maximal_cliques,
     triangle_violation,
 )
-from oracles import has_odd_hole_by_subsets, induced_subgraph
+from oracles import (
+    count_split_partitions,
+    has_odd_hole_by_subsets,
+    induced_subgraph,
+)
 
 
 def all_graphs(n):
