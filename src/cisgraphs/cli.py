@@ -36,8 +36,8 @@ class InputError(ValueError):
     pass
 
 
-# The commands' O(n^4) four-subset scans, clique-family caps and search
-# budgets are sized for graphs of at most this many vertices.
+# The commands' clique-family caps and search budgets are sized for graphs
+# of at most this many vertices.
 MAX_VERTICES = 64
 
 
@@ -192,8 +192,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.max_n > hasse.MAX_SCAN_N:
-        raise InputError(f"--max-n is limited to {hasse.MAX_SCAN_N}")
+    if not 1 <= args.max_n <= hasse.MAX_SCAN_N:
+        raise InputError(f"--max-n must be between 1 and {hasse.MAX_SCAN_N}")
     report = hasse.scan(max_n=args.max_n, include_lp=args.include_lp)
     payload = report.to_dict()
     lines = [
@@ -364,31 +364,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument(
-                "--input", "-i",
-                help="graph source: path, '-' for stdin, gallery:ID, "
-                     "or random-split:K,L",
-            )
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
+    def add_format(p, choices=("json", "text")):
+        p.add_argument("--format", choices=choices, default="text")
+
+    def add_input(p):
+        p.add_argument(
+            "--input", "-i",
+            help="graph source: path, '-' for stdin, gallery:ID, "
+                 "or random-split:K,L",
+        )
         p.add_argument("--seed", type=int, default=0)
+        add_format(p)
+
+    def add_verify(p):
         p.add_argument("--verify", action="store_true",
                        help="re-verify emitted certificates")
 
     p = sub.add_parser("classify", help="full membership vector for a graph")
-    add_common(p)
+    add_input(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("table", help="reproduce and verify the relation table")
-    add_common(p, with_input=False)
+    add_format(p, ("json", "csv", "text"))
     p.add_argument("--include-lp", action=argparse.BooleanOptionalAction,
                    default=True)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("scan", help="exhaustive inclusion-arrow scan")
-    add_common(p, with_input=False)
+    add_format(p)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--include-lp", action="store_true",
                    help="run LP-backed classes above n = 6 too")
@@ -397,22 +400,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gallery", help="list or emit the named graphs")
     p_sub = p.add_subparsers(dest="action", required=True)
     p_list = p_sub.add_parser("list")
-    add_common(p_list, with_input=False)
+    add_format(p_list)
     p_list.set_defaults(fn=cmd_gallery, action="list")
     p_emit = p_sub.add_parser("emit")
     p_emit.add_argument("id")
-    add_common(p_emit, with_input=False)
+    add_format(p_emit)
     p_emit.set_defaults(fn=cmd_gallery, action="emit")
 
     p = sub.add_parser("cis-line",
                        help="CIS recognition for line graphs / root graphs")
-    add_common(p)
+    add_input(p)
+    add_verify(p)
     p.add_argument("--backend", choices=("auto", "brute", "blossom"),
                    default="auto")
     p.set_defaults(fn=cmd_cis_line)
 
     p = sub.add_parser("equistable", help="exact equistability decision")
-    add_common(p)
+    add_input(p)
+    add_verify(p)
     p.set_defaults(fn=cmd_equistable)
 
     return parser

@@ -55,19 +55,6 @@ def maximal_stable_sets(g: Graph, cap: int = DEFAULT_FAMILY_CAP):
     return maximal_cliques(complement(g), cap)
 
 
-def simplicial_cliques(g: Graph):
-    """All distinct closed neighborhoods N[v] that are cliques."""
-    seen = set()
-    out = []
-    for v in range(g.n):
-        nb = g.closed_nbhd(v)
-        if nb not in seen and g.is_clique(nb):
-            seen.add(nb)
-            out.append(nb)
-    out.sort()
-    return out
-
-
 def covers_edges(g: Graph, family) -> bool:
     return all(
         any(mask >> u & 1 and mask >> v & 1 for mask in family)

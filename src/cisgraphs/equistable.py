@@ -40,22 +40,6 @@ class WeightingUndecided(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WeightPolytope:
-    """Equality system w(S) = 1 over all maximal stable sets, with w >= 0."""
-
-    graph: Graph
-    stable_sets: tuple
-
-    @classmethod
-    def of(cls, g: Graph) -> "WeightPolytope":
-        return cls(g, tuple(maximal_stable_sets(g)))
-
-    def rows(self):
-        n = self.graph.n
-        return [[s >> v & 1 for v in range(n)] for s in self.stable_sets]
-
-
-@dataclass(frozen=True)
 class EquistableCertificate:
     verdict: bool
     reason: str  # "weights" | "infeasible" | "forced-subset"
@@ -92,8 +76,8 @@ def _analysis(g: Graph):
     Callers share one result per graph object and must not mutate it.
     """
     n = g.n
-    poly = WeightPolytope.of(g)
-    rows = poly.rows()
+    stable_sets = tuple(maximal_stable_sets(g))
+    rows = [[s >> v & 1 for v in range(n)] for s in stable_sets]
     # implicitly tight bounds and a relative interior point, from the
     # maxima of the n coordinates
     units = [[int(u == v) for u in range(n)] for v in range(n)]
@@ -110,7 +94,7 @@ def _analysis(g: Graph):
         row[v] = 1
         rows.append(row)
     directions = null_space(rows, n)
-    return point, directions, poly.stable_sets
+    return point, directions, stable_sets
 
 
 def _scaled_ints(vec):

@@ -337,8 +337,10 @@ def scan(max_n: int = 6, include_lp: bool = False,
     LP-backed classes (equistable, strongly equistable) are always run
     for n <= 6; ``include_lp`` extends them to larger n.
     """
-    if max_n > MAX_SCAN_N:
-        raise ValueError(f"exhaustive scan supported for max_n <= {MAX_SCAN_N}")
+    if not 1 <= max_n <= MAX_SCAN_N:
+        raise ValueError(
+            f"exhaustive scan supported for 1 <= max_n <= {MAX_SCAN_N}"
+        )
     cache = cache or MembershipCache()
     lp_max_n = max_n if include_lp else min(max_n, 6)
     report = ScanReport(max_n=max_n, lp_max_n=lp_max_n)

@@ -7,10 +7,9 @@ dense tableau holds integer rows and one common denominator ``den > 0``
 integer-preserving (Edmonds 1967): every other row becomes
 ``(T[i]·p − T[i][c]·T[r]) // den``, which divides exactly, and ``den``
 becomes the pivot ``|p|``.  The pivot sequence is the one a rational
-tableau would take, so the optima are the same.  :func:`rref` and
-:func:`null_space` use fraction-free elimination (Bareiss 1968) and
-divide once at the end.  :class:`fractions.Fraction` appears only in
-the returned values.
+tableau would take, so the optima are the same.  :func:`null_space`
+uses fraction-free elimination (Bareiss 1968) and divides once at the
+end.  :class:`fractions.Fraction` appears only in the returned values.
 """
 
 from __future__ import annotations
@@ -186,15 +185,6 @@ def _rref_ints(rows, ncols):
         den = _pivot(mat, pivots, den, r, col)
         r += 1
     return mat[:r], pivots[:r], den
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form over the rationals.
-
-    Returns (reduced rows, pivot column list).
-    """
-    mat, pivots, den = _rref_ints(rows, ncols)
-    return [[Fraction(x, den) for x in row] for row in mat], pivots
 
 
 def null_space(rows, ncols):

@@ -4,20 +4,23 @@ predicates by name (lifted to cap/cup forms by ``hasse.MembershipCache``).
 ``COMPLEMENT_INVARIANT`` names the bases that give a graph and its
 complement the same verdict, which ``classify`` therefore decides once.
 
+Split, threshold, cograph and edge simplicial enumerate no clique family:
+split is the degree-sequence test of Hammer and Simeone (1981), threshold
+peels isolated or dominating vertices (Chvátal and Hammer 1977), cograph
+peels twins (Corneil, Lerchs and Stewart Burlingham 1981), and edge
+simplicial asks every edge for a common simplicial neighbour.
+
 Degenerate verdicts are fixed: edgeless graphs are edge simplicial,
 semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .cliques import (
     covers_edges,
     covers_nonedges,
     maximal_cliques,
     maximal_stable_sets,
-    simplicial_cliques,
 )
 from .graphs import Graph, bits, complement, mask_of
 
@@ -28,59 +31,59 @@ class UnsupportedSize(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# forbidden induced subgraphs on 4 vertices
-#
-# The induced degree multiset identifies every 4-vertex graph, so the
-# threshold / cograph tests reduce to a scan over 4-subsets.
-
-_DEG_P4 = (1, 1, 2, 2)
-_DEG_C4 = (2, 2, 2, 2)
-_DEG_2K2 = (1, 1, 1, 1)
-
-
-def _four_subset_degrees(g: Graph):
-    for quad in itertools.combinations(range(g.n), 4):
-        m = mask_of(quad)
-        yield quad, tuple(sorted((g.adj[v] & m).bit_count() for v in quad))
-
-
-def is_cograph(g: Graph) -> bool:
-    return all(d != _DEG_P4 for _, d in _four_subset_degrees(g))
-
-
-def is_threshold(g: Graph) -> bool:
-    bad = (_DEG_P4, _DEG_C4, _DEG_2K2)
-    return all(d not in bad for _, d in _four_subset_degrees(g))
-
-
-def induced_p4s(g: Graph):
-    """All induced paths a-b-c-d, with (b, c) ranging over ordered edges."""
-    for b in range(g.n):
-        for c in bits(g.adj[b]):
-            for a in bits(g.adj[b] & ~g.closed_nbhd(c)):
-                for d in bits(g.adj[c] & ~g.closed_nbhd(b) & ~(1 << a)):
-                    if not g.has_edge(a, d):
-                        yield (a, b, c, d)
-
-
-# ---------------------------------------------------------------------------
-# split graphs
-
-
-def split_partition(g: Graph):
-    """A split partition (clique mask, stable mask), or None.
-
-    A graph is split iff some maximal clique has a stable complement.
-    """
-    for c in maximal_cliques(g):
-        rest = g.full & ~c
-        if g.is_stable(rest):
-            return (c, rest)
-    return None
+# split / threshold / cograph
 
 
 def is_split(g: Graph) -> bool:
-    return split_partition(g) is not None
+    """With degrees d1 >= ... >= dn and m the largest i with d_i >= i - 1,
+    g is split iff d1 + ... + dm = m(m - 1) + d(m+1) + ... + dn (Hammer
+    and Simeone 1981)."""
+    d = sorted((row.bit_count() for row in g.adj), reverse=True)
+    m = sum(1 for i, di in enumerate(d) if di >= i)
+    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
+
+
+def is_threshold(g: Graph) -> bool:
+    """Deleting isolated or dominating vertices empties the graph.
+
+    Threshold graphs are built from K1 by adding isolated or dominating
+    vertices, and the class is hereditary, so the first such vertex found
+    may always be deleted.
+    """
+    alive = g.full
+    while alive:
+        for v in bits(alive):
+            nb = g.adj[v] & alive
+            if not nb or nb == alive ^ 1 << v:
+                alive ^= 1 << v
+                break
+        else:
+            return False
+    return True
+
+
+def is_cograph(g: Graph) -> bool:
+    """Deleting one of two twins at a time leaves one vertex.
+
+    Every cograph on two or more vertices has twins, and deleting a twin
+    keeps the graph a cograph or not (P4 has no twins).  Twins have equal
+    open (false twins) or equal closed (true twins) neighbourhoods; an
+    open neighbourhood never equals a closed one, so one set holds both.
+    """
+    alive = g.full
+    while alive.bit_count() > 1:
+        seen = set()
+        for v in bits(alive):
+            nb = g.adj[v] & alive
+            closed = nb | 1 << v
+            if nb in seen or closed in seen:
+                alive ^= 1 << v
+                break
+            seen.add(nb)
+            seen.add(closed)
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,12 @@ def is_quasi_cis(g: Graph) -> bool:
 
 
 def is_edge_simplicial(g: Graph) -> bool:
-    return covers_edges(g, simplicial_cliques(g))
+    """Every edge uv lies in some N[w] with w simplicial, i.e. has a
+    simplicial vertex in N[u] & N[v]; the N[w] are the simplicial
+    maximal cliques."""
+    closed = [g.closed_nbhd(v) for v in range(g.n)]
+    simplicial = mask_of(v for v in range(g.n) if g.is_clique(closed[v]))
+    return all(closed[u] & closed[v] & simplicial for u, v in g.edges())
 
 
 def strong_maximal_cliques(g: Graph):
@@ -186,6 +194,16 @@ def is_weakly_triangle(g: Graph) -> bool:
         if _triangle_violating_edge(g, s) is None
     ]
     return covers_nonedges(g, admissible)
+
+
+def induced_p4s(g: Graph):
+    """All induced paths a-b-c-d, with (b, c) ranging over ordered edges."""
+    for b in range(g.n):
+        for c in bits(g.adj[b]):
+            for a in bits(g.adj[b] & ~g.closed_nbhd(c)):
+                for d in bits(g.adj[c] & ~g.closed_nbhd(b) & ~(1 << a)):
+                    if not g.has_edge(a, d):
+                        yield (a, b, c, d)
 
 
 def has_bad_p4(g: Graph) -> bool:

@@ -10,9 +10,13 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from cisgraphs.cliques import maximal_stable_sets
+from cisgraphs.cliques import (
+    covers_edges,
+    maximal_cliques,
+    maximal_stable_sets,
+)
 from cisgraphs.gallery import _cross_adjacency
-from cisgraphs.graphs import Graph, bits, is_isomorphic
+from cisgraphs.graphs import Graph, bits, is_isomorphic, mask_of
 from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
 from cisgraphs.linegraph import line_graph, root_graph
 from cisgraphs.lp import Unbounded
@@ -282,6 +286,60 @@ def count_split_partitions(g: Graph) -> int:
         for c in range(1 << g.n)
         if g.is_clique(c) and g.is_stable(g.full & ~c)
     )
+
+
+# The degree-sequence (four-subset) tests: the induced degree multiset
+# identifies every 4-vertex graph.
+_DEG_P4 = (1, 1, 2, 2)
+_DEG_C4 = (2, 2, 2, 2)
+_DEG_2K2 = (1, 1, 1, 1)
+
+
+def _four_subset_degrees(g: Graph):
+    for quad in itertools.combinations(range(g.n), 4):
+        m = mask_of(quad)
+        yield tuple(sorted((g.adj[v] & m).bit_count() for v in quad))
+
+
+def is_cograph_by_four_subsets(g: Graph) -> bool:
+    """No induced P4."""
+    return all(d != _DEG_P4 for d in _four_subset_degrees(g))
+
+
+def is_threshold_by_four_subsets(g: Graph) -> bool:
+    """No induced P4, C4 or 2K2."""
+    bad = (_DEG_P4, _DEG_C4, _DEG_2K2)
+    return all(d not in bad for d in _four_subset_degrees(g))
+
+
+def split_partition(g: Graph):
+    """A split partition (clique mask, stable mask), or None.
+
+    A graph is split iff some maximal clique has a stable complement.
+    """
+    for c in maximal_cliques(g):
+        rest = g.full & ~c
+        if g.is_stable(rest):
+            return (c, rest)
+    return None
+
+
+def simplicial_cliques(g: Graph):
+    """All distinct closed neighborhoods N[v] that are cliques."""
+    seen = set()
+    out = []
+    for v in range(g.n):
+        nb = g.closed_nbhd(v)
+        if nb not in seen and g.is_clique(nb):
+            seen.add(nb)
+            out.append(nb)
+    out.sort()
+    return out
+
+
+def is_edge_simplicial_by_cliques(g: Graph) -> bool:
+    """Every edge lies in a simplicial maximal clique."""
+    return covers_edges(g, simplicial_cliques(g))
 
 
 def maximal_cliques_brute(g: Graph):

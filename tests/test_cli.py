@@ -167,8 +167,9 @@ def test_input_errors(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "classify", "-i", "random-split:oops")
     assert code == 2
-    code, _, err = run(capsys, "scan", "--max-n", "8")
-    assert code == 2 and "error" in err
+    for max_n in ("8", "0", "-1"):
+        code, out, err = run(capsys, "scan", "--max-n", max_n)
+        assert code == 2 and "error" in err and "passed" not in out
     bad_utf8 = tmp_path / "bad.txt"
     bad_utf8.write_bytes(b"0 1\n\xff\n")
     code, _, err = run(capsys, "classify", "-i", str(bad_utf8))
@@ -177,6 +178,19 @@ def test_input_errors(capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, _, err = run(capsys, "classify", "-i", "-")
         assert code == 2 and "line" in err
+
+
+def test_commands_take_only_their_options(capsys):
+    for argv in (["classify", "-i", "gallery:P4", "--verify"],
+                 ["classify", "-i", "gallery:P4", "--format", "csv"],
+                 ["table", "--seed", "1"],
+                 ["scan", "--verify"],
+                 ["gallery", "list", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 @pytest.mark.parametrize("module, name, error", [

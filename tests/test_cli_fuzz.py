@@ -76,7 +76,8 @@ def test_fuzz_edge_list_input(command, text):
     assert exit_code(command + ["-i", "-"], text) in (0, 1, 2)
 
 
-# (flag, value strategy) per command; values mix valid and invalid ones.
+# (flag, value strategy) for each flag a command accepts; values mix valid
+# and invalid ones.
 # table and scan are kept to the cheap end: no LP table, scans up to n = 4
 # or orders the CLI refuses.
 INPUTS = st.one_of(
@@ -88,21 +89,22 @@ INPUTS = st.one_of(
         lambda kl: f"random-split:{kl[0]},{kl[1]}"),
     st.sampled_from(["random-split:40,40", "random-split:100000,100000"]),
 )
-COMMON = [("--format", st.sampled_from(["json", "csv", "text", "xml"])),
-          ("--seed", st.sampled_from(["0", "7", "-1", "x"])),
-          ("--verify", None)]
+FORMAT = ("--format", st.sampled_from(["json", "csv", "text", "xml"]))
+INPUT = [("-i", INPUTS), ("--seed", st.sampled_from(["0", "7", "-1", "x"])),
+         FORMAT]
+VERIFY = ("--verify", None)
 FLAGS = {
-    "classify": [("-i", INPUTS)] + COMMON,
-    "equistable": [("-i", INPUTS)] + COMMON,
-    "cis-line": [("-i", INPUTS),
-                 ("--backend", st.sampled_from(["auto", "brute", "blossom",
-                                                "other"]))] + COMMON,
-    "table": COMMON,
+    "classify": INPUT,
+    "equistable": INPUT + [VERIFY],
+    "cis-line": INPUT + [VERIFY,
+                         ("--backend", st.sampled_from(["auto", "brute",
+                                                        "blossom", "other"]))],
+    "table": [FORMAT],
     "scan": [("--max-n", st.sampled_from(["-1", "0", "3", "4", "8", "100",
                                           "x"])),
-             ("--include-lp", None)] + COMMON,
-    "gallery list": COMMON,
-    "gallery emit": COMMON,
+             ("--include-lp", None), FORMAT],
+    "gallery list": [FORMAT],
+    "gallery emit": [FORMAT],
 }
 
 

@@ -12,10 +12,9 @@ from cisgraphs.cliques import (
     covers_vertices,
     maximal_cliques,
     maximal_stable_sets,
-    simplicial_cliques,
 )
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
-from oracles import maximal_cliques_brute
+from oracles import maximal_cliques_brute, simplicial_cliques
 
 
 def all_graphs(n):

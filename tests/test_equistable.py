@@ -10,7 +10,6 @@ from cisgraphs import equistable, lp
 from cisgraphs.cliques import maximal_stable_sets
 from cisgraphs.equistable import (
     MAX_LP_VERTICES,
-    WeightPolytope,
     forced_value,
     is_equistable,
     is_strongly_equistable,
@@ -30,9 +29,10 @@ def brute_constant_subsets(g):
     Returns {mask: constant value} for the non-stable nonempty subsets
     whose weight is constant, or None if the polytope is empty.
     """
-    poly = WeightPolytope.of(g)
-    rows, ones = poly.rows(), [1] * len(poly.stable_sets)
-    stable = set(poly.stable_sets)
+    stable_sets = maximal_stable_sets(g)
+    rows = [[s >> v & 1 for v in range(g.n)] for s in stable_sets]
+    ones = [1] * len(stable_sets)
+    stable = set(stable_sets)
     subsets = [m for m in range(1, 1 << g.n) if m not in stable]
     coeffs = [[m >> v & 1 for v in range(g.n)] for m in subsets]
     lows = lp.solve_equality_lp(rows, ones, coeffs, maximize=False)

@@ -102,8 +102,9 @@ def test_scan_small():
 
 
 def test_scan_rejects_large():
-    with pytest.raises(ValueError):
-        scan(max_n=8)
+    for max_n in (8, 0, -1):
+        with pytest.raises(ValueError):
+            scan(max_n=max_n)
 
 
 def test_find_separators():

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cisgraphs import lp
-from cisgraphs.lp import Unbounded, null_space, rref, solve_equality_lp
+from cisgraphs.lp import Unbounded, null_space, solve_equality_lp
 
 import oracles
 
@@ -131,15 +131,6 @@ def test_many_objectives_match_single_calls():
     assert unbounded > 0
 
 
-def test_rref():
-    red, pivots = rref([[2, 4], [1, 2]], 2)
-    assert red == [[F(1), F(2)]]
-    assert pivots == [0]
-    red, pivots = rref([[0, 1, 2], [1, 0, 3]], 3)
-    assert pivots == [0, 1]
-    assert red == [[F(1), F(0), F(3)], [F(0), F(1), F(2)]]
-
-
 def test_null_space():
     rows = [[1, 1, 0], [0, 0, 1]]
     basis = null_space(rows, 3)
@@ -243,5 +234,7 @@ def test_integer_simplex_matches_fraction_reference():
 def test_fraction_free_rref_matches_fraction_reference():
     for a, _, _ in reference_systems(seed=8, count=2000):
         n = len(a[0]) if a else 3
-        assert rref(a, n) == oracles.rref(a, n)
+        mat, pivots, den = lp._rref_ints(a, n)
+        red = [[F(x, den) for x in row] for row in mat]
+        assert (red, pivots) == oracles.rref(a, n)
         assert null_space(a, n) == oracles.null_space(a, n)

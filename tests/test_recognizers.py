@@ -1,16 +1,35 @@
 import functools
+import io
 import itertools
+import json
 import random
+import time
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.threshold import is_threshold_graph
 
+from cisgraphs.cli import main
 from cisgraphs.cliques import maximal_stable_sets
 from cisgraphs.equistable import is_equistable
-from cisgraphs.gallery import complete, complete_bipartite, cycle, gallery, path
-from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
+from cisgraphs.gallery import (
+    complete,
+    complete_bipartite,
+    cycle,
+    gallery,
+    path,
+    random_split,
+)
+from cisgraphs.graphs import (
+    Graph,
+    bits,
+    complement,
+    encode_graph6,
+    mask_of,
+    random_graph,
+)
 from cisgraphs.hasse import nonisomorphic_graphs
 from cisgraphs.recognizers import (
     BASE_NAMES,
@@ -34,7 +53,6 @@ from cisgraphs.recognizers import (
     is_threshold,
     is_triangle,
     is_weakly_triangle,
-    split_partition,
     strong_maximal_cliques,
     triangle_violation,
 )
@@ -42,6 +60,10 @@ from oracles import (
     count_split_partitions,
     has_odd_hole_by_subsets,
     induced_subgraph,
+    is_cograph_by_four_subsets,
+    is_edge_simplicial_by_cliques,
+    is_threshold_by_four_subsets,
+    split_partition,
 )
 
 
@@ -94,10 +116,107 @@ def test_split_partition_brute():
         )
         assert is_split(g) == expect
         part = split_partition(g)
+        assert (part is not None) == expect
         if part is not None:
             c, s = part
             assert c | s == g.full and not c & s
             assert g.is_clique(c) and g.is_stable(s)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _from_nx(h):
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph(h.number_of_nodes(), h.edges())
+
+
+def _assert_shortcuts_match_oracles(g):
+    """The four predicates against the clique-family and four-subset
+    code they replace (fresh copies, so no memo is shared), and
+    threshold against networkx.  Returns the four verdicts."""
+    fresh = Graph.from_adj(g.adj)
+    verdicts = (is_split(g), is_threshold(g), is_cograph(g),
+                is_edge_simplicial(g))
+    assert verdicts == (
+        split_partition(fresh) is not None,
+        is_threshold_by_four_subsets(fresh),
+        is_cograph_by_four_subsets(fresh),
+        is_edge_simplicial_by_cliques(fresh),
+    ), g.adj
+    assert verdicts[1] == is_threshold_graph(_nx(g)), g.adj
+    return verdicts
+
+
+def test_shortcuts_match_oracles_on_small_classes():
+    seen = set()
+    for graphs in nonisomorphic_graphs(7).values():
+        for g in graphs:
+            seen.add(_assert_shortcuts_match_oracles(g))
+    # every verdict of each predicate occurs
+    assert all({v[i] for v in seen} == {False, True} for i in range(4))
+
+
+def test_shortcuts_match_oracles_on_random_graphs():
+    rng = random.Random(12)
+    for i in range(150):
+        g = random_graph(8 + i % 17, (0.1, 0.3, 0.5, 0.7, 0.9)[i % 5], rng)
+        _assert_shortcuts_match_oracles(g)
+    for seed in range(60):
+        g = random_split(rng.randint(1, 12), rng.randint(1, 12), seed)
+        assert _assert_shortcuts_match_oracles(g)[0]
+    for seed in range(60):
+        g = _from_nx(nx.random_cograph(rng.randint(1, 5), seed=seed))
+        assert _assert_shortcuts_match_oracles(g)[2]
+
+
+def _threshold_graph(n, rng):
+    """Each vertex joins isolated or dominating, then a random relabelling."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for v in range(1, n) if rng.random() < 0.5
+             for u in range(v)]
+    return Graph(n, edges)
+
+
+def test_shortcuts_are_fast_on_64_vertices():
+    # the four-subset scans took 1.7 s per call on the threshold graph,
+    # and the clique walk ran out of its 2^20 cap on the matching
+    # complement, which has 2^32 maximal cliques
+    inputs = {
+        "threshold": _threshold_graph(64, random.Random(1)),
+        "matching complement": complement(
+            Graph(64, [(2 * i, 2 * i + 1) for i in range(32)])),
+        "cograph": _from_nx(nx.random_cograph(6, seed=1)),
+        "G(64, 0.5)": random_graph(64, 0.5, random.Random(1)),
+    }
+    for label, g in inputs.items():
+        assert g.n == 64
+        for predicate in (is_split, is_threshold, is_cograph,
+                          is_edge_simplicial):
+            start = time.perf_counter()
+            predicate(Graph.from_adj(g.adj))
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.1, (label, predicate.__name__, elapsed)
+    assert is_threshold(inputs["threshold"])
+    assert is_cograph(inputs["cograph"])
+
+
+def test_classify_threshold_graph_is_fast(capsys, monkeypatch):
+    # 3.3 s with the four-subset scans
+    g = _threshold_graph(64, random.Random(1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(g)))
+    start = time.perf_counter()
+    code = main(["classify", "-i", "-", "--format", "json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    base = json.loads(capsys.readouterr().out)["base"]
+    assert base["threshold"] and base["cograph"] and base["split"]
+    assert elapsed < 1.0, elapsed
 
 
 def test_count_split_partitions():
@@ -199,10 +318,8 @@ def test_perfect():
 
 
 def _has_odd_hole_nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return any(len(c) >= 5 and len(c) % 2 for c in nx.chordless_cycles(h))
+    return any(len(c) >= 5 and len(c) % 2
+               for c in nx.chordless_cycles(_nx(g)))
 
 
 def _assert_odd_hole_oracles_agree(g):
