@@ -23,7 +23,7 @@ from .graphs import Graph, GraphError, bits, complement, encode_graph6, parse_gr
 from .recognizers import (
     BASE_NAMES,
     COMPLEMENT_INVARIANT,
-    cis_certificate,
+    disjoint_pairs,
     is_cis,
     triangle_violation,
 )
@@ -107,10 +107,11 @@ def cmd_classify(args) -> int:
     }
     table_props = {prop: cache.holds(prop, g) for prop in hasse.PROPERTY_ORDER}
     certs = {}
-    pair = cis_certificate(g)
-    if pair is not None:
+    pairs = disjoint_pairs(g)
+    if pairs:
+        clique, stable = pairs[0]
         certs["disjoint_pair"] = {
-            "clique": _set(pair[0]), "stable_set": _set(pair[1]),
+            "clique": _set(clique), "stable_set": _set(stable),
         }
     tv = triangle_violation(g)
     if tv is not None:
@@ -257,7 +258,7 @@ def cmd_cis_line(args) -> int:
             _check_order(h.n, "root graph")
     verdicts = []
     for h in roots:
-        verdict, cert, backend = linegraph.is_cis_line_root(h, args.backend)
+        verdict, cert, backend = linegraph.is_cis_line_root(h)
         entry = {
             "root_graph6": encode_graph6(h),
             "cis": verdict,
@@ -411,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CIS recognition for line graphs / root graphs")
     add_input(p)
     add_verify(p)
-    p.add_argument("--backend", choices=("auto", "brute", "blossom"),
-                   default="auto")
     p.set_defaults(fn=cmd_cis_line)
 
     p = sub.add_parser("equistable", help="exact equistability decision")

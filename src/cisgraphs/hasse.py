@@ -171,10 +171,15 @@ class CellResult:
         return d
 
 
-def verify_table(include_lp: bool = True, cache: MembershipCache | None = None):
+def _lp_backed(prop: str) -> bool:
+    """A table property id or a base name whose base needs the exact LP."""
+    return PROPERTY_DEFS.get(prop, (prop,))[0] in LP_BASES
+
+
+def verify_table(include_lp: bool = True):
     """Check every witness cell: the named graph must satisfy the row
     property and violate the column property.  Returns all 289 cells."""
-    cache = cache or MembershipCache()
+    cache = MembershipCache()
     results = []
     for row in PROPERTY_ORDER:
         for col, cell in zip(PROPERTY_ORDER, TABLE[row]):
@@ -197,10 +202,7 @@ def verify_table(include_lp: bool = True, cache: MembershipCache | None = None):
                     CellResult(row, col, "skipped", witness=cell,
                                detail=SKIPPED_WITNESSES[cell])
                 )
-            elif not include_lp and (
-                PROPERTY_DEFS[row][0] in LP_BASES
-                or PROPERTY_DEFS[col][0] in LP_BASES
-            ):
+            elif not include_lp and (_lp_backed(row) or _lp_backed(col)):
                 results.append(
                     CellResult(row, col, "skipped", witness=cell,
                                detail="lp-backed cell disabled")
@@ -314,23 +316,20 @@ class ScanReport:
             "lp_max_n": self.lp_max_n,
             "counts": self.counts,
             "ok": self.ok,
-            "arrows": {
-                name: {"checked": a.checked, "failures": a.failures}
-                for name, a in self.arrows.items()
-            },
-            "subset_cells": {
-                f"{row}->{col}": {"checked": a.checked, "failures": a.failures}
-                for (row, col), a in self.subset_cells.items()
-            },
-            "collapse": {
-                name: {"checked": a.checked, "failures": a.failures}
-                for name, a in self.collapse.items()
-            },
+            "arrows": _results_dict(self.arrows),
+            "subset_cells": _results_dict(self.subset_cells),
+            "collapse": _results_dict(self.collapse),
         }
 
 
-def scan(max_n: int = 6, include_lp: bool = False,
-         cache: MembershipCache | None = None) -> ScanReport:
+def _results_dict(results: dict):
+    return {
+        a.name: {"checked": a.checked, "failures": a.failures}
+        for a in results.values()
+    }
+
+
+def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
     """Evaluate all classes on every graph up to max_n (up to isomorphism)
     and assert every inclusion arrow and every "subset" table cell.
 
@@ -341,13 +340,14 @@ def scan(max_n: int = 6, include_lp: bool = False,
         raise ValueError(
             f"exhaustive scan supported for 1 <= max_n <= {MAX_SCAN_N}"
         )
-    cache = cache or MembershipCache()
+    cache = MembershipCache()
     lp_max_n = max_n if include_lp else min(max_n, 6)
     report = ScanReport(max_n=max_n, lp_max_n=lp_max_n)
 
-    arrows = {f"{a}->{b}": ArrowResult(f"{a}->{b}") for a, b in BASE_ARROWS}
-    arrows["weakly_cis->normal"] = ArrowResult("weakly_cis->normal")
-    arrows["weakly_cis->cap-wtri"] = ArrowResult("weakly_cis->cap-wtri")
+    implications = BASE_ARROWS + (
+        ("weakly_cis", "normal"), ("weakly_cis", "cap-wtri"),
+    )
+    arrows = {f"{a}->{b}": ArrowResult(f"{a}->{b}") for a, b in implications}
     arrows["equistable->no-bad-p4"] = ArrowResult("equistable->no-bad-p4")
     arrows["split<->aCIS-or-cap-es"] = ArrowResult("split<->aCIS-or-cap-es")
 
@@ -366,52 +366,40 @@ def scan(max_n: int = 6, include_lp: bool = False,
             g6 = encode_graph6(g)
             co = complement(g)
 
-            def fail(result, result_g6=g6):
-                result.failures.append(result_g6)
-
-            for a, b in BASE_ARROWS:
-                if not with_lp and (a in LP_BASES or b in LP_BASES):
+            for a, b in implications:
+                if not with_lp and (_lp_backed(a) or _lp_backed(b)):
                     continue
                 res = arrows[f"{a}->{b}"]
                 res.checked += 1
-                if cache.base(a, g) and not cache.base(b, g):
-                    fail(res)
-
-            res = arrows["weakly_cis->normal"]
-            res.checked += 1
-            if cache.base("weakly_cis", g) and not cache.base("normal", g):
-                fail(res)
-            res = arrows["weakly_cis->cap-wtri"]
-            res.checked += 1
-            if cache.base("weakly_cis", g) and not cache.holds("cap-wtri", g):
-                fail(res)
+                if cache.holds(a, g) and not cache.holds(b, g):
+                    res.failures.append(g6)
             if with_lp:
                 res = arrows["equistable->no-bad-p4"]
                 res.checked += 1
                 if cache.base("equistable", g) and has_bad_p4(g):
-                    fail(res)
+                    res.failures.append(g6)
             res = arrows["split<->aCIS-or-cap-es"]
             res.checked += 1
             rhs = cache.base("almost_cis", g) or cache.holds("cap-es", g)
             if cache.base("split", g) != rhs:
-                fail(res)
+                res.failures.append(g6)
 
             vec = {}
             for p in PROPERTY_ORDER:
-                if not with_lp and PROPERTY_DEFS[p][0] in LP_BASES:
+                if not with_lp and _lp_backed(p):
                     continue
                 vec[p] = cache.holds(p, g)
             for p, val in vec.items():
                 res = collapse[p]
                 res.checked += 1
                 if val != cache.holds(p, co):
-                    fail(res)
+                    res.failures.append(g6)
             for (row, col), res in subset_cells.items():
                 if row not in vec or col not in vec:
                     continue
                 res.checked += 1
                 if vec[row] and not vec[col]:
-                    fail(res)
+                    res.failures.append(g6)
 
     report.arrows = arrows
     report.subset_cells = subset_cells

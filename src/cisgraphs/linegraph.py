@@ -203,17 +203,12 @@ def max_weight_matching_blossom(h: Graph, weight) -> tuple:
     return total, pairs
 
 
-def max_weight_matching(h: Graph, weight, backend: str = "auto") -> tuple:
-    """Exact maximum weight matching; returns (total, edge list, backend)."""
-    if backend == "auto":
-        backend = "brute" if h.edge_count() <= 24 else "blossom"
-    if backend == "brute":
-        total, edges = max_weight_matching_brute(h, weight)
-    elif backend == "blossom":
-        total, edges = max_weight_matching_blossom(h, weight)
-    else:
-        raise ValueError(f"unknown matching backend {backend!r}")
-    return total, edges, backend
+def max_weight_matching(h: Graph, weight) -> tuple:
+    """Exact maximum weight matching; returns (total, edge list, backend).
+    Branch and bound up to 24 edges, the blossom solver above."""
+    if h.edge_count() <= 24:
+        return (*max_weight_matching_brute(h, weight), "brute")
+    return (*max_weight_matching_blossom(h, weight), "blossom")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +259,7 @@ def neighborhood_subgraph(h: Graph, x: int):
     return edges, weights
 
 
-def is_cis_line_root(h: Graph, backend: str = "auto"):
+def is_cis_line_root(h: Graph):
     """Decide whether L(h) is CIS, working on the root graph h.
 
     Returns (verdict, certificate, backend_used); the certificate on
@@ -285,7 +280,7 @@ def is_cis_line_root(h: Graph, backend: str = "auto"):
         if sub is None:
             continue
         total, matching, backend_used = max_weight_matching(
-            sub, lambda e: weights[e], backend
+            sub, lambda e: weights[e]
         )
         if total == deg:
             witness = [e for e in matching if weights.get(e)]

@@ -90,8 +90,14 @@ def is_cograph(g: Graph) -> bool:
 # CIS family
 
 
-def disjoint_pairs(g: Graph, limit: int | None = None):
-    """Disjoint (maximal clique, maximal stable set) pairs, canonical order."""
+def disjoint_pairs(g: Graph):
+    """The first two disjoint (maximal clique, maximal stable set) pairs in
+    canonical order, as a tuple; walked once per graph.  CIS, almost CIS
+    and quasi CIS only ask whether there are none, one, or more."""
+    return g.memo("disjoint_pairs", _first_disjoint_pairs)
+
+
+def _first_disjoint_pairs(g: Graph):
     cliques = maximal_cliques(g)
     stables = maximal_stable_sets(g)
     out = []
@@ -99,29 +105,23 @@ def disjoint_pairs(g: Graph, limit: int | None = None):
         for s in stables:
             if not c & s:
                 out.append((c, s))
-                if limit is not None and len(out) >= limit:
-                    return out
-    return out
+                if len(out) == 2:
+                    return tuple(out)
+    return tuple(out)
 
 
 def is_cis(g: Graph) -> bool:
-    return not disjoint_pairs(g, limit=1)
-
-
-def cis_certificate(g: Graph):
-    """None if CIS, else the first disjoint (clique, stable set) pair."""
-    pairs = disjoint_pairs(g, limit=1)
-    return pairs[0] if pairs else None
+    return len(disjoint_pairs(g)) == 0
 
 
 def is_almost_cis(g: Graph) -> bool:
-    """Exactly one disjoint pair (equivalently: split with a unique split
-    partition, which the tests check by counting split partitions)."""
-    return len(disjoint_pairs(g, limit=2)) == 1
+    """Exactly one disjoint pair; equivalently, g is split and has a
+    unique split partition."""
+    return len(disjoint_pairs(g)) == 1
 
 
 def is_quasi_cis(g: Graph) -> bool:
-    return len(disjoint_pairs(g, limit=2)) <= 1
+    return len(disjoint_pairs(g)) < 2
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +167,22 @@ def _triangle_violating_edge(g: Graph, s: int):
     return None
 
 
-def triangle_violation(g: Graph):
-    """First (stable set, edge) violating the triangle condition, or None."""
+def _triangle_walk(g: Graph):
+    """(first (stable set, edge) violation or None, tuple of the maximal
+    stable sets with the triangle property); walked once per graph."""
+    first, admissible = None, []
     for s in maximal_stable_sets(g):
         edge = _triangle_violating_edge(g, s)
-        if edge is not None:
-            return (s, edge)
-    return None
+        if edge is None:
+            admissible.append(s)
+        elif first is None:
+            first = (s, edge)
+    return first, tuple(admissible)
+
+
+def triangle_violation(g: Graph):
+    """First (stable set, edge) violating the triangle condition, or None."""
+    return g.memo("triangle_walk", _triangle_walk)[0]
 
 
 def is_triangle(g: Graph) -> bool:
@@ -188,12 +197,7 @@ def is_weakly_triangle(g: Graph) -> bool:
     stable sets is the unique inclusion-maximal candidate; coverage by it
     decides the class.
     """
-    admissible = [
-        s
-        for s in maximal_stable_sets(g)
-        if _triangle_violating_edge(g, s) is None
-    ]
-    return covers_nonedges(g, admissible)
+    return covers_nonedges(g, g.memo("triangle_walk", _triangle_walk)[1])
 
 
 def induced_p4s(g: Graph):

@@ -55,38 +55,33 @@ def _exclusions(family, other_holders, other_all: int):
 
 def exists_cross_intersecting(
     g: Graph,
-    clique_target: str = "edges",
-    stable_target: str = "nonedges",
+    *,
+    normal: bool,
     backtrack_cap: int = DEFAULT_BACKTRACK_CAP,
 ):
     """Cross-intersecting covering subfamilies of the maximal clique and
     maximal stable set families, or None if none exist.
 
-    Returns (clique masks, stable masks) on success.  Restricting the
-    candidates to maximal sets is what the definitions ask for, so the
-    search is complete.
+    The cliques cover the edges and the stable sets the non-edges (weakly
+    CIS), or with ``normal`` both cover the vertices.  Returns (clique
+    masks, stable masks) on success.  Restricting the candidates to
+    maximal sets is what the definitions ask for, so the search is
+    complete.
     """
     cliques = maximal_cliques(g)
     stables = maximal_stable_sets(g)
     nc, ns = len(cliques), len(stables)
     ch = _holders(cliques, g.n, 0)
     sh = _holders(stables, g.n, nc)
-    if clique_target == "edges":
-        clauses = [ch[u] & ch[v] for u, v in g.edges()]
-    elif clique_target == "vertices":
-        clauses = list(ch)
+    if normal:
+        clauses = ch + sh
     else:
-        raise ValueError(clique_target)
-    if stable_target == "nonedges":
+        clauses = [ch[u] & ch[v] for u, v in g.edges()]
         clauses += [
             sh[u] & sh[v]
             for u, v in itertools.combinations(range(g.n), 2)
             if not g.has_edge(u, v)
         ]
-    elif stable_target == "vertices":
-        clauses += sh
-    else:
-        raise ValueError(stable_target)
     if not all(clauses):
         return None
     excl = _exclusions(cliques, sh, ((1 << ns) - 1) << nc) + _exclusions(
@@ -129,20 +124,11 @@ def exists_cross_intersecting(
     )
 
 
-_CLIQUE_COVERS = {"edges": covers_edges, "vertices": covers_vertices}
-_STABLE_COVERS = {"nonedges": covers_nonedges, "vertices": covers_vertices}
-
-
 def verify_cover_certificate(
-    g: Graph, chosen_cliques, chosen_stables, clique_target="edges",
-    stable_target="nonedges",
+    g: Graph, chosen_cliques, chosen_stables, *, normal: bool,
 ) -> bool:
     """Re-verify an (externally supplied) certificate by set arithmetic,
     independently of the search's clauses."""
-    if clique_target not in _CLIQUE_COVERS:
-        raise ValueError(clique_target)
-    if stable_target not in _STABLE_COVERS:
-        raise ValueError(stable_target)
     cliques = set(maximal_cliques(g))
     stables = set(maximal_stable_sets(g))
     if not all(c in cliques for c in chosen_cliques):
@@ -151,14 +137,18 @@ def verify_cover_certificate(
         return False
     if any(not c & s for c in chosen_cliques for s in chosen_stables):
         return False
-    return _CLIQUE_COVERS[clique_target](g, chosen_cliques) and (
-        _STABLE_COVERS[stable_target](g, chosen_stables)
+    if normal:
+        return covers_vertices(g, chosen_cliques) and covers_vertices(
+            g, chosen_stables
+        )
+    return covers_edges(g, chosen_cliques) and covers_nonedges(
+        g, chosen_stables
     )
 
 
 def is_weakly_cis(g: Graph) -> bool:
-    return exists_cross_intersecting(g, "edges", "nonedges") is not None
+    return exists_cross_intersecting(g, normal=False) is not None
 
 
 def is_normal(g: Graph) -> bool:
-    return exists_cross_intersecting(g, "vertices", "vertices") is not None
+    return exists_cross_intersecting(g, normal=True) is not None

@@ -468,13 +468,12 @@ def _is_connected(g: Graph) -> bool:
     return seen == g.full
 
 
-def find_separators(x: str, y: str, max_n: int,
-                    cache: MembershipCache | None = None):
+def find_separators(x: str, y: str, max_n: int):
     """All scanned graphs satisfying x but not y; empty is not a proof.
 
     ``x``/``y`` are table property ids, or plain base predicate names.
     """
-    cache = cache or MembershipCache()
+    cache = MembershipCache()
     out = []
     reps = nonisomorphic_graphs(max_n)
     for n in range(1, max_n + 1):

@@ -57,10 +57,12 @@ def test_classify_cir9(capsys):
 
 
 def test_classify_computes_each_fact_once(capsys, monkeypatch):
-    # one clique enumeration, one polytope analysis and one forced-subset
-    # sweep per graph object (G12 and its complement), however many
-    # predicates read them
+    # one clique enumeration, one polytope analysis, one forced-subset
+    # sweep and one triangle walk per graph object (G12 and its
+    # complement), however many predicates read them; one disjoint-pair
+    # walk, on G12 only, as the CIS family is complement-invariant
     calls = {}
+    graphs = {}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -68,6 +70,7 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
         def wrapper(g, *args):
             key = (name, id(g))
             calls[key] = calls.get(key, 0) + 1
+            graphs[key] = g
             return original(g, *args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -75,12 +78,17 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     counting(cliques, "_bron_kerbosch")
     counting(equistable, "_analysis")
     counting(equistable, "_forced_subsets")
+    counting(recognizers, "_first_disjoint_pairs")
+    counting(recognizers, "_triangle_walk")
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     assert sorted(name for name, _ in calls) == [
         "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
-        "_forced_subsets", "_forced_subsets"]
+        "_first_disjoint_pairs", "_forced_subsets", "_forced_subsets",
+        "_triangle_walk", "_triangle_walk"]
     assert set(calls.values()) == {1}
+    assert [g for (name, _), g in graphs.items()
+            if name == "_first_disjoint_pairs"] == [gallery("G12")]
 
 
 def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
@@ -91,9 +99,9 @@ def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
     def counting(module, name, log):
         original = getattr(module, name)
 
-        def wrapper(g, *args):
-            log.append((g, *args))
-            return original(g, *args)
+        def wrapper(g, *args, **kwargs):
+            log.append((g, kwargs))
+            return original(g, *args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
@@ -102,9 +110,8 @@ def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     g12 = gallery("G12")
-    assert sorted(args for _, *args in searches) == [
-        ["edges", "nonedges"], ["vertices", "vertices"]]
-    assert all(g == g12 for g, *_ in searches)
+    assert sorted(kwargs["normal"] for _, kwargs in searches) == [False, True]
+    assert all(g == g12 for g, _ in searches)
     assert len(scans) <= 2
 
 

@@ -96,9 +96,7 @@ VERIFY = ("--verify", None)
 FLAGS = {
     "classify": INPUT,
     "equistable": INPUT + [VERIFY],
-    "cis-line": INPUT + [VERIFY,
-                         ("--backend", st.sampled_from(["auto", "brute",
-                                                        "blossom", "other"]))],
+    "cis-line": INPUT + [VERIFY],
     "table": [FORMAT],
     "scan": [("--max-n", st.sampled_from(["-1", "0", "3", "4", "8", "100",
                                           "x"])),

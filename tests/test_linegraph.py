@@ -164,13 +164,17 @@ def test_matching_backends_agree():
 
 
 def test_matching_dispatch():
-    h = path(4)
-    total, edges, backend = max_weight_matching(h, lambda e: 1, "auto")
+    # branch and bound up to 24 edges, blossom above
+    total, edges, backend = max_weight_matching(path(4), lambda e: 1)
     assert total == 2 and backend == "brute"
-    total, edges, backend = max_weight_matching(h, lambda e: 1, "blossom")
-    assert total == 2 and backend == "blossom"
-    with pytest.raises(ValueError):
-        max_weight_matching(h, lambda e: 1, "bogus")
+    h = complete(8)
+    assert h.edge_count() == 28
+    rng = random.Random(3)
+    wts = {e: rng.randint(-2, 5) for e in h.edges()}
+    total, edges, backend = max_weight_matching(h, wts.get)
+    assert backend == "blossom"
+    assert total == max_weight_matching_brute(h, wts.get)[0]
+    assert sum(wts[e] for e in edges) == total
 
 
 def test_find_bull():

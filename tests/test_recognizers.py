@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.threshold import is_threshold_graph
 
 from cisgraphs.cli import main
-from cisgraphs.cliques import maximal_stable_sets
+from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.equistable import is_equistable
 from cisgraphs.gallery import (
     complete,
@@ -38,7 +38,6 @@ from cisgraphs.recognizers import (
     _base_predicates,
     _has_odd_hole,
     base_predicate,
-    cis_certificate,
     disjoint_pairs,
     has_bad_p4,
     induced_p4s,
@@ -232,10 +231,9 @@ def test_cis_examples():
     assert is_cis(Graph(1))
     assert is_cis(gallery("Bull"))
     assert not is_cis(gallery("S3"))
-    pair = cis_certificate(path(4))
-    c, s = pair
+    c, s = disjoint_pairs(path(4))[0]
     assert not c & s
-    assert cis_certificate(cycle(4)) is None
+    assert disjoint_pairs(cycle(4)) == ()
 
 
 def test_cis_closed_under_complement_small():
@@ -248,10 +246,17 @@ def test_almost_and_quasi_cis():
     assert not is_almost_cis(Graph(1))
     assert not is_almost_cis(cycle(4))
     assert is_quasi_cis(path(4)) and is_quasi_cis(cycle(4))
-    # C5 has five disjoint pairs
-    assert len(disjoint_pairs(cycle(5))) == 5
-    assert not is_quasi_cis(cycle(5))
-    assert disjoint_pairs(cycle(5), limit=2) == disjoint_pairs(cycle(5))[:2]
+    # C5 has five disjoint pairs; the walk stops at the first two
+    c5 = cycle(5)
+    product = [
+        (c, s)
+        for c, s in itertools.product(maximal_cliques(c5),
+                                      maximal_stable_sets(c5))
+        if not c & s
+    ]
+    assert len(product) == 5
+    assert disjoint_pairs(c5) == tuple(product[:2])
+    assert not is_quasi_cis(c5)
 
 
 def test_edge_simplicial():

@@ -91,37 +91,38 @@ def test_g12_certificate():
     g = gallery("G12")
     cc = [sum(1 << v for v in s) for s in _shift(G12_CLIQUE_SUBFAMILY)]
     ss = [sum(1 << v for v in s) for s in _shift(G12_STABLE_SUBFAMILY)]
-    assert verify_cover_certificate(g, cc, ss)
+    assert verify_cover_certificate(g, cc, ss, normal=False)
     assert is_weakly_cis(g)
 
 
 def test_search_returns_valid_certificate():
     g = gallery("G12")
-    res = exists_cross_intersecting(g, "edges", "nonedges")
+    res = exists_cross_intersecting(g, normal=False)
     assert res is not None
-    assert verify_cover_certificate(g, *res)
+    assert verify_cover_certificate(g, *res, normal=False)
 
 
 def test_verify_cover_certificate_rejects():
     g = cycle(4)
     cliques = maximal_cliques(g)
     stables = maximal_stable_sets(g)
-    assert verify_cover_certificate(g, cliques, stables)
+    assert verify_cover_certificate(g, cliques, stables, normal=False)
     # non-maximal member
-    assert not verify_cover_certificate(g, [1], stables)
+    assert not verify_cover_certificate(g, [1], stables, normal=False)
     # missing edge coverage
-    assert not verify_cover_certificate(g, cliques[:1], stables)
+    assert not verify_cover_certificate(g, cliques[:1], stables,
+                                        normal=False)
     # cross-intersection failure on P4
     p = path(4)
     pc = maximal_cliques(p)
     ps = maximal_stable_sets(p)
-    assert not verify_cover_certificate(p, pc, ps)
+    assert not verify_cover_certificate(p, pc, ps, normal=False)
     # normal target on P4: the stable family must cover every vertex
     ends = [mask_of([0, 1]), mask_of([2, 3])]
     ps = [mask_of([0, 2]), mask_of([0, 3]), mask_of([1, 3])]
-    assert verify_cover_certificate(p, ends, ps, "vertices", "vertices")
-    assert not verify_cover_certificate(p, ends, ps[:2], "vertices",
-                                        "vertices")  # misses vertex 1
+    assert verify_cover_certificate(p, ends, ps, normal=True)
+    # misses vertex 1
+    assert not verify_cover_certificate(p, ends, ps[:2], normal=True)
 
 
 def test_cis_implies_weakly_cis_small():
@@ -140,10 +141,9 @@ def test_against_subfamily_oracle(seed, n):
 
 def test_backtrack_cap():
     with pytest.raises(SearchUndecided):
-        exists_cross_intersecting(path(4), "edges", "nonedges",
-                                  backtrack_cap=0)
+        exists_cross_intersecting(path(4), normal=False, backtrack_cap=0)
     # a budget large enough to finish gives the definite "no"
-    assert exists_cross_intersecting(path(4), "edges", "nonedges") is None
+    assert exists_cross_intersecting(path(4), normal=False) is None
 
 
 def test_normal_against_subfamily_oracle():
@@ -159,10 +159,8 @@ def test_results_and_budget_pinned():
     for n in range(8, 25, 2):
         for k in (1, 3, 5, 7, 9):
             g = random_graph(n, k / 10, random.Random(100 * n + k))
-            results.append(exists_cross_intersecting(g, "edges", "nonedges"))
-            results.append(
-                exists_cross_intersecting(g, "vertices", "vertices")
-            )
+            results.append(exists_cross_intersecting(g, normal=False))
+            results.append(exists_cross_intersecting(g, normal=True))
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == (
         "a7012a6961dc5659989fbc448a565e4ad97313e5b9509f5a824e31c821923154"
@@ -170,7 +168,7 @@ def test_results_and_budget_pinned():
     # the search refutes normality of this graph in exactly 108 backtracks
     g = random_graph(24, 0.5, random.Random(1))
     with pytest.raises(SearchUndecided):
-        exists_cross_intersecting(g, "vertices", "vertices", backtrack_cap=107)
+        exists_cross_intersecting(g, normal=True, backtrack_cap=107)
     assert exists_cross_intersecting(
-        g, "vertices", "vertices", backtrack_cap=108
+        g, normal=True, backtrack_cap=108
     ) is None
