@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -358,7 +359,11 @@ def cmd_equistable(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call in the process.  ``set_defaults(fn=...)`` captures
+    the ``cmd_*`` functions bound at that first call."""
     parser = argparse.ArgumentParser(
         prog="cisgraphs",
         description="exact recognition of clique/stable-set graph classes",
@@ -423,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, GraphError) as exc:

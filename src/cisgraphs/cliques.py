@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, bits, complement
+from .graphs import Graph, complement
 
 DEFAULT_FAMILY_CAP = 1 << 20
 
@@ -27,28 +27,41 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_FAMILY_CAP):
 
 
 def _bron_kerbosch(g: Graph, cap: int):
-    """Bron-Kerbosch with a max-degree pivot; deterministic for a given
-    graph.  Returns the sorted family as a tuple."""
+    """Bron-Kerbosch with the Tomita pivot: the vertex of cand | excl with
+    the most neighbours in cand, the lowest such vertex on ties; branches
+    in ascending vertex order.  Returns the sorted family as a tuple."""
     out = []
-    closed = [g.closed_nbhd(v) for v in range(g.n)]
+    _expand(g.adj, cap, out, 0, g.full, 0)
+    return tuple(sorted(out))
 
-    def expand(clique: int, cand: int, excl: int):
-        if not cand and not excl:
+
+def _expand(adj, cap: int, out: list, clique: int, cand: int, excl: int):
+    """One Bron-Kerbosch node; appends the maximal cliques below it to out.
+    A module-level function rather than a closure, so no reference cycle
+    keeps out alive after the enumeration."""
+    if not cand:
+        if not excl:
             if len(out) >= cap:
                 raise FamilyCapExceeded(f"more than {cap} maximal cliques")
             out.append(clique)
-            return
-        # pivot: vertex of cand|excl covering the most candidates
-        pivot = max(
-            bits(cand | excl), key=lambda v: (g.adj[v] & cand).bit_count()
-        )
-        for v in bits(cand & ~g.adj[pivot]):
-            expand(clique | 1 << v, cand & g.adj[v], excl & g.adj[v])
-            cand &= ~(1 << v)
-            excl |= 1 << v
-
-    expand(0, g.full, 0)
-    return tuple(sorted(out))
+        return
+    best = -1
+    m = cand | excl
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        covered = (adj[v] & cand).bit_count()
+        if covered > best:
+            best, pivot = covered, v
+    m = cand & ~adj[pivot]
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        _expand(adj, cap, out, clique | low, cand & adj[v], excl & adj[v])
+        cand ^= low
+        excl |= low
 
 
 def maximal_stable_sets(g: Graph, cap: int = DEFAULT_FAMILY_CAP):

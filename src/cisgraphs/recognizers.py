@@ -157,13 +157,27 @@ def is_semi_weakly_cis(g: Graph) -> bool:
 
 
 def _triangle_violating_edge(g: Graph, s: int):
-    """First edge that misses the stable set s and has no common neighbor
-    in it, or None if s has the triangle property."""
-    for u, v in g.edges():
-        if s >> u & 1 or s >> v & 1:
+    """First edge, in ``g.edges()`` order, that misses the stable set s and
+    has no common neighbor in it, or None if s has the triangle property."""
+    adj = g.adj
+    outside = g.full & ~s
+    m = outside
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        partners = adj[u] & outside & -(low << 1)  # v > u, v not in s
+        if not partners:
             continue
-        if not g.adj[u] & g.adj[v] & s:
-            return (u, v)
+        reached = 0
+        w = adj[u] & s
+        while w:
+            lw = w & -w
+            w ^= lw
+            reached |= adj[lw.bit_length() - 1]
+        bad = partners & ~reached
+        if bad:
+            return (u, (bad & -bad).bit_length() - 1)
     return None
 
 

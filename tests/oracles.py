@@ -355,6 +355,17 @@ def maximal_cliques_brute(g: Graph):
     return sorted(out)
 
 
+def triangle_violating_edge_by_edges(g: Graph, s: int):
+    """What :func:`cisgraphs.recognizers._triangle_violating_edge`
+    returns, by walking every edge in ``g.edges()`` order."""
+    for u, v in g.edges():
+        if s >> u & 1 or s >> v & 1:
+            continue
+        if not g.adj[u] & g.adj[v] & s:
+            return (u, v)
+    return None
+
+
 def krausz_partition_by_subcliques(g: Graph):
     """What :func:`cisgraphs.linegraph._krausz_partition` returns, by
     backtracking over every sub-clique of each uncovered edge's usable

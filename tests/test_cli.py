@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cisgraphs import cliques, equistable, recognizers, search
+from cisgraphs import cli, cliques, equistable, recognizers, search
 from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
 from cisgraphs.gallery import gallery
@@ -416,6 +416,30 @@ def test_cis_line_rejects_claw_free_non_line_graphs_quickly(
     assert code == 0
     assert json.loads(out)["input_role"] == "root"
     assert elapsed < 1.0
+
+
+def test_parser_is_built_once_and_shared(capsys):
+    # one parser per process; a request argparse rejects leaves it as it
+    # was for the requests after it
+    assert cli.build_parser() is cli.build_parser()
+    rejected = ["classify", "-i", "gallery:G12", "--format", "xml"]
+
+    def send(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli.build_parser.cache_clear()
+    first = send(rejected)
+    assert first[:2] == (2, "") and "invalid choice" in first[2]
+    cli.build_parser.cache_clear()
+    a = send(["classify", "-i", "gallery:G12"])
+    assert send(rejected) == first
+    b = send(["classify", "-i", "gallery:G12"])
+    assert a[0] == 0 and a == b
 
 
 def test_byte_determinism(capsys):

@@ -10,7 +10,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisgraphs.cli import main
+from cisgraphs.cli import build_parser, main
 from cisgraphs.graphs import Graph, encode_graph6
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -20,16 +20,22 @@ GRAPH_COMMANDS = (["classify"], ["equistable", "--verify"],
                   ["cis-line", "--verify"])
 
 
-def exit_code(argv, stdin_text=""):
+def send(argv, stdin_text=""):
+    """(exit code, stdout, stderr) of one request."""
+    out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(stdin_text)), \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
             # argparse's own exit: 2 for a usage error, 0 for --help
             assert exc.code in (0, 2), argv
-            return exc.code
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def exit_code(argv, stdin_text=""):
+    return send(argv, stdin_text)[0]
 
 
 @st.composite
@@ -129,3 +135,14 @@ def argvs(draw):
 @given(argvs(), graph6_texts())
 def test_fuzz_argv(argv, text):
     assert exit_code(argv, text) in (0, 1, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(argvs(), graph6_texts()), min_size=2, max_size=3))
+def test_shared_parser_matches_fresh_parser(requests):
+    # each request answers through the parser the earlier requests used
+    # exactly as through a parser built for it alone
+    shared = [send(argv, text) for argv, text in requests]
+    for (argv, text), output in zip(requests, shared):
+        build_parser.cache_clear()
+        assert send(argv, text) == output, argv

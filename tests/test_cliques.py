@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from cisgraphs.cliques import (
     maximal_cliques,
     maximal_stable_sets,
 )
+from cisgraphs.gallery import complete_bipartite
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
+from cisgraphs.linegraph import line_graph
 from oracles import maximal_cliques_brute, simplicial_cliques
 
 
@@ -59,16 +62,47 @@ def test_stable_sets_are_complement_cliques():
         assert g.is_stable(s)
 
 
+def networkx_cliques(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return sorted(mask_of(c) for c in nx.find_cliques(h))
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_bron_kerbosch_matches_networkx_random(n, p):
+    g = random_graph(n, p, random.Random(1000 * n + int(10 * p)))
+    assert maximal_cliques(g) == networkx_cliques(g)
+
+
+def test_bron_kerbosch_matches_networkx_many_cliques():
+    # maximal cliques of the complement of L(K_{7,7}) are the maximal
+    # matchings of K_{7,7}: its 7! perfect matchings
+    g = complement(line_graph(complete_bipartite(7, 7)))
+    fam = maximal_cliques(g)
+    assert len(fam) == 5040
+    assert fam == networkx_cliques(g)
+
+
 def test_family_cap():
     # complement of a perfect matching on 2k vertices has 2^k maximal cliques
     k = 8
-    g = complement(Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))
+
+    def fresh():
+        return complement(Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))
+
+    assert len(maximal_cliques(fresh(), cap=2 ** k)) == 2 ** k
+    with pytest.raises(FamilyCapExceeded):
+        maximal_cliques(fresh(), cap=2 ** k - 1)
+    g = fresh()
     with pytest.raises(FamilyCapExceeded):
         maximal_cliques(g, cap=100)
     assert len(maximal_cliques(g)) == 2 ** k
     # the cap applies to a family already enumerated, too
     with pytest.raises(FamilyCapExceeded):
-        maximal_cliques(g, cap=100)
+        maximal_cliques(g, cap=2 ** k - 1)
+    assert len(maximal_cliques(g, cap=2 ** k)) == 2 ** k
 
 
 def test_simplicial_cliques():

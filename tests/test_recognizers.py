@@ -37,6 +37,7 @@ from cisgraphs.recognizers import (
     UnsupportedSize,
     _base_predicates,
     _has_odd_hole,
+    _triangle_violating_edge,
     base_predicate,
     disjoint_pairs,
     has_bad_p4,
@@ -63,6 +64,7 @@ from oracles import (
     is_edge_simplicial_by_cliques,
     is_threshold_by_four_subsets,
     split_partition,
+    triangle_violating_edge_by_edges,
 )
 
 
@@ -291,6 +293,31 @@ def test_triangle_condition():
     assert not path(4).adj[u] & path(4).adj[v] & s
     assert is_triangle(cycle(4))  # no stable set misses an edge's closure
     assert not is_triangle(cycle(5))
+
+
+def test_triangle_violating_edge_matches_edge_walk():
+    # the per-vertex bit test finds the edge the edge walk finds, or None,
+    # for every maximal stable set
+    reps = nonisomorphic_graphs(7)
+    assert sum(map(len, reps.values())) == 1252
+
+    def graphs():
+        for graphs_n in reps.values():
+            yield from graphs_n
+        rng = random.Random(13)
+        for n in range(17, 37):
+            yield random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng)
+        for seed in range(30):
+            yield random_split(2 + seed % 9, 2 + seed * 7 % 11, seed)
+
+    violations = admissible = 0
+    for g in graphs():
+        for s in maximal_stable_sets(g):
+            edge = _triangle_violating_edge(g, s)
+            assert edge == triangle_violating_edge_by_edges(g, s)
+            violations += edge is not None
+            admissible += edge is None
+    assert violations and admissible
 
 
 def test_weakly_triangle():
