@@ -1,14 +1,31 @@
-"""Existence search for cross-intersecting clique/stable-set subfamilies.
+"""The module's two budgeted searches.
 
-The candidates are the maximal cliques, numbered 0..nc-1, and the maximal
-stable sets, numbered nc..nc+ns-1; a set of candidates is an int mask over
-those numbers.  There is one covering clause per edge, non-edge or vertex
-(the mask of candidates containing it), and each candidate excludes the
+``exists_cross_intersecting`` looks for cross-intersecting
+clique/stable-set subfamilies (weakly CIS and normal).  The candidates are
+the maximal cliques, numbered 0..nc-1, and the maximal stable sets,
+numbered nc..nc+ns-1; a set of candidates is an int mask over those
+numbers.  There is one covering clause per edge, non-edge or vertex (the
+mask of candidates containing it), and each candidate excludes the
 candidates of the other family that are disjoint from it.  The search
 state is two masks, the candidates chosen and the candidates ruled out.
 It always branches on the first unsatisfied clause with the fewest open
 candidates, in ascending candidate order, so certificates are
 reproducible.
+
+``dominated_clique`` decides CIS without listing the maximal stable sets.
+A maximal stable set S misses a maximal clique C exactly when some stable
+set outside C dominates C: S itself does, by maximality, and a stable
+dominator extends greedily to a maximal stable set that still misses C,
+since every vertex of C has a neighbour in it.  So g is CIS iff no
+maximal clique has a stable dominator outside it.  One search per clique,
+in ``maximal_cliques`` order, keeps two vertex masks: the clique vertices
+not yet dominated, and the allowed vertices (outside C, not chosen, not
+adjacent to a chosen vertex).  It branches on the undominated vertex with
+the fewest allowed neighbours, trying them in ascending order; a
+neighbour whose branch fails is no longer allowed for its later siblings.
+
+Both searches raise ``SearchUndecided`` when their budget runs out, never
+a silent "no".
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ DEFAULT_BACKTRACK_CAP = 1_000_000
 
 
 class SearchUndecided(RuntimeError):
-    """Backtrack budget exhausted; never silently reported as 'no'."""
+    """Search budget exhausted; never silently reported as 'no'."""
 
 
 def _holders(family, n: int, first: int):
@@ -144,6 +161,55 @@ def verify_cover_certificate(
     return covers_edges(g, chosen_cliques) and covers_nonedges(
         g, chosen_stables
     )
+
+
+def dominated_clique(g: Graph):
+    """A maximal clique of g and a stable set outside it that dominates
+    it, as (clique mask, stable mask), or None iff g is CIS.
+
+    The searches of all cliques share one node budget,
+    ``DEFAULT_BACKTRACK_CAP`` read at call time; past it the call raises
+    ``SearchUndecided``.
+    """
+    adj = g.adj
+    cap = DEFAULT_BACKTRACK_CAP
+    nodes = 0
+
+    def solve(undominated: int, allowed: int):
+        """A stable set of allowed vertices dominating ``undominated``, or
+        None."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise SearchUndecided(f"dominator search exceeded {cap} nodes")
+        if not undominated:
+            return 0
+        branch, fewest = 0, len(adj) + 1
+        m = undominated
+        while m:
+            low = m & -m
+            m ^= low
+            options = adj[low.bit_length() - 1] & allowed
+            k = options.bit_count()
+            if not k:
+                return None
+            if k < fewest:
+                branch, fewest = options, k
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            nb = adj[low.bit_length() - 1]
+            found = solve(undominated & ~nb, allowed & ~nb & ~low)
+            if found is not None:
+                return found | low
+            allowed ^= low
+        return None
+
+    for clique in maximal_cliques(g):
+        stable = solve(clique, g.full & ~clique)
+        if stable is not None:
+            return clique, stable
+    return None
 
 
 def is_weakly_cis(g: Graph) -> bool:

@@ -37,7 +37,7 @@ from cisgraphs.recognizers import (
     is_triangle,
     is_weakly_triangle,
 )
-from cisgraphs.search import verify_cover_certificate
+from cisgraphs.search import dominated_clique, verify_cover_certificate
 from oracles import (
     big_L_clique_families,
     connected_graphs,
@@ -161,7 +161,8 @@ def test_acceptance_6_line_graph_theorem():
             verdict, _, _ = is_cis_line_root(h)
             oracle = check_condition_vii(h)
             cap_tri = is_triangle(lg) and is_triangle(complement(lg))
-            ok &= direct == verdict == oracle == cap_tri
+            dominated = dominated_clique(lg) is None
+            ok &= direct == verdict == oracle == cap_tri == dominated
             checked += 1
 
     rng = random.Random(2024)

@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from cisgraphs import cli, cliques, equistable, recognizers, search
+from cisgraphs import cli, cliques, equistable, linegraph, recognizers, search
 from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
-from cisgraphs.gallery import gallery
+from cisgraphs.cliques import maximal_stable_sets
+from cisgraphs.gallery import complete_bipartite, gallery
 from cisgraphs.graphs import (
     Graph,
     complement,
@@ -18,6 +19,7 @@ from cisgraphs.graphs import (
     random_graph,
 )
 from cisgraphs.hasse import MembershipCache
+from cisgraphs.linegraph import line_graph
 from cisgraphs.recognizers import BASE_NAMES
 
 
@@ -212,8 +214,15 @@ def test_budget_exhaustion_is_undecided(capsys, monkeypatch, module, name,
     def exhausted(*args, **kwargs):
         raise error("budget spent")
 
-    requests = [("classify", "5\n0 1\n1 2\n2 3\n3 4\n4 0\n")]  # C5
     reason = "budget spent"
+    requests = [(["classify"], "5\n0 1\n1 2\n2 3\n3 4\n4 0\n", reason)]  # C5
+    if error is search.SearchUndecided:
+        # the dominator search of cis-line --verify has its own node
+        # budget; L(K8,8) needs 219,200 nodes
+        monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 1000)
+        lk88 = encode_graph6(line_graph(complete_bipartite(8, 8)))
+        requests.append((["cis-line", "--verify"], lk88,
+                         "dominator search exceeded 1000 nodes"))
     if error is equistable.WeightingUndecided:
         # the weighting walk gives up when no candidate verifies; C4 is
         # equistable and its polytope has two null directions, so it walks
@@ -221,12 +230,12 @@ def test_budget_exhaustion_is_undecided(capsys, monkeypatch, module, name,
             return False
 
         c4 = "4\n0 1\n1 2\n2 3\n3 0\n"
-        requests = [("equistable", c4), ("classify", c4)]
         reason = "weight construction failed to avoid all hyperplanes"
+        requests = [(["equistable"], c4, reason), (["classify"], c4, reason)]
     monkeypatch.setattr(module, name, exhausted)
-    for command, text in requests:
+    for command, text, reason in requests:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        code, out, err = run(capsys, command, "-i", "-")
+        code, out, err = run(capsys, *command, "-i", "-")
         assert code == 3
         assert out == ""
         assert err == f"undecided: {reason}\n"
@@ -321,6 +330,57 @@ def test_cis_line_line_graph_input(capsys):
     assert data["input_role"] == "line-graph"
     assert data["verdicts"][0]["cis"] is False
     assert "violating_vertex" in data["verdicts"][0]
+
+
+def test_cis_line_verify_catches_a_wrong_verdict(capsys, monkeypatch):
+    # a root-graph verdict that disagrees with the direct test on the
+    # input fails the request; flipping the maximal-matching oracle too
+    # leaves --verify as the only check that can notice
+    root_verdict = linegraph.is_cis_line_root
+    oracle = linegraph.check_condition_vii
+
+    def wrong_root_verdict(h):
+        verdict, cert, backend = root_verdict(h)
+        return not verdict, cert, backend
+
+    monkeypatch.setattr(linegraph, "is_cis_line_root", wrong_root_verdict)
+    code, out, err = run(capsys, "cis-line", "-i", "gallery:LK33",
+                         "--verify")
+    assert code == 1 and out == ""
+    assert "maximal-matching oracle" in err
+    monkeypatch.setattr(linegraph, "check_condition_vii",
+                        lambda h: not oracle(h))
+    code, out, err = run(capsys, "cis-line", "-i", "gallery:LK33",
+                         "--verify")
+    assert code == 1 and out == ""
+    assert err == ("internal error: line-graph verdict does not match "
+                   "the direct CIS test\n")
+    # without --verify nothing compares the verdict with the input
+    code, _, _ = run(capsys, "cis-line", "-i", "gallery:LK33")
+    assert code == 0
+
+
+def test_cis_line_verify_lists_no_stable_sets_of_the_input(
+        capsys, monkeypatch):
+    # the direct check searches for stable dominators of the input's
+    # maximal cliques; listing its maximal stable sets (the root's
+    # maximal matchings) is what it replaced.  The root has 9 vertices,
+    # above the maximal-matching oracle's bound.
+    g = line_graph(complete_bipartite(4, 5))
+    seen = []
+
+    def spy(h, *args, **kwargs):
+        seen.append(h)
+        return maximal_stable_sets(h, *args, **kwargs)
+
+    for module in (cliques, equistable, linegraph, recognizers, search):
+        monkeypatch.setattr(module, "maximal_stable_sets", spy)
+    monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(g)))
+    code, out, _ = run(capsys, "cis-line", "-i", "-", "--verify",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["input_role"] == "line-graph"
+    assert g not in seen
 
 
 def test_equistable_cli(capsys):

@@ -9,20 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cisgraphs import search
 from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import (
     G12_CLIQUE_SUBFAMILY,
     G12_STABLE_SUBFAMILY,
     _shift,
+    complete_bipartite,
     cycle,
     gallery,
     path,
 )
-from cisgraphs.graphs import Graph, mask_of, random_graph
+from cisgraphs.graphs import Graph, bits, mask_of, random_graph
 from cisgraphs.hasse import nonisomorphic_graphs
-from cisgraphs.recognizers import is_cis
+from cisgraphs.linegraph import line_graph
+from cisgraphs.recognizers import disjoint_pairs, is_cis
 from cisgraphs.search import (
     SearchUndecided,
+    dominated_clique,
     exists_cross_intersecting,
     is_normal,
     is_weakly_cis,
@@ -172,3 +176,82 @@ def test_results_and_budget_pinned():
     assert exists_cross_intersecting(
         g, normal=True, backtrack_cap=108
     ) is None
+
+
+# ---------------------------------------------------------------------------
+# dominated_clique: the direct CIS test of cis-line --verify
+
+
+def check_dominated_clique(g):
+    """dominated_clique agrees with the disjoint-pair walk, and its
+    certificate checks out by set arithmetic."""
+    found = dominated_clique(g)
+    assert (found is None) == (disjoint_pairs(g) == ())
+    if found is None:
+        return
+    clique, stable = found
+    assert clique in maximal_cliques(g)
+    assert g.is_stable(stable) and not clique & stable
+    assert all(g.adj[v] & stable for v in bits(clique))
+    extended = stable
+    for v in range(g.n):
+        if not (g.adj[v] | 1 << v) & extended:
+            extended |= 1 << v
+    assert extended in maximal_stable_sets(g) and not extended & clique
+
+
+def test_dominated_clique_all_small_classes():
+    checked = 0
+    for graphs in nonisomorphic_graphs(7).values():
+        for g in graphs:
+            check_dominated_clique(g)
+            checked += 1
+    assert checked == 1252
+
+
+def test_dominated_clique_random_graphs():
+    rng = random.Random(14)
+    for _ in range(150):
+        check_dominated_clique(
+            random_graph(rng.randint(8, 20), rng.random(), rng)
+        )
+
+
+def _random_tree(n, rng):
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _random_bipartite(a, b, p, rng):
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)
+                         if rng.random() < p])
+
+
+def test_dominated_clique_line_graphs():
+    # line graphs are what cis-line --verify runs it on; the complete
+    # bipartite roots are the largest inputs the CLI takes (64 vertices)
+    rng = random.Random(7)
+    k88 = complete_bipartite(8, 8)
+    roots = [k88, complete_bipartite(7, 9),
+             Graph(16, [e for e in k88.edges() if e != (0, 8)])]
+    roots += [_random_bipartite(rng.randint(2, 8), rng.randint(2, 8),
+                                rng.uniform(0.3, 0.9), rng)
+              for _ in range(20)]
+    roots += [_random_tree(rng.randint(2, 40), rng) for _ in range(20)]
+    roots += [cycle(n) for n in range(3, 40, 4)]
+    roots += [random_graph(rng.randint(4, 12), rng.uniform(0.2, 0.6), rng)
+              for _ in range(20)]
+    for h in roots:
+        if 0 < h.edge_count() <= 64:
+            check_dominated_clique(line_graph(h))
+
+
+def test_dominated_clique_budget(monkeypatch):
+    # L(K8,8) is CIS and is decided in 219,200 nodes, within the default
+    # budget; the budget is read at call time
+    lg = line_graph(complete_bipartite(8, 8))
+    assert dominated_clique(lg) is None
+    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 219_199)
+    with pytest.raises(SearchUndecided):
+        dominated_clique(lg)
+    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 219_200)
+    assert dominated_clique(lg) is None

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import cisgraphs
 
@@ -15,3 +18,18 @@ def test_no_runtime_check_uses_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_import_leaves_networkx_out():
+    # importing networkx takes about 0.17 s; only the blossom matching
+    # solver needs it, so it is imported there, on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cisgraphs.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
