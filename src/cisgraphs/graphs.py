@@ -274,9 +274,44 @@ def parse_graph(text: str) -> Graph:
 
 # ---------------------------------------------------------------------------
 # canonical form (colour refinement plus individualisation, after McKay,
-# "Practical Graph Isomorphism", 1981).  Only twin swaps prune the search,
-# so it can grow exponentially on very symmetric graphs, such as many
-# disjoint copies of one component; it serves the small-graph scans.
+# "Practical Graph Isomorphism", 1981).  Each connected component gets its
+# own form, so many copies of one component cost one small search each.
+# Within a component only twin swaps prune the search, so it can still grow
+# exponentially on a connected graph with many symmetric non-twin parts; it
+# serves the small-graph scans.
+
+
+def components(g: Graph) -> list:
+    """Vertex masks of the connected components, by smallest vertex."""
+    adj = g.adj
+    comps = []
+    rest = g.full
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= reach
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def _relabel(rows, pos) -> tuple:
+    """Each row with vertex v replaced by the bit ``pos[v]``."""
+    out = []
+    for row in rows:
+        new = 0
+        while row:
+            low = row & -row
+            new |= pos[low.bit_length() - 1]
+            row ^= low
+        out.append(new)
+    return tuple(out)
 
 
 def _refine(adj, cells):
@@ -291,34 +326,33 @@ def _refine(adj, cells):
                 split.append(cell)
                 continue
             groups = {}
-            for v in bits(cell):
-                key = tuple([(adj[v] & c).bit_count() for c in cells])
-                groups[key] = groups.get(key, 0) | 1 << v
-            split.extend(groups[key] for key in sorted(groups))
+            rest = cell
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                key = tuple([(row & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | low
+                rest ^= low
+            if len(groups) == 1:
+                split.append(cell)
+            else:
+                split.extend(groups[key] for key in sorted(groups))
         if len(split) == len(cells):
             return cells
         cells = split
 
 
-def canonical_form(g: Graph) -> tuple:
-    """Adjacency rows of a canonical relabelling of ``g``: two graphs
-    have the same form iff they are isomorphic.
-
-    Each leaf of the search is a discrete partition reached by refining
-    and then individualising, in turn, each vertex of the first
-    non-singleton cell; the form is the smallest leaf's relabelled rows.
-    A vertex that is a twin of one already tried is skipped: swapping
-    two twins is an automorphism that fixes the partition, so its
-    subtree has the same leaves.
-    """
-    adj = g.adj
+def _connected_form(adj) -> tuple:
+    """The smallest leaf form of the search over ``adj`` (see
+    ``canonical_form``)."""
 
     def leaves(cells):
         cells = _refine(adj, cells)
         if len(cells) == len(adj):
-            label = {c.bit_length() - 1: i for i, c in enumerate(cells)}
-            yield tuple([mask_of(label[u] for u in bits(adj[v]))
-                         for v in label])
+            pos = [0] * len(adj)
+            for i, c in enumerate(cells):
+                pos[c.bit_length() - 1] = 1 << i
+            yield _relabel([adj[c.bit_length() - 1] for c in cells], pos)
             return
         i, cell = next((i, c) for i, c in enumerate(cells) if c & (c - 1))
         tried = []
@@ -328,7 +362,39 @@ def canonical_form(g: Graph) -> tuple:
                 rest = cell & ~(1 << v)
                 yield from leaves(cells[:i] + [1 << v, rest] + cells[i + 1:])
 
-    return min(leaves([g.full]))
+    return min(leaves([(1 << len(adj)) - 1]))
+
+
+def canonical_form(g: Graph) -> tuple:
+    """Adjacency rows of a canonical relabelling of ``g``: two graphs
+    have the same form iff they are isomorphic.
+
+    A connected graph's form is the smallest leaf of a search: each leaf
+    is a discrete partition reached by refining and then individualising,
+    in turn, each vertex of the first non-singleton cell, and its form is
+    the graph's rows relabelled in cell order.  A vertex that is a twin
+    of one already tried is skipped: swapping two twins is an
+    automorphism that fixes the partition, so its subtree has the same
+    leaves.  A disconnected graph's form joins its components' forms as
+    diagonal blocks, sorted by (order, form): two graphs are isomorphic
+    iff their components are, class by class.
+    """
+    comps = components(g)
+    if len(comps) == 1:
+        return _connected_form(g.adj)
+    forms = []
+    for comp in comps:
+        pos = [0] * g.n
+        verts = list(bits(comp))
+        for i, v in enumerate(verts):
+            pos[v] = 1 << i
+        forms.append(_connected_form(_relabel([g.adj[v] for v in verts], pos)))
+    forms.sort(key=lambda form: (len(form), form))
+    out = []
+    for form in forms:
+        shift = len(out)
+        out.extend(row << shift for row in form)
+    return tuple(out)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

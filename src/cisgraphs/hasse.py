@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gallery as gal
-from .graphs import Graph, canonical_form, complement, encode_graph6
+from .graphs import Graph, canonical_form, complement, encode_graph6, mask_of
 from .recognizers import UnsupportedSize, base_predicate, has_bad_p4
 
 # ---------------------------------------------------------------------------
@@ -237,10 +237,15 @@ _REPS_CACHE = {1: [Graph(1)]}
 def nonisomorphic_graphs(max_n: int):
     """Representatives of all isomorphism classes with 1..max_n vertices.
 
-    Built by extending each (n-1)-vertex representative with a new
-    vertex attached by every possible neighborhood; the first extension
-    with each canonical form represents its class.  Returns {n: list of
-    Graph}, each list sorted by (edge count, adjacency rows).
+    Built by canonical augmentation on degree (after McKay, "Isomorph-free
+    exhaustive generation", 1998): each (n-1)-vertex representative g is
+    extended by a new vertex w attached by every possible neighbourhood,
+    except that an extension is skipped when some old vertex has a higher
+    degree than w.  Deleting that vertex leaves a graph with fewer edges
+    than g, whose class comes earlier in the sorted list, so an earlier
+    extension already has this class; the first extension of a class is
+    therefore never skipped, and it represents the class.  Returns {n:
+    list of Graph}, each list sorted by (edge count, adjacency rows).
     """
     reps = _REPS_CACHE
     for n in range(2, max_n + 1):
@@ -248,20 +253,28 @@ def nonisomorphic_graphs(max_n: int):
             continue
         classes = {}
         for g in reps[n - 1]:
+            # at_least[d]: the old vertices of degree at least d.  With
+            # k = |mask|, an old vertex ends above w's degree k when its
+            # degree exceeds k, or equals k and w joins it.
+            at_least = [mask_of(v for v in range(n - 1) if g.degree(v) >= d)
+                        for d in range(n + 1)]
             for mask in range(1 << (n - 1)):
+                k = mask.bit_count()
+                if at_least[k + 1] or mask & at_least[k]:
+                    continue
                 adj = [row | ((mask >> v & 1) << (n - 1))
                        for v, row in enumerate(g.adj)]
                 adj.append(mask)
                 cand = Graph.from_adj(adj)
                 classes.setdefault(canonical_form(cand), cand)
         out = sorted(classes.values(), key=lambda g: (g.edge_count(), g.adj))
-        reps[n] = out
         expect = EXPECTED_GRAPH_COUNTS.get(n)
         if expect is not None and len(out) != expect:
             raise RuntimeError(
                 f"graph generation produced {len(out)} classes at n={n}, "
                 f"expected {expect}"
             )
+        reps[n] = out
     return {n: reps[n] for n in range(1, max_n + 1)}
 
 

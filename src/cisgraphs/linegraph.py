@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .cliques import maximal_stable_sets
-from .graphs import Graph, GraphError, bits, mask_of
+from .graphs import Graph, GraphError, bits, components, mask_of
 
 
 def line_graph(h: Graph) -> Graph:
@@ -106,18 +106,7 @@ def _krausz_partition(g: Graph):
                 join(cell, -1)
         return False
 
-    seen = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for w in bits(frontier):
-                nxt |= adj[w]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
+    for comp in components(g):
         if not solve(comp, comp.bit_count() <= 6):
             return None
     cells = [cell for _, cell in sorted(placed)]

@@ -16,7 +16,13 @@ from cisgraphs.cliques import (
     maximal_stable_sets,
 )
 from cisgraphs.gallery import _cross_adjacency
-from cisgraphs.graphs import Graph, bits, is_isomorphic, mask_of
+from cisgraphs.graphs import (
+    Graph,
+    bits,
+    canonical_form,
+    is_isomorphic,
+    mask_of,
+)
 from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
 from cisgraphs.linegraph import line_graph, root_graph
 from cisgraphs.lp import Unbounded
@@ -456,6 +462,26 @@ def roots_agree(h: Graph) -> bool:
     if res.kind == "ambiguous":
         return any(is_isomorphic(r, h) for r in res.roots)
     return res.kind == "root" and is_isomorphic(res.root, h)
+
+
+def all_extensions_graphs(max_n: int):
+    """Class representatives with 1..max_n vertices, reducing every
+    one-vertex extension of each smaller representative to its canonical
+    form and keeping the first extension per form; {n: list of Graph},
+    sorted by (edge count, rows) like ``hasse.nonisomorphic_graphs``."""
+    reps = {1: [Graph(1)]}
+    for n in range(2, max_n + 1):
+        classes = {}
+        for g in reps[n - 1]:
+            for mask in range(1 << (n - 1)):
+                adj = [row | ((mask >> v & 1) << (n - 1))
+                       for v, row in enumerate(g.adj)]
+                adj.append(mask)
+                cand = Graph.from_adj(adj)
+                classes.setdefault(canonical_form(cand), cand)
+        reps[n] = sorted(classes.values(),
+                         key=lambda g: (g.edge_count(), g.adj))
+    return reps
 
 
 def connected_graphs(max_n: int):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from cisgraphs.graphs import (
     bits,
     canonical_form,
     complement,
+    components,
     disjoint_union,
     encode_graph6,
     is_isomorphic,
@@ -224,10 +226,33 @@ def test_canonical_forms_match_graph_atlas():
         assert sum(len(form) == n for form in forms) == count
 
 
+@st.composite
+def repeated_components(draw, max_n=24):
+    """Disjoint unions of a few small graphs, each repeated: many
+    symmetric parts, which random graphs of this size rarely have."""
+    parts = draw(st.lists(st.tuples(graphs(5), st.integers(1, 8)),
+                          min_size=1, max_size=3))
+    g = None
+    for part, copies in parts:
+        for _ in range(copies):
+            if g is not None and g.n + part.n > max_n:
+                break
+            g = part if g is None else disjoint_union(g, part)
+    return g
+
+
+def triangles(k):
+    g = tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    for _ in range(k - 1):
+        g = disjoint_union(g, tri)
+    return g
+
+
 @settings(max_examples=150, deadline=None)
-@given(graphs(9), st.randoms(use_true_random=False))
+@given(graphs(9) | repeated_components(), st.randoms(use_true_random=False))
 @example(Graph(9), random.Random(0))
 @example(complement(Graph(9)), random.Random(0))
+@example(triangles(8), random.Random(0))
 def test_canonical_form_invariant_and_isomorphic(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -235,6 +260,32 @@ def test_canonical_form_invariant_and_isomorphic(g, rng):
     form = canonical_form(g)
     assert canonical_form(h) == form
     assert nx.is_isomorphic(to_nx(Graph.from_adj(form)), to_nx(g))
+
+
+def test_canonical_form_many_components():
+    # each component is formed on its own; a single search over all 21
+    # vertices took seconds, and every further triangle multiplied that
+    g = triangles(7)
+    perm = list(range(21))
+    random.Random(7).shuffle(perm)
+    h = Graph(21, [(perm[u], perm[v]) for u, v in g.edges()])
+    hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    other = disjoint_union(triangles(5), hexagon)  # also 2-regular
+    start = time.perf_counter()
+    assert is_isomorphic(g, h)
+    assert not is_isomorphic(h, other)
+    assert time.perf_counter() - start < 1.0
+    assert canonical_form(h) == tuple(
+        (0b111 ^ 1 << i % 3) << 3 * (i // 3) for i in range(21))
+
+
+@given(graphs(12))
+def test_components_against_networkx(g):
+    comps = components(g)
+    assert sorted(comps) == sorted(
+        mask_of(c) for c in nx.connected_components(to_nx(g)))
+    firsts = [c & -c for c in comps]
+    assert firsts == sorted(firsts)
 
 
 def test_big_graph_basics():

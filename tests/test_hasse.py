@@ -1,5 +1,6 @@
 import pytest
 
+from cisgraphs import hasse
 from cisgraphs.gallery import cycle, gallery, path
 from cisgraphs.graphs import (
     Graph,
@@ -20,7 +21,7 @@ from cisgraphs.hasse import (
     scan,
     verify_table,
 )
-from oracles import connected_graphs, find_separators
+from oracles import all_extensions_graphs, connected_graphs, find_separators
 
 
 def test_table_shape():
@@ -83,6 +84,38 @@ def test_generation_counts():
         assert len({canonical_form(g) for g in graphs}) == len(graphs)
         keys = [(g.edge_count(), g.adj) for g in graphs]
         assert keys == sorted(keys)
+
+
+def test_generation_matches_all_extensions():
+    # the degree rule skips only extensions whose class an earlier one has
+    oracle = all_extensions_graphs(7)
+    for n, graphs in nonisomorphic_graphs(7).items():
+        assert [g.adj for g in graphs] == [g.adj for g in oracle[n]]
+
+
+def test_generation_form_count_pinned(monkeypatch):
+    # 11,290 forms without the degree rule; a rise means it regressed
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    monkeypatch.setattr(hasse, "canonical_form", counted)
+    reps = hasse.nonisomorphic_graphs(7)
+    assert len(calls) == 3131
+    assert [len(reps[n]) for n in range(1, 8)] == [
+        EXPECTED_GRAPH_COUNTS[n] for n in range(1, 8)]
+
+
+def test_generation_count_check_not_cached(monkeypatch):
+    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    monkeypatch.setitem(hasse.EXPECTED_GRAPH_COUNTS, 4, 12)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="11 classes at n=4"):
+            hasse.nonisomorphic_graphs(5)
+    assert 4 not in hasse._REPS_CACHE
 
 
 def test_connected_counts():
