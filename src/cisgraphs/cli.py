@@ -4,7 +4,9 @@ decide equistability.
 
 Exit codes: 0 success, 1 internal verification failure, 2 input error,
 3 undecided (a search or clique-family budget ran out, or the equistable
-weighting walk found no weighting).
+weighting walk found no weighting), 141 (128 + SIGPIPE) when standard
+output is closed before the output is written, as by ``| head``; nothing
+is printed on standard error then.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import equistable as eq
@@ -430,7 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull, so that the flush
+        # at interpreter exit finds no closed pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,12 +19,6 @@ from .recognizers import UnsupportedSize, base_predicate, has_bad_p4
 # ---------------------------------------------------------------------------
 # the 17 self-complementary properties, in table column order
 
-PROPERTY_ORDER = (
-    "aCIS", "cap-es", "split", "CIS", "qCIS", "cap-swCIS", "wCIS",
-    "cap-seq", "cap-eq", "cap-tri", "cap-wtri",
-    "cup-es", "cup-swCIS", "cup-seq", "cup-eq", "cup-tri", "cup-wtri",
-)
-
 PROPERTY_DEFS = {
     "aCIS": ("almost_cis", "plain"),
     "cap-es": ("edge_simplicial", "cap"),
@@ -44,6 +38,7 @@ PROPERTY_DEFS = {
     "cup-tri": ("triangle", "cup"),
     "cup-wtri": ("weakly_triangle", "cup"),
 }
+PROPERTY_ORDER = tuple(PROPERTY_DEFS)
 
 LP_BASES = ("equistable", "strongly_equistable")
 
@@ -353,7 +348,6 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
         raise ValueError(
             f"exhaustive scan supported for 1 <= max_n <= {MAX_SCAN_N}"
         )
-    cache = MembershipCache()
     lp_max_n = max_n if include_lp else min(max_n, 6)
     report = ScanReport(max_n=max_n, lp_max_n=lp_max_n)
 
@@ -375,7 +369,10 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
     for n in range(1, max_n + 1):
         report.counts[n] = len(reps[n])
         with_lp = n <= lp_max_n
-        for g in reps[n]:
+        for rep in reps[n]:
+            # a fresh graph and cache, so that no fact outlives the class
+            g = Graph.from_adj(rep.adj)
+            cache = MembershipCache()
             g6 = encode_graph6(g)
             co = complement(g)
 

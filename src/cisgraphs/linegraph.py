@@ -265,15 +265,13 @@ def is_cis_line_root(h: Graph):
         if deg == 2 and _is_simplicial_vertex(h, x):
             continue
         edges, weights = neighborhood_subgraph(h, x)
-        sub = Graph(h.n, edges) if edges else None
-        if sub is None:
+        if not edges:
             continue
         total, matching, backend_used = max_weight_matching(
-            sub, lambda e: weights[e]
+            Graph(h.n, edges), lambda e: weights[e]
         )
         if total == deg:
-            witness = [e for e in matching if weights.get(e)]
-            return False, ("matching", x, witness), backend_used
+            return False, ("matching", x, matching), backend_used
     return True, None, backend_used
 
 

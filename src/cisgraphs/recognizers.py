@@ -16,13 +16,9 @@ semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
 
 from __future__ import annotations
 
-from .cliques import (
-    covers_edges,
-    covers_nonedges,
-    maximal_cliques,
-    maximal_stable_sets,
-)
+from .cliques import covers_edges, covers_nonedges, maximal_stable_sets
 from .graphs import Graph, bits, complement, mask_of
+from .search import disjointness, is_normal, is_weakly_cis
 
 
 class UnsupportedSize(ValueError):
@@ -98,15 +94,13 @@ def disjoint_pairs(g: Graph):
 
 
 def _first_disjoint_pairs(g: Graph):
-    cliques = maximal_cliques(g)
-    stables = maximal_stable_sets(g)
+    rel = disjointness(g)
     out = []
-    for c in cliques:
-        for s in stables:
-            if not c & s:
-                out.append((c, s))
-                if len(out) == 2:
-                    return tuple(out)
+    for c, missing in zip(rel.cliques, rel.clique_excl):
+        for j in bits(missing):
+            out.append((c, rel.stables[j]))
+            if len(out) == 2:
+                return tuple(out)
     return tuple(out)
 
 
@@ -138,8 +132,10 @@ def is_edge_simplicial(g: Graph) -> bool:
 
 
 def strong_maximal_cliques(g: Graph):
-    stables = maximal_stable_sets(g)
-    return [c for c in maximal_cliques(g) if all(c & s for s in stables)]
+    """The maximal cliques that meet every maximal stable set."""
+    rel = disjointness(g)
+    return [c for c, missing in zip(rel.cliques, rel.clique_excl)
+            if not missing]
 
 
 def is_semi_weakly_cis(g: Graph) -> bool:
@@ -298,8 +294,8 @@ BASE_NAMES = (
 # family, weakly CIS and normal are symmetric in the maximal cliques and
 # the maximal stable sets, which complementing swaps; split, threshold and
 # cograph have forbidden induced subgraphs closed under complement; perfect
-# by Lovász's perfect graph theorem (1972).  Weakly triangle agrees on
-# every class with n <= 7 but is not proven, so it is left out.
+# by Lovász's perfect graph theorem (1972).  Weakly triangle is not
+# invariant: HCQeeXe is not weakly triangle, and its complement HQovb]^ is.
 COMPLEMENT_INVARIANT = frozenset({
     "threshold", "cograph", "split", "cis", "almost_cis", "quasi_cis",
     "weakly_cis", "normal", "perfect",
@@ -307,9 +303,8 @@ COMPLEMENT_INVARIANT = frozenset({
 
 
 def _base_predicates():
-    # imported here so that search/equistable can depend on this module's
-    # predicates in their own tests without an import cycle
-    from . import equistable, search
+    # imported here, since equistable imports this module
+    from . import equistable
 
     return {
         "threshold": is_threshold,
@@ -320,10 +315,10 @@ def _base_predicates():
         "almost_cis": is_almost_cis,
         "quasi_cis": is_quasi_cis,
         "semi_weakly_cis": is_semi_weakly_cis,
-        "weakly_cis": search.is_weakly_cis,
+        "weakly_cis": is_weakly_cis,
         "triangle": is_triangle,
         "weakly_triangle": is_weakly_triangle,
-        "normal": search.is_normal,
+        "normal": is_normal,
         "perfect": is_perfect,
         "equistable": lambda g: equistable.is_equistable(g).verdict,
         "strongly_equistable": lambda g: equistable.is_strongly_equistable(g).verdict,

@@ -1,4 +1,11 @@
-"""The module's two budgeted searches.
+"""The clique/stable-set disjointness relation and two budgeted searches.
+
+``disjointness`` is the one fact behind the CIS family, semi-weakly CIS,
+weakly CIS and normal, built once per graph: the maximal cliques and the
+maximal stable sets, each numbered from 0; per vertex, the mask of each
+family's members holding it (``clique_holders``, ``stable_holders``);
+and per member, the mask of the other family's members disjoint from it
+(``clique_excl``, ``stable_excl``).
 
 ``exists_cross_intersecting`` looks for cross-intersecting
 clique/stable-set subfamilies (weakly CIS and normal).  The candidates are
@@ -6,11 +13,12 @@ the maximal cliques, numbered 0..nc-1, and the maximal stable sets,
 numbered nc..nc+ns-1; a set of candidates is an int mask over those
 numbers.  There is one covering clause per edge, non-edge or vertex (the
 mask of candidates containing it), and each candidate excludes the
-candidates of the other family that are disjoint from it.  The search
-state is two masks, the candidates chosen and the candidates ruled out.
-It always branches on the first unsatisfied clause with the fewest open
-candidates, in ascending candidate order, so certificates are
-reproducible.
+candidates of the other family that are disjoint from it.  Every clause
+is non-empty: an edge lies in a maximal clique, a non-edge in a maximal
+stable set, a vertex in both.  The search state is two masks, the
+candidates chosen and the candidates ruled out.  It always branches on
+the first unsatisfied clause with the fewest open candidates, in
+ascending candidate order, so certificates are reproducible.
 
 ``dominated_clique`` decides CIS without listing the maximal stable sets.
 A maximal stable set S misses a maximal clique C exactly when some stable
@@ -24,21 +32,17 @@ adjacent to a chosen vertex).  It branches on the undominated vertex with
 the fewest allowed neighbours, trying them in ascending order; a
 neighbour whose branch fails is no longer allowed for its later siblings.
 
-Both searches raise ``SearchUndecided`` when their budget runs out, never
-a silent "no".
+Both searches raise ``SearchUndecided`` when their budget,
+``DEFAULT_BACKTRACK_CAP`` read at call time, runs out, never a silent
+"no".
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
-from .cliques import (
-    covers_edges,
-    covers_nonedges,
-    covers_vertices,
-    maximal_cliques,
-    maximal_stable_sets,
-)
+from .cliques import maximal_cliques, maximal_stable_sets
 from .graphs import Graph, bits
 
 DEFAULT_BACKTRACK_CAP = 1_000_000
@@ -48,18 +52,41 @@ class SearchUndecided(RuntimeError):
     """Search budget exhausted; never silently reported as 'no'."""
 
 
-def _holders(family, n: int, first: int):
-    """Per vertex, the mask of the candidates (numbered from ``first``)
-    that contain it."""
+Disjointness = collections.namedtuple("Disjointness", (
+    "cliques", "stables", "clique_holders", "stable_holders",
+    "clique_excl", "stable_excl",
+))
+
+
+def disjointness(g: Graph) -> Disjointness:
+    """The clique/stable-set disjointness relation of g (module
+    docstring), built once per graph."""
+    return g.memo("disjointness", _disjointness)
+
+
+def _disjointness(g: Graph) -> Disjointness:
+    cliques = maximal_cliques(g)
+    stables = maximal_stable_sets(g)
+    ch = _holders(cliques, g.n)
+    sh = _holders(stables, g.n)
+    return Disjointness(
+        cliques, stables, ch, sh,
+        _exclusions(cliques, sh, (1 << len(stables)) - 1),
+        _exclusions(stables, ch, (1 << len(cliques)) - 1),
+    )
+
+
+def _holders(family, n: int):
+    """Per vertex, the mask of the members of ``family`` that contain it."""
     holders = [0] * n
-    for i, mask in enumerate(family, first):
+    for i, mask in enumerate(family):
         for v in bits(mask):
             holders[v] |= 1 << i
     return holders
 
 
 def _exclusions(family, other_holders, other_all: int):
-    """Per member of ``family``, the mask of the other family's candidates
+    """Per member of ``family``, the mask of the other family's members
     disjoint from it."""
     out = []
     for mask in family:
@@ -70,12 +97,7 @@ def _exclusions(family, other_holders, other_all: int):
     return out
 
 
-def exists_cross_intersecting(
-    g: Graph,
-    *,
-    normal: bool,
-    backtrack_cap: int = DEFAULT_BACKTRACK_CAP,
-):
+def exists_cross_intersecting(g: Graph, *, normal: bool):
     """Cross-intersecting covering subfamilies of the maximal clique and
     maximal stable set families, or None if none exist.
 
@@ -85,11 +107,10 @@ def exists_cross_intersecting(
     maximal sets is what the definitions ask for, so the search is
     complete.
     """
-    cliques = maximal_cliques(g)
-    stables = maximal_stable_sets(g)
-    nc, ns = len(cliques), len(stables)
-    ch = _holders(cliques, g.n, 0)
-    sh = _holders(stables, g.n, nc)
+    cap = DEFAULT_BACKTRACK_CAP
+    cliques, stables, ch, sh, cx, sx = disjointness(g)
+    nc = len(cliques)
+    sh = [h << nc for h in sh]  # the stable sets are candidates nc, ...
     if normal:
         clauses = ch + sh
     else:
@@ -99,11 +120,7 @@ def exists_cross_intersecting(
             for u, v in itertools.combinations(range(g.n), 2)
             if not g.has_edge(u, v)
         ]
-    if not all(clauses):
-        return None
-    excl = _exclusions(cliques, sh, ((1 << ns) - 1) << nc) + _exclusions(
-        stables, ch, (1 << nc) - 1
-    )
+    excl = [x << nc for x in cx] + sx
     backtracks = 0
 
     def solve(true: int, false: int):
@@ -127,7 +144,7 @@ def exists_cross_intersecting(
                 if found is not None:
                     return found
             backtracks += 1
-            if backtracks > backtrack_cap:
+            if backtracks > cap:
                 raise SearchUndecided("backtrack cap exceeded")
             false |= 1 << v
         return None
@@ -141,35 +158,12 @@ def exists_cross_intersecting(
     )
 
 
-def verify_cover_certificate(
-    g: Graph, chosen_cliques, chosen_stables, *, normal: bool,
-) -> bool:
-    """Re-verify an (externally supplied) certificate by set arithmetic,
-    independently of the search's clauses."""
-    cliques = set(maximal_cliques(g))
-    stables = set(maximal_stable_sets(g))
-    if not all(c in cliques for c in chosen_cliques):
-        return False
-    if not all(s in stables for s in chosen_stables):
-        return False
-    if any(not c & s for c in chosen_cliques for s in chosen_stables):
-        return False
-    if normal:
-        return covers_vertices(g, chosen_cliques) and covers_vertices(
-            g, chosen_stables
-        )
-    return covers_edges(g, chosen_cliques) and covers_nonedges(
-        g, chosen_stables
-    )
-
-
 def dominated_clique(g: Graph):
     """A maximal clique of g and a stable set outside it that dominates
     it, as (clique mask, stable mask), or None iff g is CIS.
 
-    The searches of all cliques share one node budget,
-    ``DEFAULT_BACKTRACK_CAP`` read at call time; past it the call raises
-    ``SearchUndecided``.
+    The searches of all cliques share one node budget; past it the call
+    raises ``SearchUndecided``.
     """
     adj = g.adj
     cap = DEFAULT_BACKTRACK_CAP

@@ -12,6 +12,8 @@ from math import lcm
 
 from cisgraphs.cliques import (
     covers_edges,
+    covers_nonedges,
+    covers_vertices,
     maximal_cliques,
     maximal_stable_sets,
 )
@@ -359,6 +361,50 @@ def maximal_cliques_brute(g: Graph):
         ):
             out.append(c)
     return sorted(out)
+
+
+def disjoint_pairs_pairwise(g: Graph):
+    """What :func:`cisgraphs.recognizers.disjoint_pairs` returns, by
+    testing every (maximal clique, maximal stable set) pair in turn."""
+    stables = maximal_stable_sets(g)
+    out = []
+    for c in maximal_cliques(g):
+        for s in stables:
+            if not c & s:
+                out.append((c, s))
+                if len(out) == 2:
+                    return tuple(out)
+    return tuple(out)
+
+
+def strong_maximal_cliques_pairwise(g: Graph):
+    """The maximal cliques that meet every maximal stable set, pair by
+    pair."""
+    stables = maximal_stable_sets(g)
+    return [c for c in maximal_cliques(g) if all(c & s for s in stables)]
+
+
+def verify_cover_certificate(
+    g: Graph, chosen_cliques, chosen_stables, *, normal: bool,
+) -> bool:
+    """Re-verify a weakly-CIS or normal certificate (the subfamilies
+    ``search.exists_cross_intersecting`` returns) by set arithmetic,
+    independently of the search's clauses."""
+    cliques = set(maximal_cliques(g))
+    stables = set(maximal_stable_sets(g))
+    if not all(c in cliques for c in chosen_cliques):
+        return False
+    if not all(s in stables for s in chosen_stables):
+        return False
+    if any(not c & s for c in chosen_cliques for s in chosen_stables):
+        return False
+    if normal:
+        return covers_vertices(g, chosen_cliques) and covers_vertices(
+            g, chosen_stables
+        )
+    return covers_edges(g, chosen_cliques) and covers_nonedges(
+        g, chosen_stables
+    )
 
 
 def triangle_violating_edge_by_edges(g: Graph, s: int):

@@ -37,11 +37,12 @@ from cisgraphs.recognizers import (
     is_triangle,
     is_weakly_triangle,
 )
-from cisgraphs.search import dominated_clique, verify_cover_certificate
+from cisgraphs.search import dominated_clique
 from oracles import (
     big_L_clique_families,
     connected_graphs,
     random_split_lemma_properties,
+    verify_cover_certificate,
 )
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -59,10 +62,11 @@ def test_classify_cir9(capsys):
 
 
 def test_classify_computes_each_fact_once(capsys, monkeypatch):
-    # one clique enumeration, one polytope analysis, one forced-subset
-    # sweep and one triangle walk per graph object (G12 and its
-    # complement), however many predicates read them; one disjoint-pair
-    # walk, on G12 only, as the CIS family is complement-invariant
+    # one clique enumeration, one disjointness relation (two holder
+    # builds each), one polytope analysis, one forced-subset sweep and one
+    # triangle walk per graph object (G12 and its complement), however
+    # many predicates read them; one disjoint-pair walk, on G12 only, as
+    # the CIS family is complement-invariant
     calls = {}
     graphs = {}
 
@@ -82,15 +86,22 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     counting(equistable, "_forced_subsets")
     counting(recognizers, "_first_disjoint_pairs")
     counting(recognizers, "_triangle_walk")
+    counting(search, "_disjointness")
+    counting(search, "_holders")  # keyed by the family, not the graph
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     assert sorted(name for name, _ in calls) == [
         "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
+        "_disjointness", "_disjointness",
         "_first_disjoint_pairs", "_forced_subsets", "_forced_subsets",
+        "_holders", "_holders", "_holders", "_holders",
         "_triangle_walk", "_triangle_walk"]
     assert set(calls.values()) == {1}
+    g12 = gallery("G12")
     assert [g for (name, _), g in graphs.items()
-            if name == "_first_disjoint_pairs"] == [gallery("G12")]
+            if name == "_first_disjoint_pairs"] == [g12]
+    assert [g for (name, _), g in graphs.items()
+            if name == "_disjointness"] == [g12, complement(g12)]
 
 
 def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
@@ -165,6 +176,29 @@ def test_classify_random_split(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["base"]["split"] is True
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that has gone (``| head``) ends the run with 128 + SIGPIPE
+    # and nothing on stderr, not a BrokenPipeError traceback; stdout is
+    # buffered, as by default, so the exit-time flush is exercised too
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(cli.__file__)),
+        env.get("PYTHONPATH"),
+    ]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cisgraphs.cli", "gallery", "list",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_input_errors(capsys, monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cisgraphs import cliques
 from cisgraphs.cliques import (
     FamilyCapExceeded,
     covers_edges,
@@ -85,24 +86,34 @@ def test_bron_kerbosch_matches_networkx_many_cliques():
     assert fam == networkx_cliques(g)
 
 
-def test_family_cap():
-    # complement of a perfect matching on 2k vertices has 2^k maximal cliques
+def test_family_cap(monkeypatch):
+    # complement of a perfect matching on 2k vertices has 2^k maximal
+    # cliques; the cap is read at call time
     k = 8
 
     def fresh():
         return complement(Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))
 
-    assert len(maximal_cliques(fresh(), cap=2 ** k)) == 2 ** k
+    def cap(value):
+        monkeypatch.setattr(cliques, "DEFAULT_FAMILY_CAP", value)
+
+    cap(2 ** k)
+    assert len(maximal_cliques(fresh())) == 2 ** k
+    cap(2 ** k - 1)
     with pytest.raises(FamilyCapExceeded):
-        maximal_cliques(fresh(), cap=2 ** k - 1)
+        maximal_cliques(fresh())
     g = fresh()
+    cap(100)
     with pytest.raises(FamilyCapExceeded):
-        maximal_cliques(g, cap=100)
+        maximal_cliques(g)
+    monkeypatch.undo()
     assert len(maximal_cliques(g)) == 2 ** k
     # the cap applies to a family already enumerated, too
+    cap(2 ** k - 1)
     with pytest.raises(FamilyCapExceeded):
-        maximal_cliques(g, cap=2 ** k - 1)
-    assert len(maximal_cliques(g, cap=2 ** k)) == 2 ** k
+        maximal_cliques(g)
+    cap(2 ** k)
+    assert len(maximal_cliques(g)) == 2 ** k
 
 
 def test_simplicial_cliques():

@@ -134,6 +134,16 @@ def test_scan_small():
     assert "split<->aCIS-or-cap-es" in d["arrows"]
 
 
+def test_scan_keeps_no_fact_on_the_representatives(monkeypatch):
+    # each class is evaluated on a fresh copy of its representative, so
+    # the cached representatives gain no fact from a scan
+    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    reps = [g for graphs in nonisomorphic_graphs(5).values() for g in graphs]
+    before = [dict(g._facts or {}) for g in reps]
+    assert scan(5).ok
+    assert [dict(g._facts or {}) for g in reps] == before
+
+
 def test_scan_rejects_large():
     for max_n in (8, 0, -1):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.threshold import is_threshold_graph
 
 from cisgraphs.cli import main
-from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
+from cisgraphs.cliques import covers_edges, maximal_cliques, maximal_stable_sets
 from cisgraphs.equistable import is_equistable
 from cisgraphs.gallery import (
     complete,
@@ -27,7 +27,9 @@ from cisgraphs.graphs import (
     bits,
     complement,
     encode_graph6,
+    is_isomorphic,
     mask_of,
+    parse_graph6,
     random_graph,
 )
 from cisgraphs.hasse import nonisomorphic_graphs
@@ -58,12 +60,14 @@ from cisgraphs.recognizers import (
 )
 from oracles import (
     count_split_partitions,
+    disjoint_pairs_pairwise,
     has_odd_hole_by_subsets,
     induced_subgraph,
     is_cograph_by_four_subsets,
     is_edge_simplicial_by_cliques,
     is_threshold_by_four_subsets,
     split_partition,
+    strong_maximal_cliques_pairwise,
     triangle_violating_edge_by_edges,
 )
 
@@ -284,6 +288,37 @@ def test_strong_cliques_and_semi_weakly_cis():
     assert is_semi_weakly_cis(Graph(3))  # edgeless: vacuous
 
 
+def _relation_test_graphs():
+    """Fresh copies of every class with n <= 7 and of its complement,
+    seeded G(n, p) and random split graphs, and the complements of
+    perfect matchings on 16-24 vertices (2^8 to 2^12 maximal cliques)."""
+    for graphs in nonisomorphic_graphs(7).values():
+        for g in graphs:
+            fresh = Graph.from_adj(g.adj)
+            yield fresh
+            yield complement(fresh)
+    rng = random.Random(16)
+    for _ in range(150):
+        yield random_graph(rng.randint(8, 30), rng.random(), rng)
+    for seed in range(60):
+        yield random_split(rng.randint(1, 12), rng.randint(1, 12), seed)
+    for n in range(16, 25, 2):
+        yield complement(Graph(n, [(i, i + 1) for i in range(0, n, 2)]))
+
+
+def test_disjointness_readers_match_pairwise_loops():
+    # the readers of search.disjointness against the clique x stable set
+    # loops they replaced
+    checked = 0
+    for g in _relation_test_graphs():
+        strong = strong_maximal_cliques_pairwise(g)
+        assert disjoint_pairs(g) == disjoint_pairs_pairwise(g)
+        assert strong_maximal_cliques(g) == strong
+        assert is_semi_weakly_cis(g) == covers_edges(g, strong)
+        checked += 1
+    assert checked == 2 * 1252 + 150 + 60 + 5
+
+
 def test_triangle_condition():
     assert is_triangle(complete(3))
     assert not is_triangle(path(4))
@@ -327,6 +362,34 @@ def test_weakly_triangle():
     for g in all_graphs(5):
         if is_triangle(g):
             assert is_weakly_triangle(g)
+
+
+def _weakly_triangle_nx(g):
+    """(weakly triangle, maximal stable sets with the triangle property,
+    maximal stable sets), by networkx."""
+    h = _nx(g)
+    stables = [set(s) for s in nx.find_cliques(nx.complement(h))]
+    admissible = [
+        s for s in stables
+        if all(set(h[u]) & set(h[v]) & s for u, v in h.edges()
+               if u not in s and v not in s)
+    ]
+    covered = all(any(u in s and v in s for s in admissible)
+                  for u, v in nx.non_edges(h))
+    return covered, len(admissible), len(stables)
+
+
+def test_weakly_triangle_is_not_complement_invariant():
+    # 6 of the 13 maximal stable sets of HCQeeXe have the triangle
+    # property and miss a non-edge; all 5 of its complement's have it
+    g = parse_graph6("HCQeeXe")
+    co = parse_graph6("HQovb]^")
+    assert is_isomorphic(complement(g), co)
+    assert _weakly_triangle_nx(g) == (False, 6, 13)
+    assert _weakly_triangle_nx(co) == (True, 5, 5)
+    assert not is_weakly_triangle(g)
+    assert is_weakly_triangle(co)
+    assert "weakly_triangle" not in COMPLEMENT_INVARIANT
 
 
 def test_bad_p4():

@@ -30,8 +30,8 @@ from cisgraphs.search import (
     exists_cross_intersecting,
     is_normal,
     is_weakly_cis,
-    verify_cover_certificate,
 )
+from oracles import verify_cover_certificate
 
 
 def brute_weakly_cis(g):
@@ -143,10 +143,12 @@ def test_against_subfamily_oracle(seed, n):
     assert is_weakly_cis(g) == brute_weakly_cis(g)
 
 
-def test_backtrack_cap():
+def test_backtrack_cap(monkeypatch):
+    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 0)
     with pytest.raises(SearchUndecided):
-        exists_cross_intersecting(path(4), normal=False, backtrack_cap=0)
+        exists_cross_intersecting(path(4), normal=False)
     # a budget large enough to finish gives the definite "no"
+    monkeypatch.undo()
     assert exists_cross_intersecting(path(4), normal=False) is None
 
 
@@ -156,7 +158,7 @@ def test_normal_against_subfamily_oracle():
             assert is_normal(g) == brute_normal(g)
 
 
-def test_results_and_budget_pinned():
+def test_results_and_budget_pinned(monkeypatch):
     # certificates of both searches on seeded graphs of 8-24 vertices,
     # recorded before the search kept its state in bitmasks
     results = []
@@ -171,11 +173,11 @@ def test_results_and_budget_pinned():
     )
     # the search refutes normality of this graph in exactly 108 backtracks
     g = random_graph(24, 0.5, random.Random(1))
+    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 107)
     with pytest.raises(SearchUndecided):
-        exists_cross_intersecting(g, normal=True, backtrack_cap=107)
-    assert exists_cross_intersecting(
-        g, normal=True, backtrack_cap=108
-    ) is None
+        exists_cross_intersecting(g, normal=True)
+    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 108)
+    assert exists_cross_intersecting(g, normal=True) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -7,6 +8,18 @@ import sys
 import cisgraphs
 
 PACKAGE_DIR = pathlib.Path(cisgraphs.__file__).parent
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def _run_python(code):
+    """``code`` run in a fresh interpreter with the package's source on
+    the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
 
 
 def test_no_runtime_check_uses_assert():
@@ -23,13 +36,27 @@ def test_no_runtime_check_uses_assert():
 def test_cli_import_leaves_networkx_out():
     # importing networkx takes about 0.17 s; only the blossom matching
     # solver needs it, so it is imported there, on first use
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
-    )
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cisgraphs.cli; print('networkx' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    out = _run_python(
+        "import sys, cisgraphs.cli; print('networkx' in sys.modules)")
     assert out.stdout == "False\n"
+
+
+def test_bench_tracer_installs():
+    # bench/tracer.py wraps the package's public functions by name and
+    # hooks MembershipCache.base; renaming either breaks ``--trace 1``
+    code = f"""
+import contextlib, io, json, sys
+sys.dont_write_bytecode = True  # read bench/, write nothing there
+sys.path.insert(0, {str(BENCH_DIR)!r})
+import tracer
+t = tracer.Tracer()
+t.install()
+from cisgraphs import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["classify", "-i", "gallery:C4"])
+print(json.dumps([code, t.summary()["names"]]))
+"""
+    code, names = json.loads(_run_python(code).stdout)
+    assert code == 0
+    for name in ("hasse.MembershipCache.base", "search.disjointness"):
+        assert names[name]["calls"] > 0
