@@ -71,13 +71,6 @@ def maximal_stable_sets(g: Graph):
     return maximal_cliques(complement(g))
 
 
-def covers_edges(g: Graph, family) -> bool:
-    return all(
-        any(mask >> u & 1 and mask >> v & 1 for mask in family)
-        for u, v in g.edges()
-    )
-
-
 def covers_nonedges(g: Graph, family) -> bool:
     return all(
         any(mask >> u & 1 and mask >> v & 1 for mask in family)
@@ -85,9 +78,3 @@ def covers_nonedges(g: Graph, family) -> bool:
         if not g.has_edge(u, v)
     )
 
-
-def covers_vertices(g: Graph, family) -> bool:
-    covered = 0
-    for mask in family:
-        covered |= mask
-    return covered & g.full == g.full

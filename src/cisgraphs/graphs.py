@@ -109,6 +109,10 @@ class Graph:
             self._facts[key] = compute(self)
         return self._facts[key]
 
+    def known(self, key: str):
+        """The fact ``memo`` keeps for ``key``, or None if not computed."""
+        return self._facts.get(key) if self._facts is not None else None
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
 

@@ -221,12 +221,16 @@ def verify_table(include_lp: bool = True):
 # ---------------------------------------------------------------------------
 # exhaustive generation of small graphs up to isomorphism
 
-EXPECTED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+EXPECTED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
+                         8: 12346}
 # scans stop at the largest order whose class count is checked
 MAX_SCAN_N = max(EXPECTED_GRAPH_COUNTS)
 
 
 _REPS_CACHE = {1: [Graph(1)]}
+# n -> {canonical form: index of its class in _REPS_CACHE[n]}, kept from
+# generation
+_FORMS_CACHE = {}
 
 
 def nonisomorphic_graphs(max_n: int):
@@ -262,15 +266,27 @@ def nonisomorphic_graphs(max_n: int):
                 adj.append(mask)
                 cand = Graph.from_adj(adj)
                 classes.setdefault(canonical_form(cand), cand)
-        out = sorted(classes.values(), key=lambda g: (g.edge_count(), g.adj))
+        ordered = sorted(classes.items(),
+                         key=lambda item: (item[1].edge_count(), item[1].adj))
         expect = EXPECTED_GRAPH_COUNTS.get(n)
-        if expect is not None and len(out) != expect:
+        if expect is not None and len(ordered) != expect:
             raise RuntimeError(
-                f"graph generation produced {len(out)} classes at n={n}, "
+                f"graph generation produced {len(ordered)} classes at n={n}, "
                 f"expected {expect}"
             )
-        reps[n] = out
+        reps[n] = [g for _, g in ordered]
+        _FORMS_CACHE[n] = {form: i for i, (form, _) in enumerate(ordered)}
     return {n: reps[n] for n in range(1, max_n + 1)}
+
+
+def _class_index(n: int):
+    """{canonical form: index in ``nonisomorphic_graphs(n)[n]``}; built
+    here only for a level that was seeded, not generated (n = 1)."""
+    index = _FORMS_CACHE.get(n)
+    if index is None:
+        index = {canonical_form(g): i for i, g in enumerate(_REPS_CACHE[n])}
+        _FORMS_CACHE[n] = index
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +304,10 @@ BASE_ARROWS = (
     ("perfect", "normal"),
     ("threshold", "cograph"),
     ("cograph", "cis"),
+)
+# the arrows the scan checks: the base arrows and two from weakly CIS
+SCAN_ARROWS = BASE_ARROWS + (
+    ("weakly_cis", "normal"), ("weakly_cis", "cap-wtri"),
 )
 
 @dataclass
@@ -337,81 +357,93 @@ def _results_dict(results: dict):
     }
 
 
-def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
-    """Evaluate all classes on every graph up to max_n (up to isomorphism)
-    and assert every inclusion arrow and every "subset" table cell.
-
-    LP-backed classes (equistable, strongly equistable) are always run
-    for n <= 6; ``include_lp`` extends them to larger n.
-    """
+def _new_report(max_n: int, include_lp: bool) -> ScanReport:
+    """An empty report, one result per arrow, subset cell and property."""
     if not 1 <= max_n <= MAX_SCAN_N:
         raise ValueError(
             f"exhaustive scan supported for 1 <= max_n <= {MAX_SCAN_N}"
         )
-    lp_max_n = max_n if include_lp else min(max_n, 6)
-    report = ScanReport(max_n=max_n, lp_max_n=lp_max_n)
-
-    implications = BASE_ARROWS + (
-        ("weakly_cis", "normal"), ("weakly_cis", "cap-wtri"),
-    )
-    arrows = {f"{a}->{b}": ArrowResult(f"{a}->{b}") for a, b in implications}
-    arrows["equistable->no-bad-p4"] = ArrowResult("equistable->no-bad-p4")
-    arrows["split<->aCIS-or-cap-es"] = ArrowResult("split<->aCIS-or-cap-es")
-
-    subset_cells = {}
+    report = ScanReport(max_n=max_n,
+                        lp_max_n=max_n if include_lp else min(max_n, 6))
+    names = [f"{a}->{b}" for a, b in SCAN_ARROWS]
+    names += ["equistable->no-bad-p4", "split<->aCIS-or-cap-es"]
+    report.arrows = {name: ArrowResult(name) for name in names}
     for row in PROPERTY_ORDER:
         for col, cell in zip(PROPERTY_ORDER, TABLE[row]):
             if cell == "subset":
-                subset_cells[(row, col)] = ArrowResult(f"{row}->{col}")
-    collapse = {p: ArrowResult(p) for p in PROPERTY_ORDER}
+                report.subset_cells[(row, col)] = ArrowResult(f"{row}->{col}")
+    report.collapse = {p: ArrowResult(p) for p in PROPERTY_ORDER}
+    return report
 
+
+def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
+    """Evaluate all classes on every graph up to max_n (up to isomorphism)
+    and assert every inclusion arrow and every "subset" table cell.
+
+    The complement of a class is a class, so the scan walks complement
+    pairs: class i's representative g, its complement co, a copy of the
+    class j that the canonical form of co names, and one
+    ``MembershipCache`` serve class i's checks on (g, co) and, if j != i,
+    class j's checks on (co, g).  Each base thus runs once per class, and
+    the collapse check compares two classes' verdicts.  Each pair gets a
+    fresh graph and cache, so no fact outlives it.  A failure is named by
+    the graph6 of its class representative, listed in class order.
+
+    LP-backed classes (equistable, strongly equistable) are always run
+    for n <= 6; ``include_lp`` extends them to larger n.
+    """
+    report = _new_report(max_n, include_lp)
+    arrows, collapse = report.arrows, report.collapse
     reps = nonisomorphic_graphs(max_n)
     for n in range(1, max_n + 1):
-        report.counts[n] = len(reps[n])
-        with_lp = n <= lp_max_n
-        for rep in reps[n]:
-            # a fresh graph and cache, so that no fact outlives the class
-            g = Graph.from_adj(rep.adj)
-            cache = MembershipCache()
-            g6 = encode_graph6(g)
-            co = complement(g)
+        classes = reps[n]
+        report.counts[n] = len(classes)
+        with_lp = n <= report.lp_max_n
+        implications = [
+            (a, b, arrows[f"{a}->{b}"]) for a, b in SCAN_ARROWS
+            if with_lp or not (_lp_backed(a) or _lp_backed(b))
+        ]
+        props = [p for p in PROPERTY_ORDER if with_lp or not _lp_backed(p)]
+        cells = [(row, col, res)
+                 for (row, col), res in report.subset_cells.items()
+                 if row in props and col in props]
+        checked = [res for _, _, res in implications + cells]
+        checked += [collapse[p] for p in props]
+        checked.append(arrows["split<->aCIS-or-cap-es"])
+        if with_lp:
+            checked.append(arrows["equistable->no-bad-p4"])
 
-            for a, b in implications:
-                if not with_lp and (_lp_backed(a) or _lp_backed(b)):
-                    continue
-                res = arrows[f"{a}->{b}"]
-                res.checked += 1
-                if cache.holds(a, g) and not cache.holds(b, g):
-                    res.failures.append(g6)
-            if with_lp:
-                res = arrows["equistable->no-bad-p4"]
-                res.checked += 1
-                if cache.base("equistable", g) and has_bad_p4(g):
-                    res.failures.append(g6)
-            res = arrows["split<->aCIS-or-cap-es"]
-            res.checked += 1
+        def failures(cache, g, co):
+            """The results that g's class fails; co is g's complement."""
+            out = [res for a, b, res in implications
+                   if cache.holds(a, g) and not cache.holds(b, g)]
+            if with_lp and cache.base("equistable", g) and has_bad_p4(g):
+                out.append(arrows["equistable->no-bad-p4"])
             rhs = cache.base("almost_cis", g) or cache.holds("cap-es", g)
             if cache.base("split", g) != rhs:
-                res.failures.append(g6)
+                out.append(arrows["split<->aCIS-or-cap-es"])
+            vec = {p: cache.holds(p, g) for p in props}
+            out += [collapse[p] for p in props if vec[p] != cache.holds(p, co)]
+            out += [res for row, col, res in cells if vec[row] and not vec[col]]
+            return tuple(out)
 
-            vec = {}
-            for p in PROPERTY_ORDER:
-                if not with_lp and _lp_backed(p):
-                    continue
-                vec[p] = cache.holds(p, g)
-            for p, val in vec.items():
-                res = collapse[p]
-                res.checked += 1
-                if val != cache.holds(p, co):
+        index = _class_index(n)
+        failed = [None] * len(classes)
+        for i, rep in enumerate(classes):
+            if failed[i] is not None:
+                continue
+            g = Graph.from_adj(rep.adj)
+            co = complement(g)
+            cache = MembershipCache()
+            failed[i] = failures(cache, g, co)
+            j = index[canonical_form(co)]
+            if j != i:
+                failed[j] = failures(cache, co, g)
+        for res in checked:
+            res.checked += len(classes)
+        for rep, results in zip(classes, failed):
+            if results:
+                g6 = encode_graph6(rep)
+                for res in results:
                     res.failures.append(g6)
-            for (row, col), res in subset_cells.items():
-                if row not in vec or col not in vec:
-                    continue
-                res.checked += 1
-                if vec[row] and not vec[col]:
-                    res.failures.append(g6)
-
-    report.arrows = arrows
-    report.subset_cells = subset_cells
-    report.collapse = collapse
     return report

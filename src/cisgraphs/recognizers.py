@@ -16,7 +16,7 @@ semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
 
 from __future__ import annotations
 
-from .cliques import covers_edges, covers_nonedges, maximal_stable_sets
+from .cliques import covers_nonedges, maximal_stable_sets
 from .graphs import Graph, bits, complement, mask_of
 from .search import disjointness, is_normal, is_weakly_cis
 
@@ -143,9 +143,17 @@ def is_semi_weakly_cis(g: Graph) -> bool:
 
     Restricting to *maximal* strong cliques is safe: a clique contained in
     a maximal clique meets every stable set the bigger clique misses, so
-    strength is monotone under taking clique supersets.
+    strength is monotone under taking clique supersets.  An edge is
+    covered when the masks of the cliques holding its two ends meet the
+    mask of the strong cliques.
     """
-    return covers_edges(g, strong_maximal_cliques(g))
+    rel = disjointness(g)
+    strong = 0
+    for i, missing in enumerate(rel.clique_excl):
+        if not missing:
+            strong |= 1 << i
+    holders = rel.clique_holders
+    return all(holders[u] & holders[v] & strong for u, v in g.edges())
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,20 @@ Disjointness = collections.namedtuple("Disjointness", (
 
 def disjointness(g: Graph) -> Disjointness:
     """The clique/stable-set disjointness relation of g (module
-    docstring), built once per graph."""
+    docstring), built once per graph, or read off the complement's
+    relation when that is built."""
     return g.memo("disjointness", _disjointness)
 
 
 def _disjointness(g: Graph) -> Disjointness:
+    co = g.known("complement")
+    rel = co.known("disjointness") if co is not None else None
+    if rel is not None:
+        # complementing swaps the two families
+        return Disjointness(
+            rel.stables, rel.cliques, rel.stable_holders,
+            rel.clique_holders, rel.stable_excl, rel.clique_excl,
+        )
     cliques = maximal_cliques(g)
     stables = maximal_stable_sets(g)
     ch = _holders(cliques, g.n)

@@ -10,10 +10,9 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+from cisgraphs import hasse
 from cisgraphs.cliques import (
-    covers_edges,
     covers_nonedges,
-    covers_vertices,
     maximal_cliques,
     maximal_stable_sets,
 )
@@ -22,10 +21,13 @@ from cisgraphs.graphs import (
     Graph,
     bits,
     canonical_form,
+    complement,
+    encode_graph6,
     is_isomorphic,
     mask_of,
 )
 from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
+from cisgraphs.recognizers import has_bad_p4
 from cisgraphs.linegraph import line_graph, root_graph
 from cisgraphs.lp import Unbounded
 
@@ -332,6 +334,20 @@ def split_partition(g: Graph):
     return None
 
 
+def covers_edges(g: Graph, family) -> bool:
+    return all(
+        any(mask >> u & 1 and mask >> v & 1 for mask in family)
+        for u, v in g.edges()
+    )
+
+
+def covers_vertices(g: Graph, family) -> bool:
+    covered = 0
+    for mask in family:
+        covered |= mask
+    return covered & g.full == g.full
+
+
 def simplicial_cliques(g: Graph):
     """All distinct closed neighborhoods N[v] that are cliques."""
     seen = set()
@@ -564,6 +580,60 @@ def find_separators(x: str, y: str, max_n: int):
             if cache.holds(x, g) and not cache.holds(y, g):
                 out.append(g)
     return out
+
+
+def scan_per_graph(max_n: int, include_lp: bool = False):
+    """What :func:`cisgraphs.hasse.scan` reports, evaluating every class
+    on its own representative and that representative's complement, so
+    each class is computed twice (once as itself, once as a complement)."""
+    report = hasse._new_report(max_n, include_lp)
+    arrows, collapse = report.arrows, report.collapse
+    reps = nonisomorphic_graphs(max_n)
+    for n in range(1, max_n + 1):
+        report.counts[n] = len(reps[n])
+        with_lp = n <= report.lp_max_n
+        for rep in reps[n]:
+            g = Graph.from_adj(rep.adj)
+            cache = MembershipCache()
+            g6 = encode_graph6(g)
+            co = complement(g)
+
+            for a, b in hasse.SCAN_ARROWS:
+                if not with_lp and (hasse._lp_backed(a)
+                                    or hasse._lp_backed(b)):
+                    continue
+                res = arrows[f"{a}->{b}"]
+                res.checked += 1
+                if cache.holds(a, g) and not cache.holds(b, g):
+                    res.failures.append(g6)
+            if with_lp:
+                res = arrows["equistable->no-bad-p4"]
+                res.checked += 1
+                if cache.base("equistable", g) and has_bad_p4(g):
+                    res.failures.append(g6)
+            res = arrows["split<->aCIS-or-cap-es"]
+            res.checked += 1
+            rhs = cache.base("almost_cis", g) or cache.holds("cap-es", g)
+            if cache.base("split", g) != rhs:
+                res.failures.append(g6)
+
+            vec = {}
+            for p in hasse.PROPERTY_ORDER:
+                if not with_lp and hasse._lp_backed(p):
+                    continue
+                vec[p] = cache.holds(p, g)
+            for p, val in vec.items():
+                res = collapse[p]
+                res.checked += 1
+                if val != cache.holds(p, co):
+                    res.failures.append(g6)
+            for (row, col), res in report.subset_cells.items():
+                if row not in vec or col not in vec:
+                    continue
+                res.checked += 1
+                if vec[row] and not vec[col]:
+                    res.failures.append(g6)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,12 @@ def test_classify_cir9(capsys):
 
 
 def test_classify_computes_each_fact_once(capsys, monkeypatch):
-    # one clique enumeration, one disjointness relation (two holder
-    # builds each), one polytope analysis, one forced-subset sweep and one
-    # triangle walk per graph object (G12 and its complement), however
-    # many predicates read them; one disjoint-pair walk, on G12 only, as
-    # the CIS family is complement-invariant
+    # one clique enumeration, one disjointness relation, one polytope
+    # analysis, one forced-subset sweep and one triangle walk per graph
+    # object (G12 and its complement), however many predicates read them;
+    # two holder builds in all, as the second relation is the first with
+    # its families swapped; one disjoint-pair walk, on G12 only, as the
+    # CIS family is complement-invariant
     calls = {}
     graphs = {}
 
@@ -94,7 +95,7 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
         "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
         "_disjointness", "_disjointness",
         "_first_disjoint_pairs", "_forced_subsets", "_forced_subsets",
-        "_holders", "_holders", "_holders", "_holders",
+        "_holders", "_holders",
         "_triangle_walk", "_triangle_walk"]
     assert set(calls.values()) == {1}
     g12 = gallery("G12")
@@ -210,7 +211,7 @@ def test_input_errors(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "classify", "-i", "random-split:oops")
     assert code == 2
-    for max_n in ("8", "0", "-1"):
+    for max_n in ("9", "0", "-1"):
         code, out, err = run(capsys, "scan", "--max-n", max_n)
         assert code == 2 and "error" in err and "passed" not in out
     bad_utf8 = tmp_path / "bad.txt"

@@ -104,7 +104,7 @@ FLAGS = {
     "equistable": INPUT + [VERIFY],
     "cis-line": INPUT + [VERIFY],
     "table": [FORMAT],
-    "scan": [("--max-n", st.sampled_from(["-1", "0", "3", "4", "8", "100",
+    "scan": [("--max-n", st.sampled_from(["-1", "0", "3", "4", "9", "100",
                                           "x"])),
              ("--include-lp", None), FORMAT],
     "gallery list": [FORMAT],

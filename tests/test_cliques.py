@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from cisgraphs import cliques
 from cisgraphs.cliques import (
     FamilyCapExceeded,
-    covers_edges,
     covers_nonedges,
-    covers_vertices,
     maximal_cliques,
     maximal_stable_sets,
 )
 from cisgraphs.gallery import complete_bipartite
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
 from cisgraphs.linegraph import line_graph
-from oracles import maximal_cliques_brute, simplicial_cliques
+from oracles import (
+    covers_edges,
+    covers_vertices,
+    maximal_cliques_brute,
+    simplicial_cliques,
+)
 
 
 def all_graphs(n):

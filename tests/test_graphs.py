@@ -219,10 +219,11 @@ def test_canonical_forms_match_graph_atlas():
     # the atlas lists every graph on 0..7 vertices once; drop the null graph
     atlas = nx.graph_atlas_g()[1:]
     forms = {canonical_form(Graph(len(h), h.edges())) for h in atlas}
-    assert len(forms) == len(atlas) == sum(EXPECTED_GRAPH_COUNTS.values())
+    counts = {n: c for n, c in EXPECTED_GRAPH_COUNTS.items() if n <= 7}
+    assert len(forms) == len(atlas) == sum(counts.values())
     reps = nonisomorphic_graphs(7)
     assert {canonical_form(g) for gs in reps.values() for g in gs} == forms
-    for n, count in EXPECTED_GRAPH_COUNTS.items():
+    for n, count in counts.items():
         assert sum(len(form) == n for form in forms) == count
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from cisgraphs import hasse
+from cisgraphs import cliques, hasse
 from cisgraphs.gallery import cycle, gallery, path
 from cisgraphs.graphs import (
     Graph,
@@ -21,7 +21,12 @@ from cisgraphs.hasse import (
     scan,
     verify_table,
 )
-from oracles import all_extensions_graphs, connected_graphs, find_separators
+from oracles import (
+    all_extensions_graphs,
+    connected_graphs,
+    find_separators,
+    scan_per_graph,
+)
 
 
 def test_table_shape():
@@ -118,6 +123,28 @@ def test_generation_count_check_not_cached(monkeypatch):
     assert 4 not in hasse._REPS_CACHE
 
 
+def test_generation_wrong_count_caches_no_form_index(monkeypatch):
+    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    monkeypatch.setattr(hasse, "_FORMS_CACHE", {})
+    monkeypatch.setitem(hasse.EXPECTED_GRAPH_COUNTS, 4, 12)
+    with pytest.raises(RuntimeError, match="11 classes at n=4"):
+        hasse.nonisomorphic_graphs(4)
+    assert 4 not in hasse._REPS_CACHE and 4 not in hasse._FORMS_CACHE
+    assert sorted(hasse._FORMS_CACHE) == [2, 3]
+
+
+def test_generation_counts_n8(monkeypatch):
+    # on copies of the caches, so that the 12,346 classes are dropped after
+    monkeypatch.setattr(hasse, "_REPS_CACHE", dict(hasse._REPS_CACHE))
+    monkeypatch.setattr(hasse, "_FORMS_CACHE", dict(hasse._FORMS_CACHE))
+    reps = nonisomorphic_graphs(8)
+    assert len(reps[8]) == EXPECTED_GRAPH_COUNTS[8] == 12346
+    index = hasse._class_index(8)
+    assert len(index) == 12346
+    for i in (0, 6000, 12345):
+        assert index[canonical_form(reps[8][i])] == i
+
+
 def test_connected_counts():
     # connected graph counts: 1, 1, 2, 6, 21, 112
     reps = connected_graphs(6)
@@ -144,8 +171,56 @@ def test_scan_keeps_no_fact_on_the_representatives(monkeypatch):
     assert [dict(g._facts or {}) for g in reps] == before
 
 
+def test_scan_matches_per_graph_oracle():
+    for n in range(1, 7):
+        assert scan(n, True).to_dict() == scan_per_graph(n, True).to_dict()
+    assert scan(7).to_dict() == scan_per_graph(7).to_dict()
+
+
+def test_scan_reports_a_fault_like_the_oracle(monkeypatch):
+    # a fault that ignores vertex labels: CIS flips on graphs with five
+    # edges; a pair evaluation must name the same classes in the same order
+    original = hasse.base_predicate
+
+    def faulty(name):
+        pred = original(name)
+        if name != "cis":
+            return pred
+        return lambda g: pred(g) != (g.edge_count() == 5)
+
+    monkeypatch.setattr(hasse, "base_predicate", faulty)
+    report = scan(6).to_dict()
+    assert not report["ok"]
+    assert report["collapse"]["CIS"]["failures"]
+    assert report == scan_per_graph(6).to_dict()
+
+
+def test_scan_evaluates_each_class_once(monkeypatch):
+    # 1,252 classes, 4 of them self-complementary: 628 pairs, one clique
+    # enumeration per graph of a pair and one canonical form per pair,
+    # plus the form of K1, whose level is seeded rather than generated
+    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    monkeypatch.setattr(hasse, "_FORMS_CACHE", {})
+    nonisomorphic_graphs(7)
+    calls = {"_bron_kerbosch": 0, "canonical_form": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(g):
+            calls[name] += 1
+            return original(g)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cliques, "_bron_kerbosch")
+    counting(hasse, "canonical_form")
+    assert scan(7).ok
+    assert calls == {"_bron_kerbosch": 1256, "canonical_form": 629}
+
+
 def test_scan_rejects_large():
-    for max_n in (8, 0, -1):
+    for max_n in (9, 0, -1):
         with pytest.raises(ValueError):
             scan(max_n=max_n)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.threshold import is_threshold_graph
 
 from cisgraphs.cli import main
-from cisgraphs.cliques import covers_edges, maximal_cliques, maximal_stable_sets
+from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.equistable import is_equistable
 from cisgraphs.gallery import (
     complete,
@@ -60,6 +60,7 @@ from cisgraphs.recognizers import (
 )
 from oracles import (
     count_split_partitions,
+    covers_edges,
     disjoint_pairs_pairwise,
     has_odd_hole_by_subsets,
     induced_subgraph,

@@ -20,12 +20,14 @@ from cisgraphs.gallery import (
     gallery,
     path,
 )
-from cisgraphs.graphs import Graph, bits, mask_of, random_graph
+from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
 from cisgraphs.hasse import nonisomorphic_graphs
 from cisgraphs.linegraph import line_graph
 from cisgraphs.recognizers import disjoint_pairs, is_cis
 from cisgraphs.search import (
+    Disjointness,
     SearchUndecided,
+    disjointness,
     dominated_clique,
     exists_cross_intersecting,
     is_normal,
@@ -257,3 +259,31 @@ def test_dominated_clique_budget(monkeypatch):
         dominated_clique(lg)
     monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 219_200)
     assert dominated_clique(lg) is None
+
+
+def _swap_test_graphs():
+    for graphs in nonisomorphic_graphs(7).values():
+        yield from graphs
+    rng = random.Random(17)
+    for _ in range(100):
+        yield random_graph(rng.randint(1, 20), rng.random(), rng)
+
+
+def test_disjointness_read_off_the_complement():
+    # the relation of a graph's complement, in either build order, is
+    # the graph's own with the families swapped, field by field equal to
+    # a relation built from scratch
+    checked = 0
+    for rep in _swap_test_graphs():
+        for first_complement in (False, True):
+            g = Graph.from_adj(rep.adj)
+            co = complement(g)
+            first, second = (co, g) if first_complement else (g, co)
+            built = disjointness(first)
+            swapped = disjointness(second)
+            assert swapped.cliques is built.stables
+            fresh = search._disjointness(Graph.from_adj(second.adj))
+            for field in Disjointness._fields:
+                assert getattr(swapped, field) == getattr(fresh, field), field
+        checked += 1
+    assert checked == 1252 + 100
