@@ -16,6 +16,13 @@ system, which replaces the per-subset LP loop with subset-sum sweeps (one
 for the point, one for all directions packed into one integer vector)
 and keeps the 14-16 vertex gallery graphs inside the time budget.
 
+``decision`` gives both verdicts from that analysis and sweep alone; it
+is what the base predicates read, so ``classify``, ``table`` and
+``scan`` never build weights.  Only ``is_equistable`` (the
+``equistable`` command) adds the relative-interior walk that turns a
+positive verdict into explicit weights; when the walk gives up it
+raises ``WeightingUndecided``, a certificate failure, never a verdict.
+
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -58,13 +65,14 @@ class EquistableCertificate:
 
 
 def _subset_sums(values, n):
-    """values per vertex -> array indexed by vertex mask with the sums."""
-    out = [0] * (1 << n)
-    for v in range(n):
-        val = values[v]
-        lo = 1 << v
-        for m in range(lo):
-            out[lo | m] = out[m] + val
+    """values per vertex -> array indexed by vertex mask with the sums.
+
+    Built by doubling: the masks holding vertex v are the earlier masks
+    with bit v set, so each step appends the array with v's value added.
+    """
+    out = [0]
+    for val in values[:n]:
+        out += [s + val for s in out]
     return out
 
 
@@ -85,10 +93,13 @@ def _analysis(g: Graph):
     if optima is None:
         return None
     implicit_zero = [v for v, (value, _) in enumerate(optima) if value == 0]
-    total = [Fraction(0)] * n
-    for _, point in optima:
-        total = [a + b for a, b in zip(total, point)]
-    point = [t / n for t in total]
+    # the mean of the n optima, summed per coordinate in integers over
+    # one common denominator
+    point = []
+    for coords in zip(*(p for _, p in optima)):
+        den = lcm(*[c.denominator for c in coords])
+        total = sum(c.numerator * (den // c.denominator) for c in coords)
+        point.append(Fraction(total, den * n))
     for v in implicit_zero:
         row = [0] * n
         row[v] = 1
@@ -237,13 +248,17 @@ def verify_weighting(g: Graph, weights) -> bool:
                              maximal_stable_sets(g))
 
 
-def _check(g: Graph, strongly: bool) -> EquistableCertificate:
+def decision(g: Graph, strongly: bool) -> EquistableCertificate:
+    """The (strongly) equistable verdict, from the polytope analysis and
+    the forced-subset sweep alone: the graph is equistable iff the
+    polytope is nonempty and no subset is forced to 1 (strongly: to a
+    value at most 1).  A negative verdict names the forced subset; a
+    positive one carries no weights."""
     if g.n > MAX_LP_VERTICES:
         raise UnsupportedSize(
             f"equistability decision limited to n <= {MAX_LP_VERTICES}"
         )
-    res = g.memo("equistable_analysis", _analysis)
-    if res is None:
+    if g.memo("equistable_analysis", _analysis) is None:
         return EquistableCertificate(False, "infeasible")
     # both decisions read the same sweep, so it is kept with the analysis
     equal_one, at_most_one = g.memo("forced_subsets", _forced_subsets)
@@ -253,19 +268,21 @@ def _check(g: Graph, strongly: bool) -> EquistableCertificate:
         return EquistableCertificate(
             False, "forced-subset", forced_subset=m, forced_value=val
         )
-    if strongly:
-        return EquistableCertificate(True, "weights")
-    weights = _find_weighting(g, *res)
-    return EquistableCertificate(True, "weights", weights=tuple(weights))
+    return EquistableCertificate(True, "weights")
 
 
 def is_equistable(g: Graph) -> EquistableCertificate:
-    """Equistable decision with a fully verified weight certificate."""
-    return _check(g, strongly=False)
+    """Equistable decision with a fully verified weight certificate: the
+    weighting walk runs only after a positive decision."""
+    cert = decision(g, strongly=False)
+    if not cert.verdict:
+        return cert
+    weights = _find_weighting(g, *g.memo("equistable_analysis", _analysis))
+    return EquistableCertificate(True, "weights", weights=tuple(weights))
 
 
 def is_strongly_equistable(g: Graph) -> EquistableCertificate:
-    return _check(g, strongly=True)
+    return decision(g, strongly=True)
 
 
 def forced_value(g: Graph, subset: int):

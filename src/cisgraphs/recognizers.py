@@ -131,13 +131,6 @@ def is_edge_simplicial(g: Graph) -> bool:
     return all(closed[u] & closed[v] & simplicial for u, v in g.edges())
 
 
-def strong_maximal_cliques(g: Graph):
-    """The maximal cliques that meet every maximal stable set."""
-    rel = disjointness(g)
-    return [c for c, missing in zip(rel.cliques, rel.clique_excl)
-            if not missing]
-
-
 def is_semi_weakly_cis(g: Graph) -> bool:
     """Edge covering family of strong cliques exists.
 
@@ -328,8 +321,9 @@ def _base_predicates():
         "weakly_triangle": is_weakly_triangle,
         "normal": is_normal,
         "perfect": is_perfect,
-        "equistable": lambda g: equistable.is_equistable(g).verdict,
-        "strongly_equistable": lambda g: equistable.is_strongly_equistable(g).verdict,
+        # the verdicts alone: no weighting walk behind a predicate
+        "equistable": lambda g: equistable.decision(g, False).verdict,
+        "strongly_equistable": lambda g: equistable.decision(g, True).verdict,
     }
 
 

@@ -86,12 +86,30 @@ def _disjointness(g: Graph) -> Disjointness:
 
 
 def _holders(family, n: int):
-    """Per vertex, the mask of the members of ``family`` that contain it."""
-    holders = [0] * n
-    for i, mask in enumerate(family):
-        for v in bits(mask):
-            holders[v] |= 1 << i
-    return holders
+    """Per vertex, the mask of the members of ``family`` that contain it.
+
+    The members are taken 64 at a time, so every bit is set in a word of
+    at most 64 bits; each vertex's words are then joined once, which
+    keeps the build linear in the family's size.
+    """
+    words = []  # per block of 64 members, per vertex, the holders' bits
+    for start in range(0, len(family), 64):
+        block = [0] * n
+        bit = 1
+        for mask in family[start:start + 64]:
+            while mask:
+                low = mask & -mask
+                block[low.bit_length() - 1] |= bit
+                mask ^= low
+            bit <<= 1
+        words.append(block)
+    if len(words) <= 1:
+        return words[0] if words else [0] * n
+    return [
+        int.from_bytes(b"".join(w.to_bytes(8, "little") for w in column),
+                       "little")
+        for column in zip(*words)
+    ]
 
 
 def _exclusions(family, other_holders, other_all: int):

@@ -30,6 +30,7 @@ from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
 from cisgraphs.recognizers import has_bad_p4
 from cisgraphs.linegraph import line_graph, root_graph
 from cisgraphs.lp import Unbounded
+from cisgraphs.search import disjointness
 
 # ---------------------------------------------------------------------------
 # the exact simplex over Fraction entries (the integer tableau's reference)
@@ -193,6 +194,19 @@ def null_space(rows, ncols):
 
 # ---------------------------------------------------------------------------
 # forced subsets, one sweep per null direction
+
+
+def subset_sums_indexed(values, n):
+    """What :func:`cisgraphs.equistable._subset_sums` returns, by the
+    indexed double loop: the masks holding vertex v are the smaller masks
+    with bit v set."""
+    out = [0] * (1 << n)
+    for v in range(n):
+        val = values[v]
+        lo = 1 << v
+        for m in range(lo):
+            out[lo | m] = out[m] + val
+    return out
 
 
 def forced_subsets_per_direction(point, directions, stable_sets, n):
@@ -391,6 +405,25 @@ def disjoint_pairs_pairwise(g: Graph):
                 if len(out) == 2:
                     return tuple(out)
     return tuple(out)
+
+
+def holders_by_member(family, n: int):
+    """What :func:`cisgraphs.search._holders` returns, one bit per
+    (member, vertex) pair: per vertex, the mask of the members holding
+    it."""
+    holders = [0] * n
+    for i, mask in enumerate(family):
+        for v in bits(mask):
+            holders[v] |= 1 << i
+    return holders
+
+
+def strong_maximal_cliques(g: Graph):
+    """The maximal cliques that meet every maximal stable set, read off
+    the disjointness relation."""
+    rel = disjointness(g)
+    return [c for c, missing in zip(rel.cliques, rel.clique_excl)
+            if not missing]
 
 
 def strong_maximal_cliques_pairwise(g: Graph):

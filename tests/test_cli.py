@@ -89,6 +89,7 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     counting(recognizers, "_triangle_walk")
     counting(search, "_disjointness")
     counting(search, "_holders")  # keyed by the family, not the graph
+    counting(equistable, "_find_weighting")  # classify prints no weights
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     assert sorted(name for name, _ in calls) == [
@@ -103,6 +104,13 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
             if name == "_first_disjoint_pairs"] == [g12]
     assert [g for (name, _), g in graphs.items()
             if name == "_disjointness"] == [g12, complement(g12)]
+    # C4 is equistable, and classify still makes no weighting walk
+    calls.clear()
+    code, out, _ = run(capsys, "classify", "-i", "gallery:C4",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["base"]["equistable"] is True
+    names = [name for name, _ in calls]
+    assert "_forced_subsets" in names and "_find_weighting" not in names
 
 
 def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
@@ -266,8 +274,15 @@ def test_budget_exhaustion_is_undecided(capsys, monkeypatch, module, name,
 
         c4 = "4\n0 1\n1 2\n2 3\n3 0\n"
         reason = "weight construction failed to avoid all hyperplanes"
-        requests = [(["equistable"], c4, reason), (["classify"], c4, reason)]
+        requests = [(["equistable"], c4, reason)]
     monkeypatch.setattr(module, name, exhausted)
+    if error is equistable.WeightingUndecided:
+        # classify prints no weights, so its verdict does not depend on
+        # the walk: with the walk broken it still finds C4 equistable
+        monkeypatch.setattr("sys.stdin", io.StringIO(c4))
+        code, out, _ = run(capsys, "classify", "-i", "-", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["base"]["equistable"] is True
     for command, text, reason in requests:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, err = run(capsys, *command, "-i", "-")

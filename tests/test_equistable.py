@@ -18,6 +18,7 @@ from cisgraphs.equistable import (
 from cisgraphs.gallery import complete, cycle, gallery, path
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
 from cisgraphs.hasse import nonisomorphic_graphs
+from cisgraphs.recognizers import base_predicate
 
 import oracles
 from oracles import verify_forced_subset
@@ -246,3 +247,30 @@ def test_forced_subsets_match_per_direction_sweeps():
         assert equistable._forced_subsets(g) == \
             oracles.forced_subsets_per_direction(*res, g.n)
     assert packed > 0
+
+
+def test_subset_sums_match_indexed_loop():
+    # the doubling sweep against the indexed double loop it replaced, on
+    # negative and 10^40-sized values
+    rng = random.Random(18)
+    for n in range(13):
+        for bound in (9, 10**40):
+            values = [rng.randint(-bound, bound) for _ in range(n)]
+            assert equistable._subset_sums(values, n) == \
+                oracles.subset_sums_indexed(values, n)
+
+
+def test_base_predicates_read_the_decision():
+    # the equistable bases give the certificates' verdicts, each read on
+    # a fresh graph so that no memoized fact is shared
+    graphs = [g for gs in nonisomorphic_graphs(7).values() for g in gs]
+    graphs += [complement(g) for g in graphs]
+    rng = random.Random(18)
+    graphs += [random_graph(rng.randint(1, 12), rng.random(), rng)
+               for _ in range(40)]
+    for g in graphs:
+        for name, certify in (("equistable", is_equistable),
+                              ("strongly_equistable", is_strongly_equistable)):
+            assert base_predicate(name)(Graph.from_adj(g.adj)) == \
+                certify(Graph.from_adj(g.adj)).verdict
+    assert len(graphs) == 2 * 1252 + 40

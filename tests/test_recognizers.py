@@ -55,7 +55,6 @@ from cisgraphs.recognizers import (
     is_threshold,
     is_triangle,
     is_weakly_triangle,
-    strong_maximal_cliques,
     triangle_violation,
 )
 from oracles import (
@@ -68,6 +67,7 @@ from oracles import (
     is_edge_simplicial_by_cliques,
     is_threshold_by_four_subsets,
     split_partition,
+    strong_maximal_cliques,
     strong_maximal_cliques_pairwise,
     triangle_violating_edge_by_edges,
 )

@@ -33,6 +33,7 @@ from cisgraphs.search import (
     is_normal,
     is_weakly_cis,
 )
+import oracles
 from oracles import verify_cover_certificate
 
 
@@ -287,3 +288,20 @@ def test_disjointness_read_off_the_complement():
                 assert getattr(swapped, field) == getattr(fresh, field), field
         checked += 1
     assert checked == 1252 + 100
+
+
+def test_holders_match_per_member_loop():
+    # the blocked build against the one-bit-per-pair loop it replaced, on
+    # families around the 64-member block size and on the 4,096 maximal
+    # cliques of the complement of a perfect matching on 24 vertices
+    rng = random.Random(18)
+    families = [([], 5)]
+    for size in (1, 63, 64, 65, 130):
+        n = rng.randint(1, 20)
+        families.append(([rng.randrange(1 << n) for _ in range(size)], n))
+    matching = complement(Graph(24, [(i, i + 1) for i in range(0, 24, 2)]))
+    families.append((maximal_cliques(matching), 24))
+    for family, n in families:
+        assert search._holders(family, n) == \
+            oracles.holders_by_member(family, n)
+    assert len(families[-1][0]) == 4096
