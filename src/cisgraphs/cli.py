@@ -28,6 +28,7 @@ from .graphs import Graph, GraphError, bits, complement, encode_graph6, parse_gr
 from .recognizers import (
     BASE_NAMES,
     COMPLEMENT_INVARIANT,
+    UnsupportedSize,
     disjoint_pairs,
     triangle_violation,
 )
@@ -320,10 +321,6 @@ def cmd_cis_line(args) -> int:
 
 def cmd_equistable(args) -> int:
     g = _load_graph(args)
-    if g.n > eq.MAX_LP_VERTICES:
-        raise InputError(
-            f"equistability decision limited to n <= {eq.MAX_LP_VERTICES}"
-        )
     cert = eq.is_equistable(g)
     strong = eq.is_strongly_equistable(g)
     payload = {
@@ -442,7 +439,7 @@ def main(argv=None) -> int:
         # at interpreter exit finds no closed pipe either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InputError, GraphError) as exc:
+    except (InputError, GraphError, UnsupportedSize) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SearchUndecided, FamilyCapExceeded, eq.WeightingUndecided) as exc:

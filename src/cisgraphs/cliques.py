@@ -1,12 +1,10 @@
-"""Maximal clique / maximal stable set enumeration and clique predicates.
+"""Maximal clique / maximal stable set enumeration.
 
 Families are returned as lists of bitmasks in ascending mask order, so
 every caller sees the same deterministic family for a given graph.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .graphs import Graph, complement
 
@@ -69,12 +67,4 @@ def _expand(adj, out: list, clique: int, cand: int, excl: int):
 
 def maximal_stable_sets(g: Graph):
     return maximal_cliques(complement(g))
-
-
-def covers_nonedges(g: Graph, family) -> bool:
-    return all(
-        any(mask >> u & 1 and mask >> v & 1 for mask in family)
-        for u, v in itertools.combinations(range(g.n), 2)
-        if not g.has_edge(u, v)
-    )
 

@@ -200,9 +200,7 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
         if step is None:
             step = Fraction(1)
         k = 2
-        while _meets_hyperplane(
-            step / k, denom_p, base, denom_d, dsums, stable
-        ):
+        while _meets_hyperplane(step / k, denom_p, base, denom_d, dsums):
             k += 1
         eps = step / k
         cand = [p + eps * d for p, d in zip(point, dvec)]
@@ -213,20 +211,19 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
     )
 
 
-def _meets_hyperplane(t, denom_p, base, denom_d, dsums, stable):
+def _meets_hyperplane(t, denom_p, base, denom_d, dsums):
     """Whether some non-stable T has w(T) = 1 at step t of the walk.
 
     w(T) at step t is base/denom_p + t * dsums/denom_d, so it equals 1
     iff dsums * t * denom_p == (denom_p - base) * denom_d, a test in
-    integers.  A T with dsums = 0 (the empty mask among them) does not
-    move along the walk and is skipped: the caller has already rejected
-    every direction that leaves such a T at 1.
+    integers.  A T with dsums = 0 does not move along the walk and is
+    skipped; every maximal stable set is one, and the caller has already
+    rejected each direction that leaves a non-stable one at 1.
     """
     num = t.numerator * denom_p
     den = t.denominator * denom_d
     return any(
-        d and d * num == (denom_p - b) * den and m not in stable
-        for m, (d, b) in enumerate(zip(dsums, base))
+        d and d * num == (denom_p - b) * den for d, b in zip(dsums, base)
     )
 
 
@@ -292,7 +289,6 @@ def forced_value(g: Graph, subset: int):
     if res is None:
         return None
     point, directions, _ = res
-    n = g.n
     if any(
         sum(d[v] for v in bits(subset)) != 0 for d in directions
     ):

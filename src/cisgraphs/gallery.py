@@ -46,7 +46,8 @@ G12_STABLE_SUBFAMILY = [
     )
 ]
 
-# Cir9: adjacency is "no listed maximal stable set contains both u and v".
+# Cir9: the complement of the graph whose cliques are these sets, so u and
+# v are adjacent iff no listed maximal stable set contains both.
 CIR9_STABLE_SETS = [
     frozenset(s)
     for s in ({1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 4, 7}, {3, 6, 9})
@@ -66,15 +67,6 @@ def _graph_from_cliques(n: int, cliques) -> Graph:
     edges = set()
     for c in cliques:
         edges.update(itertools.combinations(sorted(c), 2))
-    return Graph(n, edges)
-
-
-def _graph_from_stable_sets(n: int, stables) -> Graph:
-    edges = [
-        (u, v)
-        for u, v in itertools.combinations(range(n), 2)
-        if not any(u in s and v in s for s in stables)
-    ]
     return Graph(n, edges)
 
 
@@ -200,7 +192,8 @@ _GALLERY_BUILDERS = {
     "CK": lambda: disjoint_union(cycle(4), complete(2)),
     "C5Star": lambda: _glue_triangles(cycle(5)),
     "C9": lambda: cycle(9),
-    "Cir9": lambda: _graph_from_stable_sets(9, _shift(CIR9_STABLE_SETS)),
+    "Cir9": lambda: complement(
+        _graph_from_cliques(9, _shift(CIR9_STABLE_SETS))),
     "F": lambda: projective_split(2),
     "FK": lambda: disjoint_union(projective_split(2), complete(2)),
     "G12": lambda: _graph_from_cliques(12, _shift(G12_CLIQUES)),

@@ -10,15 +10,18 @@ peels isolated or dominating vertices (Chvátal and Hammer 1977), cograph
 peels twins (Corneil, Lerchs and Stewart Burlingham 1981), and edge
 simplicial asks every edge for a common simplicial neighbour.
 
+The covering classes (edge simplicial, semi-weakly CIS, weakly triangle)
+read the holder masks per edge through ``search.edge_holders``.
+
 Degenerate verdicts are fixed: edgeless graphs are edge simplicial,
 semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
 """
 
 from __future__ import annotations
 
-from .cliques import covers_nonedges, maximal_stable_sets
+from .cliques import maximal_stable_sets
 from .graphs import Graph, bits, complement, mask_of
-from .search import disjointness, is_normal, is_weakly_cis
+from .search import disjointness, edge_holders, is_normal, is_weakly_cis
 
 
 class UnsupportedSize(ValueError):
@@ -128,7 +131,8 @@ def is_edge_simplicial(g: Graph) -> bool:
     maximal cliques."""
     closed = [g.closed_nbhd(v) for v in range(g.n)]
     simplicial = mask_of(v for v in range(g.n) if g.is_clique(closed[v]))
-    return all(closed[u] & closed[v] & simplicial for u, v in g.edges())
+    # N[w] holds v exactly when w is in N[v]
+    return all(m & simplicial for m in edge_holders(g, closed))
 
 
 def is_semi_weakly_cis(g: Graph) -> bool:
@@ -137,7 +141,7 @@ def is_semi_weakly_cis(g: Graph) -> bool:
     Restricting to *maximal* strong cliques is safe: a clique contained in
     a maximal clique meets every stable set the bigger clique misses, so
     strength is monotone under taking clique supersets.  An edge is
-    covered when the masks of the cliques holding its two ends meet the
+    covered when the mask of the cliques holding both its ends meets the
     mask of the strong cliques.
     """
     rel = disjointness(g)
@@ -145,8 +149,7 @@ def is_semi_weakly_cis(g: Graph) -> bool:
     for i, missing in enumerate(rel.clique_excl):
         if not missing:
             strong |= 1 << i
-    holders = rel.clique_holders
-    return all(holders[u] & holders[v] & strong for u, v in g.edges())
+    return all(m & strong for m in edge_holders(g, rel.clique_holders))
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +182,17 @@ def _triangle_violating_edge(g: Graph, s: int):
 
 
 def _triangle_walk(g: Graph):
-    """(first (stable set, edge) violation or None, tuple of the maximal
-    stable sets with the triangle property); walked once per graph."""
-    first, admissible = None, []
-    for s in maximal_stable_sets(g):
+    """(first (stable set, edge) violation or None, mask of the maximal
+    stable sets with the triangle property, numbered as in
+    ``disjointness(g).stables``); walked once per graph."""
+    first, admissible = None, 0
+    for j, s in enumerate(maximal_stable_sets(g)):
         edge = _triangle_violating_edge(g, s)
         if edge is None:
-            admissible.append(s)
+            admissible |= 1 << j
         elif first is None:
             first = (s, edge)
-    return first, tuple(admissible)
+    return first, admissible
 
 
 def triangle_violation(g: Graph):
@@ -208,7 +212,9 @@ def is_weakly_triangle(g: Graph) -> bool:
     stable sets is the unique inclusion-maximal candidate; coverage by it
     decides the class.
     """
-    return covers_nonedges(g, g.memo("triangle_walk", _triangle_walk)[1])
+    admissible = g.memo("triangle_walk", _triangle_walk)[1]
+    holders = disjointness(g).stable_holders
+    return all(m & admissible for m in edge_holders(complement(g), holders))
 
 
 def induced_p4s(g: Graph):
@@ -224,11 +230,12 @@ def induced_p4s(g: Graph):
 def has_bad_p4(g: Graph) -> bool:
     """Induced a-b-c-d with a maximal stable set containing a, d and no
     common neighbor of b, c inside it."""
-    stables = maximal_stable_sets(g)
+    rel = disjointness(g)
+    sh = rel.stable_holders
     for a, b, c, d in induced_p4s(g):
-        want = 1 << a | 1 << d
-        for s in stables:
-            if s & want == want and not g.adj[b] & g.adj[c] & s:
+        common = g.adj[b] & g.adj[c]
+        for j in bits(sh[a] & sh[d]):
+            if not common & rel.stables[j]:
                 return True
     return False
 

@@ -1,11 +1,14 @@
 """The clique/stable-set disjointness relation and two budgeted searches.
 
 ``disjointness`` is the one fact behind the CIS family, semi-weakly CIS,
-weakly CIS and normal, built once per graph: the maximal cliques and the
-maximal stable sets, each numbered from 0; per vertex, the mask of each
-family's members holding it (``clique_holders``, ``stable_holders``);
-and per member, the mask of the other family's members disjoint from it
-(``clique_excl``, ``stable_excl``).
+weakly triangle, weakly CIS and normal, built once per graph: the maximal
+cliques and the maximal stable sets, each numbered from 0; per vertex,
+the mask of each family's members holding it (``clique_holders``,
+``stable_holders``); and per member, the mask of the other family's
+members disjoint from it (``clique_excl``, ``stable_excl``).
+
+``edge_holders`` is the one per-edge coverage routine, read by edge
+simplicial, semi-weakly CIS, weakly triangle and the weakly-CIS clauses.
 
 ``exists_cross_intersecting`` looks for cross-intersecting
 clique/stable-set subfamilies (weakly CIS and normal).  The candidates are
@@ -40,10 +43,9 @@ Both searches raise ``SearchUndecided`` when their budget,
 from __future__ import annotations
 
 import collections
-import itertools
 
 from .cliques import maximal_cliques, maximal_stable_sets
-from .graphs import Graph, bits
+from .graphs import Graph, bits, complement
 
 DEFAULT_BACKTRACK_CAP = 1_000_000
 
@@ -112,6 +114,15 @@ def _holders(family, n: int):
     ]
 
 
+def edge_holders(g: Graph, holders):
+    """Per edge (u, v) of g, in ``g.edges()`` order, the mask
+    ``holders[u] & holders[v]`` of the members holding both ends; on
+    ``complement(g)``, per non-edge of g.  A generator, so that a
+    coverage test stops at its first uncovered edge."""
+    for u, v in g.edges():
+        yield holders[u] & holders[v]
+
+
 def _exclusions(family, other_holders, other_all: int):
     """Per member of ``family``, the mask of the other family's members
     disjoint from it."""
@@ -141,12 +152,7 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
     if normal:
         clauses = ch + sh
     else:
-        clauses = [ch[u] & ch[v] for u, v in g.edges()]
-        clauses += [
-            sh[u] & sh[v]
-            for u, v in itertools.combinations(range(g.n), 2)
-            if not g.has_edge(u, v)
-        ]
+        clauses = [*edge_holders(g, ch), *edge_holders(complement(g), sh)]
     excl = [x << nc for x in cx] + sx
     backtracks = 0
 

@@ -11,11 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from cisgraphs import hasse
-from cisgraphs.cliques import (
-    covers_nonedges,
-    maximal_cliques,
-    maximal_stable_sets,
-)
+from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import _cross_adjacency
 from cisgraphs.graphs import (
     Graph,
@@ -27,7 +23,7 @@ from cisgraphs.graphs import (
     mask_of,
 )
 from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
-from cisgraphs.recognizers import has_bad_p4
+from cisgraphs.recognizers import has_bad_p4, induced_p4s
 from cisgraphs.linegraph import line_graph, root_graph
 from cisgraphs.lp import Unbounded
 from cisgraphs.search import disjointness
@@ -355,6 +351,14 @@ def covers_edges(g: Graph, family) -> bool:
     )
 
 
+def covers_nonedges(g: Graph, family) -> bool:
+    return all(
+        any(mask >> u & 1 and mask >> v & 1 for mask in family)
+        for u, v in itertools.combinations(range(g.n), 2)
+        if not g.has_edge(u, v)
+    )
+
+
 def covers_vertices(g: Graph, family) -> bool:
     covered = 0
     for mask in family:
@@ -454,6 +458,18 @@ def verify_cover_certificate(
     return covers_edges(g, chosen_cliques) and covers_nonedges(
         g, chosen_stables
     )
+
+
+def has_bad_p4_by_scan(g: Graph) -> bool:
+    """What :func:`cisgraphs.recognizers.has_bad_p4` returns, by testing
+    every maximal stable set against each induced P4."""
+    stables = maximal_stable_sets(g)
+    for a, b, c, d in induced_p4s(g):
+        want = 1 << a | 1 << d
+        for s in stables:
+            if s & want == want and not g.adj[b] & g.adj[c] & s:
+                return True
+    return False
 
 
 def triangle_violating_edge_by_edges(g: Graph, s: int):

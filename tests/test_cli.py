@@ -449,6 +449,13 @@ def test_equistable_cli(capsys):
     assert code == 2
 
 
+def test_equistable_size_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(Graph(17))))
+    code, out, err = run(capsys, "equistable", "-i", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: equistability decision limited to n <= 16\n"
+
+
 # SHA-256 of `equistable --verify --format json` stdout.  The printed
 # weights and forced subsets follow from the simplex pivot sequence (the
 # interior point) and the weighting walk's step; neither may drift.

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cisgraphs import cliques
 from cisgraphs.cliques import (
     FamilyCapExceeded,
-    covers_nonedges,
     maximal_cliques,
     maximal_stable_sets,
 )
@@ -18,6 +17,7 @@ from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
 from cisgraphs.linegraph import line_graph
 from oracles import (
     covers_edges,
+    covers_nonedges,
     covers_vertices,
     maximal_cliques_brute,
     simplicial_cliques,

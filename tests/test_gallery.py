@@ -24,6 +24,7 @@ from cisgraphs.graphs import (
     GraphError,
     complement,
     disjoint_union,
+    encode_graph6,
     mask_of,
 )
 from oracles import (
@@ -77,6 +78,11 @@ def test_g12_subfamilies_are_subfamilies():
 def test_cir9_stable_sets_match_definition():
     g = gallery("Cir9")
     assert maximal_stable_sets(g) == masks(CIR9_STABLE_SETS)
+
+
+def test_cir9_graph6_pinned():
+    # the adjacency of Cir9, whichever builder produces it
+    assert encode_graph6(gallery("Cir9")) == "HBzB^zW"
 
 
 def test_shift_is_zero_based():

@@ -33,6 +33,7 @@ from cisgraphs.graphs import (
     random_graph,
 )
 from cisgraphs.hasse import nonisomorphic_graphs
+from cisgraphs.search import exists_cross_intersecting
 from cisgraphs.recognizers import (
     BASE_NAMES,
     COMPLEMENT_INVARIANT,
@@ -61,6 +62,7 @@ from oracles import (
     count_split_partitions,
     covers_edges,
     disjoint_pairs_pairwise,
+    has_bad_p4_by_scan,
     has_odd_hole_by_subsets,
     induced_subgraph,
     is_cograph_by_four_subsets,
@@ -70,6 +72,7 @@ from oracles import (
     strong_maximal_cliques,
     strong_maximal_cliques_pairwise,
     triangle_violating_edge_by_edges,
+    verify_cover_certificate,
 )
 
 
@@ -391,6 +394,25 @@ def test_weakly_triangle_is_not_complement_invariant():
     assert not is_weakly_triangle(g)
     assert is_weakly_triangle(co)
     assert "weakly_triangle" not in COMPLEMENT_INVARIANT
+
+
+def test_holder_mask_readers_match_oracles():
+    # weakly triangle, the bad-P4 test and the weakly-CIS clauses, which
+    # read the stable-set holder masks, against networkx, a scan of every
+    # stable set per P4 and a set-arithmetic certificate check (edge
+    # simplicial and semi-weakly CIS have theirs above).  Each complement
+    # of a class reads its relation off the class's, which pins the
+    # triangle walk's mask to the numbering of disjointness(g).stables.
+    read_off = 0
+    for g in _relation_test_graphs():
+        read_off += complement(g).known("disjointness") is not None
+        verdicts = (is_weakly_triangle(g), has_bad_p4(g))
+        assert verdicts == (_weakly_triangle_nx(g)[0],
+                            has_bad_p4_by_scan(g)), encode_graph6(g)
+        found = exists_cross_intersecting(g, normal=False)
+        if found is not None:
+            assert verify_cover_certificate(g, *found, normal=False)
+    assert read_off == 1252
 
 
 def test_bad_p4():

@@ -60,3 +60,27 @@ print(json.dumps([code, t.summary()["names"]]))
     assert code == 0
     for name in ("hasse.MembershipCache.base", "search.disjointness"):
         assert names[name]["calls"] > 0
+
+
+def test_bench_digests_reproduced():
+    # the seed-1 outputs of every bench workload, sent through cli.main
+    # as bench/worker.py sends them, hash to the digests the benchmark
+    # checks; a changed output byte fails here, not only in a bench run
+    code = f"""
+import json, sys
+sys.dont_write_bytecode = True  # read bench/, write nothing there
+sys.path.insert(0, {str(BENCH_DIR)!r})
+import workloads, worker
+from cisgraphs import cli
+found = {{}}
+for name in workloads.WORKLOADS:
+    stream = workloads.build_stream(name, 1)
+    outputs = [worker._send(cli, argv, text) for _, argv, text in stream]
+    key = name if name == "scan7" else name + "/1"
+    found[key] = workloads.digest(
+        (req[0], rc, out) for req, (rc, out, _) in zip(stream, outputs))
+print(json.dumps(found))
+"""
+    found = json.loads(_run_python(code).stdout)
+    recorded = json.loads((BENCH_DIR / "digests.json").read_text())
+    assert found == recorded
