@@ -5,7 +5,7 @@ decide equistability.
 Exit codes: 0 success, 1 internal verification failure, 2 input error,
 3 undecided (a search or clique-family budget ran out, or the weighting
 walk of ``equistable`` found no weighting; the other commands read the
-equistable verdicts from the forced-subset sweep and never walk), 141
+equistable verdicts from the forced-subset join and never walk), 141
 (128 + SIGPIPE) when standard output is closed before the output is
 written, as by ``| head``; nothing is printed on standard error then.
 """

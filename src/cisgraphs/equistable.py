@@ -12,11 +12,15 @@ together with the implicitly tight bounds w(v) = 0.  So:
   identically equal to a value <= 1.
 
 Constancy of w(T) is tested against a null-space basis of the equality
-system, which replaces the per-subset LP loop with subset-sum sweeps (one
-for the point, one for all directions packed into one integer vector)
-and keeps the 14-16 vertex gallery graphs inside the time budget.
+system, with all directions packed into one integer vector.  The subsets
+T are never enumerated: each question about them (which T are forced,
+which stay at 1 along the walk, which the weights put at 1) is a
+meet-in-the-middle join (Horowitz and Sahni 1974).  Subset sums over the
+low n // 2 vertices are indexed by key, and each of the 2^(n - n // 2)
+high-half sums looks up the low key that completes the target, so a
+question costs about 2^(n/2) steps plus one per mask that hits.
 
-``decision`` gives both verdicts from that analysis and sweep alone; it
+``decision`` gives both verdicts from that analysis and join alone; it
 is what the base predicates read, so ``classify``, ``table`` and
 ``scan`` never build weights.  Only ``is_equistable`` (the
 ``equistable`` command) adds the relative-interior walk that turns a
@@ -76,6 +80,29 @@ def _subset_sums(values, n):
     return out
 
 
+def _halves(values, n):
+    """Subset sums over the low n // 2 vertices and over the other
+    n - n // 2: mask l | h << n // 2 sums to lo[l] + hi[h]."""
+    half = n // 2
+    return _subset_sums(values, half), _subset_sums(values[half:], n - half)
+
+
+def _join(lo, wanted):
+    """The pairs (l, h) other than (0, 0) with lo[l] == wanted[h], where
+    wanted[h] is the low-half key that brings high half h to the target.
+
+    One index of the low half and one lookup per high half, so only the
+    masks that hit are listed.
+    """
+    index = {}
+    for l, key in enumerate(lo):
+        index.setdefault(key, []).append(l)
+    for h, key in enumerate(wanted):
+        for l in index.get(key, ()):
+            if l or h:
+                yield l, h
+
+
 def _analysis(g: Graph):
     """Relative-interior point and null-space directions of the polytope.
 
@@ -114,14 +141,6 @@ def _scaled_ints(vec):
     return denom, [f.numerator * (denom // f.denominator) for f in vec]
 
 
-def _scaled_int_sums(vec, n):
-    """Subset sums of a rational vector, scaled to integers.
-
-    Returns (denominator, sums) with sums[mask] = denom * vec-sum."""
-    denom, ints = _scaled_ints(vec)
-    return denom, _subset_sums(ints, n)
-
-
 def _packed(directions, n):
     """One integer vector whose subset sum is 0 exactly on the masks where
     every direction's subset sum is 0.
@@ -145,23 +164,30 @@ def _forced_subsets(g: Graph):
     and w(T) is constant on the (nonempty) polytope.  Returns the first
     forced T of value 1 and the first of value at most 1, first meaning
     fewest vertices, then smallest mask; each as (mask, value) or None.
+    The candidates are the masks where the packed directions sum to 0,
+    from one join.
     """
     point, directions, stable_sets = g.memo("equistable_analysis", _analysis)
     n = g.n
+    half = n // 2
     stable = set(stable_sets)
-    denom, base = _scaled_int_sums(point, n)
-    moving = _subset_sums(_packed(directions, n), n)
-    at_most_one = [
-        m for m in range(1, 1 << n)
-        if not moving[m] and base[m] <= denom and m not in stable
-    ]
+    denom, ints = _scaled_ints(point)
+    base_lo, base_hi = _halves(ints, n)
+    move_lo, move_hi = _halves(_packed(directions, n), n)
+    equal_one = at_most_one = None  # (vertices, mask, denom * value)
+    for l, h in _join(move_lo, [-s for s in move_hi]):
+        m = l | h << half
+        b = base_lo[l] + base_hi[h]
+        if b <= denom and m not in stable:
+            hit = (m.bit_count(), m, b)
+            at_most_one = min(at_most_one or hit, hit)
+            if b == denom:
+                equal_one = min(equal_one or hit, hit)
 
-    def first(masks):
-        m = min(masks, key=lambda m: (m.bit_count(), m), default=None)
-        return None if m is None else (m, Fraction(base[m], denom))
+    def named(hit):
+        return None if hit is None else (hit[1], Fraction(hit[2], denom))
 
-    equal_one = [m for m in at_most_one if base[m] == denom]
-    return first(equal_one), first(at_most_one)
+    return named(equal_one), named(at_most_one)
 
 
 def _find_weighting(g: Graph, point, directions, stable_sets):
@@ -173,7 +199,8 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
     n = g.n
     if not directions:
         return point
-    denom_p, base = _scaled_int_sums(point, n)
+    denom_p, ints = _scaled_ints(point)
+    base = _halves(ints, n)
     stable = set(stable_sets)
     for attempt in range(1, 32):
         # deterministic "generic" combination of the null directions
@@ -182,13 +209,10 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
         for d in directions:
             dvec = [a + w * b for a, b in zip(dvec, d)]
             w *= attempt + 1
-        denom_d, dsums = _scaled_int_sums(dvec, n)
+        denom_d, dints = _scaled_ints(dvec)
+        dsums = _halves(dints, n)
         # the direction must move every currently-colliding functional
-        if any(
-            base[m] == denom_p and dsums[m] == 0
-            for m in range(1, 1 << n)
-            if m not in stable
-        ):
+        if _collides(denom_p, base, dsums, stable, n // 2):
             continue
         # largest step keeping w >= 0
         step = None
@@ -211,33 +235,56 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
     )
 
 
-def _meets_hyperplane(t, denom_p, base, denom_d, dsums):
-    """Whether some non-stable T has w(T) = 1 at step t of the walk.
+def _collides(denom_p, base, dsums, stable, half):
+    """Whether some non-stable T stays at w(T) = 1 along the direction:
+    a join on the key (base sum, direction sum) = (denom_p, 0).
 
-    w(T) at step t is base/denom_p + t * dsums/denom_d, so it equals 1
-    iff dsums * t * denom_p == (denom_p - base) * denom_d, a test in
-    integers.  A T with dsums = 0 does not move along the walk and is
-    skipped; every maximal stable set is one, and the caller has already
-    rejected each direction that leaves a non-stable one at 1.
+    base and dsums are the half sums of the point and of the direction,
+    scaled to integers, the point's by denom_p.
     """
-    num = t.numerator * denom_p
-    den = t.denominator * denom_d
+    (b_lo, b_hi), (d_lo, d_hi) = base, dsums
+    wanted = [(denom_p - b, -d) for b, d in zip(b_hi, d_hi)]
     return any(
-        d and d * num == (denom_p - b) * den for d, b in zip(dsums, base)
+        l | h << half not in stable
+        for l, h in _join(list(zip(b_lo, d_lo)), wanted)
     )
 
 
+def _meets_hyperplane(t, denom_p, base, denom_d, dsums):
+    """Whether some non-stable T has w(T) = 1 at step t of the walk.
+
+    With b and d the half sums of T in base and dsums, w(T) at step t is
+    b/denom_p + t * d/denom_d, so it equals 1 iff
+    d * num + b * den == denom_p * den, a join in integers.  A T with
+    d = 0 does not move along the walk and is skipped; every maximal
+    stable set is one, and the caller has already rejected each
+    direction that leaves a non-stable one at 1.
+    """
+    num = t.numerator * denom_p
+    den = t.denominator * denom_d
+    target = denom_p * den
+    (b_lo, b_hi), (d_lo, d_hi) = base, dsums
+    lo = [d * num + b * den for d, b in zip(d_lo, b_lo)]
+    wanted = [target - d * num - b * den for d, b in zip(d_hi, b_hi)]
+    return any(d_lo[l] + d_hi[h] for l, h in _join(lo, wanted))
+
+
 def _verify_weighting(g: Graph, weights, stable_sets) -> bool:
-    """w(S) = 1 exactly for maximal stable sets and for nothing else."""
+    """w(S) = 1 exactly for maximal stable sets and for nothing else: the
+    masks that the join finds at sum 1 are exactly the maximal stable
+    sets.  The check is exhaustive, since the join lists every hit."""
     n = g.n
     if any(w < 0 for w in weights):
         return False
-    denom, sums = _scaled_int_sums(list(weights), n)
+    denom, ints = _scaled_ints(list(weights))
+    lo, hi = _halves(ints, n)
     stable = set(stable_sets)
-    for m in range(1, 1 << n):
-        if (sums[m] == denom) != (m in stable):
+    hits = 0
+    for l, h in _join(lo, [denom - s for s in hi]):
+        if l | h << n // 2 not in stable:
             return False
-    return True
+        hits += 1
+    return hits == len(stable)
 
 
 def verify_weighting(g: Graph, weights) -> bool:
@@ -247,7 +294,7 @@ def verify_weighting(g: Graph, weights) -> bool:
 
 def decision(g: Graph, strongly: bool) -> EquistableCertificate:
     """The (strongly) equistable verdict, from the polytope analysis and
-    the forced-subset sweep alone: the graph is equistable iff the
+    the forced-subset join alone: the graph is equistable iff the
     polytope is nonempty and no subset is forced to 1 (strongly: to a
     value at most 1).  A negative verdict names the forced subset; a
     positive one carries no weights."""
@@ -257,7 +304,7 @@ def decision(g: Graph, strongly: bool) -> EquistableCertificate:
         )
     if g.memo("equistable_analysis", _analysis) is None:
         return EquistableCertificate(False, "infeasible")
-    # both decisions read the same sweep, so it is kept with the analysis
+    # both decisions read the same join, so it is kept with the analysis
     equal_one, at_most_one = g.memo("forced_subsets", _forced_subsets)
     hit = at_most_one if strongly else equal_one
     if hit is not None:

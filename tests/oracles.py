@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from cisgraphs import hasse
+from cisgraphs import equistable, hasse
 from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import _cross_adjacency
 from cisgraphs.graphs import (
@@ -232,6 +232,70 @@ def forced_subsets_per_direction(point, directions, stable_sets, n):
 
     return (first(m for m in value if value[m] == 1),
             first(m for m in value if value[m] <= 1))
+
+
+# ---------------------------------------------------------------------------
+# the 2^n sweeps that the meet-in-the-middle joins of equistable replaced
+
+
+def scaled_subset_sums(vec, n):
+    """Subset sums of a rational vector over all 2^n masks, scaled to
+    integers: (denom, sums) with sums[mask] = denom * vec-sum."""
+    denom = lcm(*[f.denominator for f in vec])
+    return denom, subset_sums_indexed(
+        [f.numerator * (denom // f.denominator) for f in vec], n)
+
+
+def forced_subsets_by_sweep(point, directions, stable_sets, n):
+    """What :func:`cisgraphs.equistable._forced_subsets` returns, from one
+    pass over every mask of the packed directions' subset sums."""
+    stable = set(stable_sets)
+    denom, base = scaled_subset_sums(point, n)
+    moving = subset_sums_indexed(equistable._packed(directions, n), n)
+    at_most_one = [
+        m for m in range(1, 1 << n)
+        if not moving[m] and base[m] <= denom and m not in stable
+    ]
+
+    def first(masks):
+        m = min(masks, key=lambda m: (m.bit_count(), m), default=None)
+        return None if m is None else (m, Fraction(base[m], denom))
+
+    equal_one = [m for m in at_most_one if base[m] == denom]
+    return first(equal_one), first(at_most_one)
+
+
+def collides_by_sweep(denom_p, base, dsums, stable):
+    """What :func:`cisgraphs.equistable._collides` returns, from the full
+    subset sums of the point and of the direction."""
+    return any(
+        base[m] == denom_p and dsums[m] == 0
+        for m in range(1, len(base))
+        if m not in stable
+    )
+
+
+def meets_hyperplane_by_sweep(t, denom_p, base, denom_d, dsums):
+    """What :func:`cisgraphs.equistable._meets_hyperplane` returns, from
+    the full subset sums of the point and of the direction."""
+    num = t.numerator * denom_p
+    den = t.denominator * denom_d
+    return any(
+        d and d * num == (denom_p - b) * den for d, b in zip(dsums, base)
+    )
+
+
+def verify_weighting_by_sweep(g: Graph, weights) -> bool:
+    """What :func:`cisgraphs.equistable.verify_weighting` returns, by
+    testing every nonempty mask."""
+    weights = [Fraction(w) for w in weights]
+    if any(w < 0 for w in weights):
+        return False
+    denom, sums = scaled_subset_sums(weights, g.n)
+    stable = set(maximal_stable_sets(g))
+    return all(
+        (sums[m] == denom) == (m in stable) for m in range(1, 1 << g.n)
+    )
 
 
 def verify_forced_subset(g: Graph, combination):

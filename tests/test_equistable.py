@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cisgraphs import equistable, lp
+from cisgraphs.cli import main
 from cisgraphs.cliques import maximal_stable_sets
 from cisgraphs.equistable import (
     MAX_LP_VERTICES,
@@ -15,7 +17,7 @@ from cisgraphs.equistable import (
     is_strongly_equistable,
     verify_weighting,
 )
-from cisgraphs.gallery import complete, cycle, gallery, path
+from cisgraphs.gallery import complete, cycle, gallery, path, random_split
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
 from cisgraphs.hasse import nonisomorphic_graphs
 from cisgraphs.recognizers import base_predicate
@@ -235,18 +237,175 @@ def test_packed_sweep_zero_exactly_where_every_direction_is(directions):
 LP_GALLERY = ("FK", "F", "G12", "C5Star", "Cir9", "LK33", "C9", "SK")
 
 
+def _join_test_graphs():
+    """Fresh copies of every class with n <= 7 and of its complement, the
+    LP gallery graphs, and seeded G(n, p) and random split graphs with
+    8 <= n <= 16."""
+    for graphs in nonisomorphic_graphs(7).values():
+        for g in graphs:
+            fresh = Graph.from_adj(g.adj)
+            yield fresh
+            yield complement(fresh)
+    for name in LP_GALLERY:
+        yield gallery(name)
+    rng = random.Random(20)
+    for _ in range(12):
+        yield random_graph(rng.randint(8, 16), rng.random(), rng)
+    for seed in range(8):
+        n = rng.randint(8, 16)
+        k = rng.randint(1, n - 1)
+        yield random_split(k, n - k, seed)
+
+
 def test_forced_subsets_match_per_direction_sweeps():
-    graphs = [g for gs in nonisomorphic_graphs(6).values() for g in gs]
-    graphs += [gallery(name) for name in LP_GALLERY]
-    packed = 0
-    for g in graphs:
-        res = equistable._analysis(g)
+    # each meet-in-the-middle join of the equistable module against the
+    # 2^n sweep it replaced, on the polytope of every test graph: the
+    # forced subsets; along a zero, a single and a mixed null direction,
+    # the walk's collision check and its hyperplane test at steps that
+    # hit and that miss; the weight check on the interior point, on the
+    # mixed direction's line and on the walk's weights
+    lp_gallery = [gallery(name) for name in LP_GALLERY]
+    rng = random.Random(20)
+    seen = {"graphs": 0, "infeasible": 0, "fixed point": 0, "n = 1": 0,
+            "packed": 0, "collides": set(), "meets": set(),
+            "verifies": set()}
+    for g in _join_test_graphs():
+        n = g.n
+        seen["graphs"] += 1
+        seen["n = 1"] += n == 1
+        res = g.memo("equistable_analysis", equistable._analysis)
         if res is None:
+            seen["infeasible"] += 1
             continue
-        packed += len(res[1]) > 1
-        assert equistable._forced_subsets(g) == \
-            oracles.forced_subsets_per_direction(*res, g.n)
-    assert packed > 0
+        point, directions, stable_sets = res
+        seen["fixed point"] += not directions
+        seen["packed"] += len(directions) > 1
+        forced = equistable._forced_subsets(g)
+        assert forced == oracles.forced_subsets_by_sweep(*res, n)
+        if n <= 6 or g in lp_gallery:
+            assert forced == oracles.forced_subsets_per_direction(*res, n)
+
+        stable = set(stable_sets)
+        denom_p, base = oracles.scaled_subset_sums(point, n)
+        halves = equistable._halves(equistable._scaled_ints(point)[1], n)
+        mixed = [F(0)] * n
+        for d in directions:
+            c = rng.randint(-3, 3)
+            mixed = [a + c * b for a, b in zip(mixed, d)]
+        weightings = [point]
+        for dvec in ([F(0)] * n, *directions[:1], mixed):
+            denom_d, dsums = oracles.scaled_subset_sums(dvec, n)
+            dhalves = equistable._halves(equistable._scaled_ints(dvec)[1], n)
+            collides = equistable._collides(
+                denom_p, halves, dhalves, stable, n // 2)
+            assert collides == \
+                oracles.collides_by_sweep(denom_p, base, dsums, stable)
+            seen["collides"].add(collides)
+            steps = [F(1, 2), F(-3, 7)]
+            moving = [m for m in range(1, 1 << n) if dsums[m]]
+            for m in rng.sample(moving, min(3, len(moving))):
+                hit = F((denom_p - base[m]) * denom_d, dsums[m] * denom_p)
+                steps += [hit, hit + F(1, 1009)]
+            for t in steps:
+                meets = equistable._meets_hyperplane(
+                    t, denom_p, halves, denom_d, dhalves)
+                assert meets == oracles.meets_hyperplane_by_sweep(
+                    t, denom_p, base, denom_d, dsums)
+                seen["meets"].add(meets)
+            if dvec is mixed:
+                # points of the walk's line; some put a non-stable set at
+                # 1 with every maximal stable set still at 1
+                weightings += [[p + t * d for p, d in zip(point, dvec)]
+                               for t in steps]
+
+        cert = is_equistable(g)
+        if cert.verdict:
+            weightings.append(cert.weights)
+        for w in weightings:
+            verifies = verify_weighting(g, w)
+            assert verifies == oracles.verify_weighting_by_sweep(g, w)
+            seen["verifies"].add(verifies)
+    assert seen["graphs"] == 2 * 1252 + len(LP_GALLERY) + 20
+    assert seen["infeasible"] and seen["fixed point"] and seen["n = 1"]
+    assert seen["packed"]
+    assert seen["collides"] == seen["meets"] == seen["verifies"] == \
+        {False, True}
+
+
+def _broken_conditions(g, weights):
+    """Which conditions of a weighting fail, read off the full sweep."""
+    if any(w < 0 for w in weights):
+        return {"negative"}
+    denom, sums = oracles.scaled_subset_sums(weights, g.n)
+    stable = set(maximal_stable_sets(g))
+    broken = set()
+    if any(sums[s] != denom for s in stable):
+        broken.add("stable set off 1")
+    if any(sums[m] == denom for m in range(1, 1 << g.n) if m not in stable):
+        broken.add("non-stable set at 1")
+    return broken
+
+
+def test_verify_weighting_matches_sweep_on_perturbed_certificates():
+    # every weight of every positive certificate on seeded graphs, moved a
+    # little, halved, and set so that an edge through it weighs 1 (a
+    # maximal stable set then leaves 1); and points of the walk's line
+    # where a non-stable set meets 1 while every maximal stable set stays
+    # at 1.  The join must give the full sweep's answer on each
+    rng = random.Random(20)
+    seen = {}
+    certified = 0
+    while certified < 30:
+        g = random_graph(rng.randint(4, 12), rng.random(), rng)
+        cert = is_equistable(g)
+        if not cert.verdict:
+            continue
+        certified += 1
+        w = list(cert.weights)
+        weightings = [w]
+        for v in range(g.n):
+            for moved in (w[v] + F(1, 101), w[v] / 2,
+                          *(1 - w[u] for u in bits(g.adj[v]))):
+                weightings.append([*w[:v], moved, *w[v + 1:]])
+        point, directions, _ = g.memo("equistable_analysis",
+                                      equistable._analysis)
+        for d in directions[:1]:
+            denom_p, base = oracles.scaled_subset_sums(point, g.n)
+            denom_d, dsums = oracles.scaled_subset_sums(d, g.n)
+            for m in range(1, 1 << g.n):
+                if dsums[m]:
+                    t = F((denom_p - base[m]) * denom_d, dsums[m] * denom_p)
+                    line = [p + t * x for p, x in zip(point, d)]
+                    if min(line) >= 0:
+                        weightings.append(line)
+        for weights in weightings:
+            verifies = verify_weighting(g, weights)
+            assert verifies == oracles.verify_weighting_by_sweep(g, weights)
+            broken = frozenset(_broken_conditions(g, weights))
+            assert verifies == (not broken)
+            seen[broken] = seen.get(broken, 0) + 1
+    for only in ("stable set off 1", "non-stable set at 1"):
+        assert seen.get(frozenset([only]))
+    assert seen[frozenset()] >= certified
+
+
+def test_weighting_builds_no_full_subset_sums(capsys, monkeypatch):
+    # FK has 16 vertices; the decision, the weighting walk and the weight
+    # check of --verify each build subset sums over half the vertices only
+    sizes = []
+    original = equistable._subset_sums
+
+    def recording(values, n):
+        out = original(values, n)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(equistable, "_subset_sums", recording)
+    assert main(["equistable", "-i", "gallery:FK", "--verify",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] and "weights" in payload["equistable"]
+    assert sizes and max(sizes) <= 1 << 8
 
 
 def test_subset_sums_match_indexed_loop():
