@@ -279,24 +279,33 @@ def parse_graph(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # canonical form (colour refinement plus individualisation, after McKay,
 # "Practical Graph Isomorphism", 1981).  Each connected component gets its
-# own form, so many copies of one component cost one small search each.
-# Within a component only twin swaps prune the search, so it can still grow
-# exponentially on a connected graph with many symmetric non-twin parts; it
-# serves the small-graph scans.
+# own form, so many copies of one component cost one small search each, and
+# a graph whose complement is disconnected is formed through the
+# complement's components.  Within a connected graph the search prunes by
+# the automorphisms it finds: two leaves with one form give one, and so do
+# two twins.  At each node only one child per orbit of the automorphisms
+# found so far that fix the node's individualised vertices is tried, and
+# a leaf that repeats an earlier form ends its branch back to the node
+# where the two paths part.
 
 
 def components(g: Graph) -> list:
     """Vertex masks of the connected components, by smallest vertex."""
-    adj = g.adj
+    return _components(g.adj)
+
+
+def _components(adj, flip: int = 0) -> list:
+    """``components`` of the rows ``adj``, or with ``flip`` the mask of
+    all vertices, of their complement."""
     comps = []
-    rest = g.full
+    rest = (1 << len(adj)) - 1
     while rest:
         comp = frontier = rest & -rest
         while frontier:
             reach = 0
             while frontier:
                 low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
+                reach |= adj[low.bit_length() - 1] ^ flip
                 frontier ^= low
             frontier = reach & ~comp
             comp |= reach
@@ -316,6 +325,14 @@ def _relabel(rows, pos) -> tuple:
             row ^= low
         out.append(new)
     return tuple(out)
+
+
+def _positions(n: int, order) -> list:
+    """``pos`` for ``_relabel``: the bit of each vertex's place in order."""
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = 1 << i
+    return pos
 
 
 def _refine(adj, cells):
@@ -346,59 +363,208 @@ def _refine(adj, cells):
         cells = split
 
 
-def _connected_form(adj) -> tuple:
-    """The smallest leaf form of the search over ``adj`` (see
-    ``canonical_form``)."""
+def _image(perm, mask: int) -> int:
+    """The vertex set ``mask`` moved by the permutation ``perm``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    def leaves(cells):
+
+def orbit(mask: int, generators) -> list:
+    """The images of the vertex set ``mask`` under the group that the
+    permutations ``generators`` generate, ``mask`` first."""
+    out = [mask]
+    met = {mask}
+    for m in out:
+        for perm in generators:
+            image = _image(perm, m)
+            if image not in met:
+                met.add(image)
+                out.append(image)
+    return out
+
+
+def _connected_search(adj) -> tuple:
+    """(form, order, generators) of the connected graph with rows ``adj``
+    (see ``canonical_search``)."""
+    n = len(adj)
+    leaves = {}  # leaf form -> (its order, its individualised vertices)
+    found = []   # automorphisms found: (permutation, mask of vertices moved)
+    best = None
+
+    def search(cells, path, fixed):
+        """Search below the node that individualised ``path`` (``fixed``
+        as a mask); returns the depth at which the search resumes."""
+        nonlocal best
         cells = _refine(adj, cells)
-        if len(cells) == len(adj):
-            pos = [0] * len(adj)
-            for i, c in enumerate(cells):
-                pos[c.bit_length() - 1] = 1 << i
-            yield _relabel([adj[c.bit_length() - 1] for c in cells], pos)
-            return
+        depth = len(path)
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            form = _relabel([adj[v] for v in order], _positions(n, order))
+            seen = leaves.get(form)
+            if seen is None:
+                leaves[form] = (order, path)
+                if best is None or form < best[0]:
+                    best = (form, order)
+                return n
+            # both leaves have one form, so o1[i] -> o2[i] is an
+            # automorphism; it maps the branch of the earlier leaf at the
+            # node where the two paths part onto this one
+            perm = [0] * n
+            moved = 0
+            for v, w in zip(seen[0], order):
+                perm[v] = w
+                if v != w:
+                    moved |= 1 << v
+            found.append((tuple(perm), moved))
+            k = 0
+            while seen[1][k] == path[k]:
+                k += 1
+            return k
         i, cell = next((i, c) for i, c in enumerate(cells) if c & (c - 1))
-        tried = []
+        done = 0  # the children tried, closed under the known automorphisms
+        known = 0  # automorphisms found when done was last closed
         for v in bits(cell):
-            if all(adj[u] & ~(1 << v) != adj[v] & ~(1 << u) for u in tried):
-                tried.append(v)
-                rest = cell & ~(1 << v)
-                yield from leaves(cells[:i] + [1 << v, rest] + cells[i + 1:])
+            if known < len(found):
+                known = len(found)
+                gens = [p for p, moved in found if not fixed & moved]
+                grown = True
+                while grown:
+                    grown = False
+                    for p in gens:
+                        more = _image(p, done) & ~done
+                        if more:
+                            done |= more
+                            grown = True
+            bit = 1 << v
+            if done & bit:
+                continue
+            row = adj[v]
+            rest = done
+            done |= bit
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                if adj[u] & ~bit == row & ~low:
+                    # twins: swapping them is an automorphism
+                    perm = list(range(n))
+                    perm[v], perm[u] = u, v
+                    found.append((tuple(perm), bit | low))
+                    break
+                rest ^= low
+            else:
+                back = search(cells[:i] + [bit, cell & ~bit] + cells[i + 1:],
+                              path + (v,), fixed | bit)
+                if back < depth:
+                    return back
+        return n
 
-    return min(leaves([(1 << len(adj)) - 1]))
+    search([(1 << n) - 1], (), 0)
+    return best[0], best[1], tuple([p for p, _ in found])
 
 
-def canonical_form(g: Graph) -> tuple:
-    """Adjacency rows of a canonical relabelling of ``g``: two graphs
-    have the same form iff they are isomorphic.
+def _search(adj) -> tuple:
+    """``canonical_search`` on the rows ``adj``."""
+    comps = _components(adj)
+    if len(comps) > 1:
+        return _union_search(adj, comps)
+    return _co_search(adj)
+
+
+def _co_search(adj) -> tuple:
+    """``_search`` on a connected graph."""
+    n = len(adj)
+    if n == 1:
+        return (0,), [0], ()
+    if n == 2:  # K2
+        return (2, 1), [0, 1], ((1, 0),)
+    full = (1 << n) - 1
+    comps = _components(adj, full)
+    if len(comps) == 1:
+        return _connected_search(adj)
+    # g and its complement have the same automorphisms, and the
+    # complement's canonical order labels g canonically as well
+    co = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    form, order, gens = _union_search(co, comps)
+    return (tuple([full & ~row & ~(1 << i) for i, row in enumerate(form)]),
+            order, gens)
+
+
+def _union_search(adj, comps) -> tuple:
+    """``_search`` on a graph with the connected components ``comps``."""
+    n = len(adj)
+    parts = []
+    gens = []
+    for comp in comps:
+        if not comp & (comp - 1):
+            parts.append(((0,), [comp.bit_length() - 1]))
+            continue
+        verts = list(bits(comp))
+        form, order, local = _co_search(
+            _relabel([adj[v] for v in verts], _positions(n, verts)))
+        for p in local:
+            perm = list(range(n))
+            for v, w in zip(verts, p):
+                perm[v] = verts[w]
+            gens.append(tuple(perm))
+        parts.append((form, [verts[i] for i in order]))
+    parts.sort(key=lambda part: (len(part[0]), part[0]))
+    rows = []
+    order = []
+    for k, (form, part) in enumerate(parts):
+        shift = len(rows)
+        rows.extend(row << shift for row in form)
+        order.extend(part)
+        if k and parts[k - 1][0] == form:
+            # swap this component with the previous, isomorphic one
+            perm = list(range(n))
+            for v, w in zip(parts[k - 1][1], part):
+                perm[v], perm[w] = w, v
+            gens.append(tuple(perm))
+    return tuple(rows), order, tuple(gens)
+
+
+def canonical_search(g: Graph) -> tuple:
+    """(form, order, generators): the canonical form of ``g``, a vertex
+    order that relabels ``g`` to it (vertex ``order[i]`` becomes ``i``),
+    and permutations (``perm[v]`` is the image of v) that generate the
+    automorphism group of ``g``.
 
     A connected graph's form is the smallest leaf of a search: each leaf
     is a discrete partition reached by refining and then individualising,
     in turn, each vertex of the first non-singleton cell, and its form is
-    the graph's rows relabelled in cell order.  A vertex that is a twin
-    of one already tried is skipped: swapping two twins is an
-    automorphism that fixes the partition, so its subtree has the same
-    leaves.  A disconnected graph's form joins its components' forms as
-    diagonal blocks, sorted by (order, form): two graphs are isomorphic
-    iff their components are, class by class.
+    the graph's rows relabelled in cell order.  Two leaves with one form
+    give an automorphism, and so does a twin of a vertex already tried.
+    A node tries one child per orbit of the automorphisms found so far
+    that fix its individualised vertices, and a leaf that repeats a form
+    returns to the node where its path parts from the earlier leaf's: an
+    automorphism that fixes a node maps the subtree of one child onto the
+    subtree of the other, leaf form for leaf form, so every pruned
+    subtree is an image of an explored one and the smallest form is
+    unchanged.  The automorphisms found generate the whole group (McKay
+    1981): at each node of the first path, below every child tried that
+    an automorphism fixing the node maps the first path's child to,
+    there is a leaf with the first leaf's form, and the automorphism
+    that leaf gives does the same.
+
+    A disconnected graph's form joins its components' forms as diagonal
+    blocks, sorted by (vertex count, form): two graphs are isomorphic iff
+    their components are, class by class.  Its generators are the
+    components' and one swap of each isomorphic component with the one
+    before it.  A connected graph with a disconnected complement is
+    relabelled by the complement's canonical order; which of the three
+    cases applies is an isomorphism invariant.
     """
-    comps = components(g)
-    if len(comps) == 1:
-        return _connected_form(g.adj)
-    forms = []
-    for comp in comps:
-        pos = [0] * g.n
-        verts = list(bits(comp))
-        for i, v in enumerate(verts):
-            pos[v] = 1 << i
-        forms.append(_connected_form(_relabel([g.adj[v] for v in verts], pos)))
-    forms.sort(key=lambda form: (len(form), form))
-    out = []
-    for form in forms:
-        shift = len(out)
-        out.extend(row << shift for row in form)
-    return tuple(out)
+    return _search(g.adj)
+
+
+def canonical_form(g: Graph) -> tuple:
+    """Adjacency rows of a canonical relabelling of ``g``: two graphs
+    have the same form iff they are isomorphic (see ``canonical_search``)."""
+    return _search(g.adj)[0]
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

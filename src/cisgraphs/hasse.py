@@ -13,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gallery as gal
-from .graphs import Graph, canonical_form, complement, encode_graph6, mask_of
+from .graphs import (
+    Graph,
+    canonical_form,
+    canonical_search,
+    complement,
+    encode_graph6,
+    mask_of,
+    orbit,
+)
 from .recognizers import UnsupportedSize, base_predicate, has_bad_p4
 
 # ---------------------------------------------------------------------------
@@ -231,6 +239,9 @@ _REPS_CACHE = {1: [Graph(1)]}
 # n -> {canonical form: index of its class in _REPS_CACHE[n]}, kept from
 # generation
 _FORMS_CACHE = {}
+# n -> generators of the automorphism group of each graph in
+# _REPS_CACHE[n], kept from generation to extend the next level
+_GROUPS_CACHE = {1: [()]}
 
 
 def nonisomorphic_graphs(max_n: int):
@@ -243,39 +254,49 @@ def nonisomorphic_graphs(max_n: int):
     degree than w.  Deleting that vertex leaves a graph with fewer edges
     than g, whose class comes earlier in the sorted list, so an earlier
     extension already has this class; the first extension of a class is
-    therefore never skipped, and it represents the class.  Returns {n:
-    list of Graph}, each list sorted by (edge count, adjacency rows).
+    therefore never skipped, and it represents the class.  Of the
+    neighbourhoods in one orbit of g's automorphism group only the first,
+    in ascending order, is formed: an automorphism of g that maps one
+    neighbourhood to another, with w fixed, is an isomorphism between the
+    two extensions, and the first extension of a class is the first of
+    its orbit.  The degree rule skips whole orbits, since automorphisms
+    keep degrees.  Returns {n: list of Graph}, each list sorted by (edge
+    count, adjacency rows).
     """
     reps = _REPS_CACHE
     for n in range(2, max_n + 1):
         if n in reps:
             continue
         classes = {}
-        for g in reps[n - 1]:
+        for g, group in zip(reps[n - 1], _GROUPS_CACHE[n - 1]):
             # at_least[d]: the old vertices of degree at least d.  With
             # k = |mask|, an old vertex ends above w's degree k when its
             # degree exceeds k, or equals k and w joins it.
             at_least = [mask_of(v for v in range(n - 1) if g.degree(v) >= d)
                         for d in range(n + 1)]
+            met = set()  # masks met in the orbit of an earlier one
             for mask in range(1 << (n - 1)):
                 k = mask.bit_count()
-                if at_least[k + 1] or mask & at_least[k]:
+                if at_least[k + 1] or mask & at_least[k] or mask in met:
                     continue
+                met.update(orbit(mask, group))
                 adj = [row | ((mask >> v & 1) << (n - 1))
                        for v, row in enumerate(g.adj)]
                 adj.append(mask)
                 cand = Graph.from_adj(adj)
-                classes.setdefault(canonical_form(cand), cand)
-        ordered = sorted(classes.items(),
-                         key=lambda item: (item[1].edge_count(), item[1].adj))
+                form, _, gens = canonical_search(cand)
+                classes.setdefault(form, (cand, gens))
+        ordered = sorted(classes.items(), key=lambda item: (
+            item[1][0].edge_count(), item[1][0].adj))
         expect = EXPECTED_GRAPH_COUNTS.get(n)
         if expect is not None and len(ordered) != expect:
             raise RuntimeError(
                 f"graph generation produced {len(ordered)} classes at n={n}, "
                 f"expected {expect}"
             )
-        reps[n] = [g for _, g in ordered]
+        reps[n] = [g for _, (g, _) in ordered]
         _FORMS_CACHE[n] = {form: i for i, (form, _) in enumerate(ordered)}
+        _GROUPS_CACHE[n] = [gens for _, (_, gens) in ordered]
     return {n: reps[n] for n in range(1, max_n + 1)}
 
 

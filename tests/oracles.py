@@ -15,6 +15,8 @@ from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import _cross_adjacency
 from cisgraphs.graphs import (
     Graph,
+    _refine,
+    _relabel,
     bits,
     canonical_form,
     complement,
@@ -657,6 +659,44 @@ def all_extensions_graphs(max_n: int):
         reps[n] = sorted(classes.values(),
                          key=lambda g: (g.edge_count(), g.adj))
     return reps
+
+
+def smallest_leaf_form(g: Graph) -> tuple:
+    """The smallest leaf form of the whole search tree over ``g``, with
+    nothing pruned: what ``canonical_form`` returns for a graph that is
+    connected and has a connected complement."""
+    adj = g.adj
+
+    def leaves(cells):
+        cells = _refine(adj, cells)
+        if len(cells) == g.n:
+            pos = [0] * g.n
+            for i, c in enumerate(cells):
+                pos[c.bit_length() - 1] = 1 << i
+            yield _relabel([adj[c.bit_length() - 1] for c in cells], pos)
+            return
+        i, cell = next((i, c) for i, c in enumerate(cells) if c & (c - 1))
+        for v in bits(cell):
+            yield from leaves(cells[:i] + [1 << v, cell & ~(1 << v)]
+                              + cells[i + 1:])
+
+    return min(leaves([g.full]))
+
+
+def group_order(n: int, generators) -> int:
+    """The order of the group of permutations of range(n) that
+    ``generators`` generate (``perm[v]`` is the image of v), by listing
+    every element."""
+    identity = tuple(range(n))
+    met = {identity}
+    elements = [identity]
+    for elem in elements:
+        for perm in generators:
+            prod = tuple([perm[v] for v in elem])
+            if prod not in met:
+                met.add(prod)
+                elements.append(prod)
+    return len(met)
 
 
 def connected_graphs(max_n: int):

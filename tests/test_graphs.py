@@ -14,6 +14,7 @@ from cisgraphs.graphs import (
     GraphError,
     bits,
     canonical_form,
+    canonical_search,
     complement,
     components,
     disjoint_union,
@@ -21,14 +22,18 @@ from cisgraphs.graphs import (
     is_isomorphic,
     join,
     mask_of,
+    orbit,
     parse_edge_list,
     parse_graph,
     parse_graph6,
     random_graph,
 )
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from cisgraphs import hasse
 from cisgraphs.hasse import EXPECTED_GRAPH_COUNTS, nonisomorphic_graphs
 from cisgraphs.recognizers import is_edge_simplicial
-from oracles import induced_subgraph
+from oracles import group_order, induced_subgraph, smallest_leaf_form
 
 
 def graphs(max_n=10):
@@ -249,27 +254,98 @@ def triangles(k):
     return g
 
 
+def hub_triangles(k):
+    """k triangles, each hung by one corner from the hub vertex 0."""
+    edges = []
+    for t in range(k):
+        a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
+        edges += [(0, a), (a, b), (b, c), (a, c)]
+    return Graph(3 * k + 1, edges)
+
+
+def circulant(n, jumps):
+    """C_n(jumps): vertex i joined to i ± s for each jump s."""
+    return Graph(n, {(i, (i + s) % n) for i in range(n) for s in jumps
+                     if s % n})
+
+
+@st.composite
+def circulants(draw, max_n=24):
+    """Circulants: vertex-transitive, so refinement splits nothing and
+    the search meets many leaves with one form."""
+    n = draw(st.integers(1, max_n))
+    return circulant(n, draw(st.sets(st.integers(1, max(1, n // 2)))))
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        mask_of(perm[u] for u in bits(g.adj[v])) == g.adj[perm[v]]
+        for v in range(g.n))
+
+
 @settings(max_examples=150, deadline=None)
-@given(graphs(9) | repeated_components(), st.randoms(use_true_random=False))
+@given(graphs(9) | repeated_components() | circulants(),
+       st.randoms(use_true_random=False))
 @example(Graph(9), random.Random(0))
 @example(complement(Graph(9)), random.Random(0))
 @example(triangles(8), random.Random(0))
+@example(circulant(18, (1, 3, 5, 7)), random.Random(0))  # K_9,9 - 9K_2
+@example(circulant(24, (1, 5, 7, 11)), random.Random(0))
+@example(hub_triangles(7), random.Random(0))
 def test_canonical_form_invariant_and_isomorphic(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    form = canonical_form(g)
-    assert canonical_form(h) == form
+    h = relabelled(g, rng)
+    form, order, gens = canonical_search(h)
+    assert canonical_form(g) == form
     assert nx.is_isomorphic(to_nx(Graph.from_adj(form)), to_nx(g))
+    # order relabels h to its form, and every generator is an automorphism
+    pos = [0] * h.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    assert Graph(h.n, [(pos[u], pos[v]) for u, v in h.edges()]).adj == form
+    assert all(is_automorphism(h, p) for p in gens)
+
+
+def test_canonical_form_is_the_smallest_leaf():
+    # pruning skips only images of explored subtrees, so a connected graph
+    # with a connected complement keeps the form of the unpruned search
+    rng = random.Random(5)
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+    cube = Graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3)])
+    cases = [g for graphs in nonisomorphic_graphs(7).values() for g in graphs]
+    cases += [circulant(n, (1, 3)) for n in range(7, 13)]
+    cases += [hub_triangles(3), petersen, cube]
+    for g in cases:
+        if len(components(g)) == 1 == len(components(complement(g))):
+            h = relabelled(g, rng)
+            assert canonical_form(h) == smallest_leaf_form(h)
+    # a 3-regular graph on 10 vertices times P3 (vertex 3u + x): its cells
+    # hold several orbits, so returning past the node where two equal
+    # leaves' paths part loses forms on some labellings
+    r = Graph(10, [(0, 3), (0, 4), (0, 8), (1, 2), (1, 3), (1, 5), (2, 6),
+                   (2, 7), (3, 7), (4, 5), (4, 7), (5, 9), (6, 8), (6, 9),
+                   (8, 9)])
+    prism = Graph(30, [(3 * u + x, 3 * v + x) for u, v in r.edges()
+                       for x in range(3)]
+                  + [(3 * u + x, 3 * u + x + 1) for u in range(10)
+                     for x in range(2)])
+    for _ in range(20):
+        h = relabelled(prism, rng)
+        assert canonical_form(h) == smallest_leaf_form(h)
 
 
 def test_canonical_form_many_components():
     # each component is formed on its own; a single search over all 21
     # vertices took seconds, and every further triangle multiplied that
     g = triangles(7)
-    perm = list(range(21))
-    random.Random(7).shuffle(perm)
-    h = Graph(21, [(perm[u], perm[v]) for u, v in g.edges()])
+    h = relabelled(g, random.Random(7))
     hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     other = disjoint_union(triangles(5), hexagon)  # also 2-regular
     start = time.perf_counter()
@@ -278,6 +354,81 @@ def test_canonical_form_many_components():
     assert time.perf_counter() - start < 1.0
     assert canonical_form(h) == tuple(
         (0b111 ^ 1 << i % 3) << 3 * (i // 3) for i in range(21))
+
+
+def test_canonical_form_hub_triangles():
+    # one component with 8! * 2^8 automorphisms; pruned by twins alone,
+    # the search took 0.175 s at k = 7 and about 8 times more per triangle
+    g = hub_triangles(8)
+    h = relabelled(g, random.Random(8))
+    # the same degrees: two triangles' far corners joined into a 6-cycle
+    other = Graph(25, [e for e in g.edges() if e not in ((1, 3), (4, 6))]
+                  + [(3, 4), (6, 1)])
+    assert sorted(map(other.degree, range(25))) == sorted(
+        map(g.degree, range(25)))
+    start = time.perf_counter()
+    assert is_isomorphic(g, h)
+    assert not is_isomorphic(h, other)
+    assert time.perf_counter() - start < 1.0
+    # triangle t is {t, 15 - t, 23 - t}; the hub 24 holds 16..23
+    expect = [(24, 16 + t) for t in range(8)]
+    for t in range(8):
+        expect += [(t, 15 - t), (15 - t, 23 - t), (t, 23 - t)]
+    assert canonical_form(h) == Graph(25, expect).adj
+
+
+def test_canonical_form_complement_disconnected():
+    # K_2k minus a perfect matching: its complement is k disjoint edges,
+    # and the form is built from theirs (27 s at 2k = 18 without that)
+    rng = random.Random(18)
+    start = time.perf_counter()
+    for k in range(2, 10):
+        n = 2 * k
+        g = complement(Graph(n, [(2 * i, 2 * i + 1) for i in range(k)]))
+        h = relabelled(g, rng)
+        assert canonical_form(h) == canonical_form(g)
+        assert nx.is_isomorphic(to_nx(h), to_nx(g))
+        # near misses with as many edges: a P3, or a triangle, missing
+        # in place of two or three of the matching's edges
+        misses = [[(0, 1), (1, 2)] + [(2 * i + 1, 2 * i + 2)
+                                      for i in range(1, k - 1)]]
+        if k >= 3:
+            misses.append([(0, 1), (1, 2), (0, 2)]
+                          + [(2 * i + 1, 2 * i + 2) for i in range(1, k - 2)])
+        for missing in misses:
+            miss = relabelled(complement(Graph(n, missing)), rng)
+            assert miss.edge_count() == g.edge_count()
+            assert not nx.is_isomorphic(to_nx(miss), to_nx(g))
+            assert canonical_form(miss) != canonical_form(h)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_automorphism_generators_against_networkx():
+    # every class with n <= 7: the generators kept by generation, and those
+    # of a relabelled copy, are automorphisms and generate the whole group
+    rng = random.Random(7)
+    for n, reps in nonisomorphic_graphs(7).items():
+        for g, gens in zip(reps, hasse._GROUPS_CACHE[n]):
+            h = relabelled(g, rng)
+            count = sum(1 for _ in GraphMatcher(to_nx(g), to_nx(g))
+                        .isomorphisms_iter())
+            for graph, perms in ((g, gens), (h, canonical_search(h)[2])):
+                assert all(is_automorphism(graph, p) for p in perms)
+                assert group_order(n, perms) == count
+
+
+def test_automorphism_generators_of_circulants():
+    # a circulant is vertex-transitive, so the generators must move
+    # vertex 0 to every vertex
+    rng = random.Random(24)
+    for _ in range(60):
+        n = rng.randint(3, 24)
+        g = circulant(n, rng.sample(range(1, n // 2 + 1),
+                                    rng.randint(1, n // 2)))
+        h = relabelled(g, rng)
+        gens = canonical_search(h)[2]
+        assert all(is_automorphism(h, p) for p in gens)
+        assert sorted(orbit(1, gens)) == [1 << v for v in range(n)]
 
 
 @given(graphs(12))

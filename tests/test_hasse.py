@@ -5,6 +5,7 @@ from cisgraphs.gallery import cycle, gallery, path
 from cisgraphs.graphs import (
     Graph,
     canonical_form,
+    canonical_search,
     complement,
     encode_graph6,
     is_isomorphic,
@@ -99,17 +100,20 @@ def test_generation_matches_all_extensions():
 
 
 def test_generation_form_count_pinned(monkeypatch):
-    # 11,290 forms without the degree rule; a rise means it regressed
+    # 11,290 forms without the degree rule and 3,131 without the orbit
+    # rule; a rise means one of them regressed, or the search found only
+    # part of some automorphism group
     calls = []
 
     def counted(g):
         calls.append(g.n)
-        return canonical_form(g)
+        return canonical_search(g)
 
     monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
-    monkeypatch.setattr(hasse, "canonical_form", counted)
+    monkeypatch.setattr(hasse, "_GROUPS_CACHE", {1: [()]})
+    monkeypatch.setattr(hasse, "canonical_search", counted)
     reps = hasse.nonisomorphic_graphs(7)
-    assert len(calls) == 3131
+    assert len(calls) == 1639
     assert [len(reps[n]) for n in range(1, 8)] == [
         EXPECTED_GRAPH_COUNTS[n] for n in range(1, 8)]
 
@@ -126,23 +130,42 @@ def test_generation_count_check_not_cached(monkeypatch):
 def test_generation_wrong_count_caches_no_form_index(monkeypatch):
     monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
     monkeypatch.setattr(hasse, "_FORMS_CACHE", {})
+    monkeypatch.setattr(hasse, "_GROUPS_CACHE", {1: [()]})
     monkeypatch.setitem(hasse.EXPECTED_GRAPH_COUNTS, 4, 12)
     with pytest.raises(RuntimeError, match="11 classes at n=4"):
         hasse.nonisomorphic_graphs(4)
     assert 4 not in hasse._REPS_CACHE and 4 not in hasse._FORMS_CACHE
+    assert 4 not in hasse._GROUPS_CACHE
     assert sorted(hasse._FORMS_CACHE) == [2, 3]
+    assert sorted(hasse._GROUPS_CACHE) == [1, 2, 3]
 
 
 def test_generation_counts_n8(monkeypatch):
-    # on copies of the caches, so that the 12,346 classes are dropped after
-    monkeypatch.setattr(hasse, "_REPS_CACHE", dict(hasse._REPS_CACHE))
-    monkeypatch.setattr(hasse, "_FORMS_CACHE", dict(hasse._FORMS_CACHE))
+    # on fresh caches, so that the 12,346 classes are dropped after
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return canonical_search(g)
+
+    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    monkeypatch.setattr(hasse, "_FORMS_CACHE", {})
+    monkeypatch.setattr(hasse, "_GROUPS_CACHE", {1: [()]})
+    monkeypatch.setattr(hasse, "canonical_search", counted)
     reps = nonisomorphic_graphs(8)
     assert len(reps[8]) == EXPECTED_GRAPH_COUNTS[8] == 12346
+    assert len(calls) == 19911  # 32,886 without the orbit rule
+    # the classes generated before the orbit rule, at the same places
+    assert [encode_graph6(reps[8][i]) for i in (0, 6000, 12345)] == [
+        "G?????", "GQovFo", "G~~~~{"]
     index = hasse._class_index(8)
     assert len(index) == 12346
+    groups = hasse._GROUPS_CACHE[8]
+    assert len(groups) == 12346
     for i in (0, 6000, 12345):
-        assert index[canonical_form(reps[8][i])] == i
+        g = reps[8][i]
+        assert index[canonical_form(g)] == i
+        assert groups[i] == canonical_search(g)[2]
 
 
 def test_connected_counts():
