@@ -14,18 +14,19 @@ together with the implicitly tight bounds w(v) = 0.  So:
 Constancy of w(T) is tested against a null-space basis of the equality
 system, with all directions packed into one integer vector.  The subsets
 T are never enumerated: each question about them (which T are forced,
-which stay at 1 along the walk, which the weights put at 1) is a
-meet-in-the-middle join (Horowitz and Sahni 1974).  Subset sums over the
-low n // 2 vertices are indexed by key, and each of the 2^(n - n // 2)
-high-half sums looks up the low key that completes the target, so a
-question costs about 2^(n/2) steps plus one per mask that hits.
+which T the weights put at 1) is a meet-in-the-middle join (Horowitz and
+Sahni 1974).  Subset sums over the low n // 2 vertices are indexed by
+key, and each of the 2^(n - n // 2) high-half sums looks up the low key
+that completes the target, so a question costs about 2^(n/2) steps plus
+one per mask that hits.
 
 ``decision`` gives both verdicts from that analysis and join alone; it
 is what the base predicates read, so ``classify``, ``table`` and
 ``scan`` never build weights.  Only ``is_equistable`` (the
 ``equistable`` command) adds the relative-interior walk that turns a
-positive verdict into explicit weights; when the walk gives up it
-raises ``WeightingUndecided``, a certificate failure, never a verdict.
+positive verdict into explicit weights, testing each step with the
+weight check's join; when the walk gives up it raises
+``WeightingUndecided``, a certificate failure, never a verdict.
 
 All arithmetic is exact; no floating point enters this module.
 """
@@ -38,7 +39,7 @@ from math import lcm
 
 from .cliques import maximal_stable_sets
 from .graphs import Graph, bits
-from .lp import null_space, solve_equality_lp
+from .lp import null_space, scaled_ints, solve_equality_lp
 from .recognizers import UnsupportedSize
 
 MAX_LP_VERTICES = 16
@@ -135,12 +136,6 @@ def _analysis(g: Graph):
     return point, directions, stable_sets
 
 
-def _scaled_ints(vec):
-    """A rational vector scaled to integers: (denominator, ints)."""
-    denom = lcm(*[f.denominator for f in vec])
-    return denom, [f.numerator * (denom // f.denominator) for f in vec]
-
-
 def _packed(directions, n):
     """One integer vector whose subset sum is 0 exactly on the masks where
     every direction's subset sum is 0.
@@ -151,7 +146,7 @@ def _packed(directions, n):
     """
     packed = [0] * n
     for d in directions:
-        _, ints = _scaled_ints(d)
+        _, ints = scaled_ints(d)
         radix = 2 * sum(map(abs, ints)) + 1
         packed = [p * radix + x for p, x in zip(packed, ints)]
     return packed
@@ -171,7 +166,7 @@ def _forced_subsets(g: Graph):
     n = g.n
     half = n // 2
     stable = set(stable_sets)
-    denom, ints = _scaled_ints(point)
+    denom, ints = scaled_ints(point)
     base_lo, base_hi = _halves(ints, n)
     move_lo, move_hi = _halves(_packed(directions, n), n)
     equal_one = at_most_one = None  # (vertices, mask, denom * value)
@@ -193,14 +188,23 @@ def _forced_subsets(g: Graph):
 def _find_weighting(g: Graph, point, directions, stable_sets):
     """A point of the polytope with w(T) != 1 for every non-stable T.
 
-    Walks from the relative interior point along a generic null direction;
-    the step length dodges the finitely many hyperplane hits.
+    Walks from the relative interior point along a generic null
+    direction, to the candidates point + step/k * direction for
+    k = 2, 3, ..., where step is the largest that keeps w >= 0.  The
+    join of the weight check lists what each candidate puts at 1; the
+    maximal stable sets stay there, since the direction sums to 0 on
+    each.  When no other T is at 1, the weight check decides the
+    candidate.  Otherwise take the first such T.  If the direction sums
+    to 0 on T, then w(T) = 1 all along the line and no step dodges it, so
+    the next attempt takes another direction.  Else the line crosses T's
+    hyperplane at this step only, and step/(k + 1) is tried; the line
+    crosses finitely many hyperplanes, so the walk along a direction
+    ends.  On a direction that leaves no T at 1 along the whole line, the
+    first k with no T at 1 is the first whose step meets no hyperplane.
     """
     n = g.n
     if not directions:
         return point
-    denom_p, ints = _scaled_ints(point)
-    base = _halves(ints, n)
     stable = set(stable_sets)
     for attempt in range(1, 32):
         # deterministic "generic" combination of the null directions
@@ -209,11 +213,7 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
         for d in directions:
             dvec = [a + w * b for a, b in zip(dvec, d)]
             w *= attempt + 1
-        denom_d, dints = _scaled_ints(dvec)
-        dsums = _halves(dints, n)
-        # the direction must move every currently-colliding functional
-        if _collides(denom_p, base, dsums, stable, n // 2):
-            continue
+        _, dints = scaled_ints(dvec)
         # largest step keeping w >= 0
         step = None
         for v in range(n):
@@ -224,64 +224,39 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
         if step is None:
             step = Fraction(1)
         k = 2
-        while _meets_hyperplane(step / k, denom_p, base, denom_d, dsums):
+        while True:
+            eps = step / k
+            cand = [p + eps * d for p, d in zip(point, dvec)]
+            t = next((m for m in _ones(cand, n) if m not in stable), None)
+            if t is None or not sum(dints[v] for v in bits(t)):
+                break
             k += 1
-        eps = step / k
-        cand = [p + eps * d for p, d in zip(point, dvec)]
-        if _verify_weighting(g, cand, stable_sets):
+        if t is None and _verify_weighting(g, cand, stable_sets):
             return cand
     raise WeightingUndecided(
         "weight construction failed to avoid all hyperplanes"
     )
 
 
-def _collides(denom_p, base, dsums, stable, half):
-    """Whether some non-stable T stays at w(T) = 1 along the direction:
-    a join on the key (base sum, direction sum) = (denom_p, 0).
-
-    base and dsums are the half sums of the point and of the direction,
-    scaled to integers, the point's by denom_p.
-    """
-    (b_lo, b_hi), (d_lo, d_hi) = base, dsums
-    wanted = [(denom_p - b, -d) for b, d in zip(b_hi, d_hi)]
-    return any(
-        l | h << half not in stable
-        for l, h in _join(list(zip(b_lo, d_lo)), wanted)
-    )
-
-
-def _meets_hyperplane(t, denom_p, base, denom_d, dsums):
-    """Whether some non-stable T has w(T) = 1 at step t of the walk.
-
-    With b and d the half sums of T in base and dsums, w(T) at step t is
-    b/denom_p + t * d/denom_d, so it equals 1 iff
-    d * num + b * den == denom_p * den, a join in integers.  A T with
-    d = 0 does not move along the walk and is skipped; every maximal
-    stable set is one, and the caller has already rejected each
-    direction that leaves a non-stable one at 1.
-    """
-    num = t.numerator * denom_p
-    den = t.denominator * denom_d
-    target = denom_p * den
-    (b_lo, b_hi), (d_lo, d_hi) = base, dsums
-    lo = [d * num + b * den for d, b in zip(d_lo, b_lo)]
-    wanted = [target - d * num - b * den for d, b in zip(d_hi, b_hi)]
-    return any(d_lo[l] + d_hi[h] for l, h in _join(lo, wanted))
+def _ones(weights, n):
+    """The nonempty masks that the weights put at sum 1, from one join of
+    the half sums scaled to integers."""
+    denom, ints = scaled_ints(weights)
+    lo, hi = _halves(ints, n)
+    for l, h in _join(lo, [denom - s for s in hi]):
+        yield l | h << n // 2
 
 
 def _verify_weighting(g: Graph, weights, stable_sets) -> bool:
     """w(S) = 1 exactly for maximal stable sets and for nothing else: the
     masks that the join finds at sum 1 are exactly the maximal stable
     sets.  The check is exhaustive, since the join lists every hit."""
-    n = g.n
     if any(w < 0 for w in weights):
         return False
-    denom, ints = _scaled_ints(list(weights))
-    lo, hi = _halves(ints, n)
     stable = set(stable_sets)
     hits = 0
-    for l, h in _join(lo, [denom - s for s in hi]):
-        if l | h << n // 2 not in stable:
+    for m in _ones(weights, g.n):
+        if m not in stable:
             return False
         hits += 1
     return hits == len(stable)

@@ -10,6 +10,7 @@ import itertools
 import random
 
 from .graphs import Graph, GraphError, complement, disjoint_union
+from .linegraph import line_graph
 
 # G12: adjacency is "u,v lie together in some listed maximal clique"
 # (1-based labels shifted to 0-based).
@@ -103,19 +104,6 @@ def _glue_triangles(base: Graph) -> Graph:
     return Graph(n, out)
 
 
-def _rook(a: int, b: int) -> Graph:
-    # line graph of K_{a,b}: vertices (i,j), adjacent iff they share a row
-    # or a column
-    verts = list(itertools.product(range(a), range(b)))
-    pos = {p: k for k, p in enumerate(verts)}
-    edges = [
-        (pos[p], pos[q])
-        for p, q in itertools.combinations(verts, 2)
-        if p[0] == q[0] or p[1] == q[1]
-    ]
-    return Graph(a * b, edges)
-
-
 def _projective_points(q: int):
     """Points of PG(2, q) as normalized homogeneous triples over GF(q)."""
     pts = []
@@ -169,7 +157,7 @@ def random_split(k: int, l: int, seed: int) -> Graph:
 
 def _big_L() -> Graph:
     """Line graph of K_{5,6} with a new triangle apex glued on every edge."""
-    return _glue_triangles(_rook(5, 6))
+    return _glue_triangles(line_graph(complete_bipartite(5, 6)))
 
 
 def gallery(name: str) -> Graph:
@@ -197,7 +185,7 @@ _GALLERY_BUILDERS = {
     "F": lambda: projective_split(2),
     "FK": lambda: disjoint_union(projective_split(2), complete(2)),
     "G12": lambda: _graph_from_cliques(12, _shift(G12_CLIQUES)),
-    "LK33": lambda: _rook(3, 3),
+    "LK33": lambda: line_graph(complete_bipartite(3, 3)),
     "L": _big_L,
     "LLbar": lambda: disjoint_union(_big_L(), complement(_big_L())),
 }

@@ -11,6 +11,7 @@ LLbar).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import gallery as gal
 from .graphs import (
@@ -235,13 +236,18 @@ EXPECTED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
 MAX_SCAN_N = max(EXPECTED_GRAPH_COUNTS)
 
 
-_REPS_CACHE = {1: [Graph(1)]}
-# n -> {canonical form: index of its class in _REPS_CACHE[n]}, kept from
-# generation
-_FORMS_CACHE = {}
-# n -> generators of the automorphism group of each graph in
-# _REPS_CACHE[n], kept from generation to extend the next level
-_GROUPS_CACHE = {1: [()]}
+class _Level(NamedTuple):
+    """The classes of one order, kept from generation: their
+    representatives, {canonical form: index of its class}, and the
+    generators of each representative's automorphism group, which extend
+    the next order."""
+
+    reps: list
+    index: dict
+    groups: list
+
+
+_LEVELS = {1: _Level([Graph(1)], {(0,): 0}, [()])}
 
 
 def nonisomorphic_graphs(max_n: int):
@@ -263,12 +269,13 @@ def nonisomorphic_graphs(max_n: int):
     keep degrees.  Returns {n: list of Graph}, each list sorted by (edge
     count, adjacency rows).
     """
-    reps = _REPS_CACHE
+    levels = _LEVELS
     for n in range(2, max_n + 1):
-        if n in reps:
+        if n in levels:
             continue
         classes = {}
-        for g, group in zip(reps[n - 1], _GROUPS_CACHE[n - 1]):
+        prev = levels[n - 1]
+        for g, group in zip(prev.reps, prev.groups):
             # at_least[d]: the old vertices of degree at least d.  With
             # k = |mask|, an old vertex ends above w's degree k when its
             # degree exceeds k, or equals k and w joins it.
@@ -294,20 +301,12 @@ def nonisomorphic_graphs(max_n: int):
                 f"graph generation produced {len(ordered)} classes at n={n}, "
                 f"expected {expect}"
             )
-        reps[n] = [g for _, (g, _) in ordered]
-        _FORMS_CACHE[n] = {form: i for i, (form, _) in enumerate(ordered)}
-        _GROUPS_CACHE[n] = [gens for _, (_, gens) in ordered]
-    return {n: reps[n] for n in range(1, max_n + 1)}
-
-
-def _class_index(n: int):
-    """{canonical form: index in ``nonisomorphic_graphs(n)[n]``}; built
-    here only for a level that was seeded, not generated (n = 1)."""
-    index = _FORMS_CACHE.get(n)
-    if index is None:
-        index = {canonical_form(g): i for i, g in enumerate(_REPS_CACHE[n])}
-        _FORMS_CACHE[n] = index
-    return index
+        levels[n] = _Level(
+            [g for _, (g, _) in ordered],
+            {form: i for i, (form, _) in enumerate(ordered)},
+            [gens for _, (_, gens) in ordered],
+        )
+    return {n: levels[n].reps for n in range(1, max_n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +447,7 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
             out += [res for row, col, res in cells if vec[row] and not vec[col]]
             return tuple(out)
 
-        index = _class_index(n)
+        index = _LEVELS[n].index
         failed = [None] * len(classes)
         for i, rep in enumerate(classes):
             if failed[i] is not None:

@@ -225,10 +225,6 @@ def find_bull_subgraph(h: Graph):
     return None
 
 
-def _is_simplicial_vertex(h: Graph, v: int) -> bool:
-    return h.is_clique(h.closed_nbhd(v))
-
-
 def neighborhood_subgraph(h: Graph, x: int):
     """H(x): edges of H incident with a neighbor of x but not with x.
 
@@ -262,7 +258,7 @@ def is_cis_line_root(h: Graph):
         deg = h.degree(x)
         if deg <= 1:
             continue
-        if deg == 2 and _is_simplicial_vertex(h, x):
+        if deg == 2 and h.is_clique(h.closed_nbhd(x)):
             continue
         edges, weights = neighborhood_subgraph(h, x)
         if not edges:

@@ -23,10 +23,12 @@ class Unbounded(RuntimeError):
     signals a modeling bug."""
 
 
-def _scaled(values, scale):
-    """Rational values (ints or Fractions) times scale, a common multiple
-    of their denominators, as ints."""
-    return [x.numerator * (scale // x.denominator) for x in values]
+def scaled_ints(values):
+    """Rational values (ints or Fractions) scaled to integers: (scale,
+    ints), where scale is the lcm of their denominators and ints[i] is
+    values[i] * scale."""
+    scale = lcm(*[x.denominator for x in values])
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def _pivot(tab, basis, den, row, col):
@@ -86,13 +88,12 @@ def _feasible_tableau(a_rows, b, n):
     objective over the same system.
     """
     m = len(a_rows)
-    system = [list(ai) + [bi] for ai, bi in zip(a_rows, b)]
     # one multiple for the whole system: scaling rows separately would
     # change the phase-1 objective (the sum of the rows) and its pivots
-    scale = lcm(*[x.denominator for row in system for x in row])
+    _, flat = scaled_ints([x for ai, bi in zip(a_rows, b) for x in (*ai, bi)])
     tab = []
-    for i, row in enumerate(system):
-        ints = _scaled(row, scale)
+    for i in range(m):
+        ints = flat[i * (n + 1):(i + 1) * (n + 1)]
         if ints[-1] < 0:
             ints = [-x for x in ints]
         # artificial variable per row
@@ -130,9 +131,9 @@ def _optimize(start, c, n, maximize):
     tab = list(rows)  # _pivot replaces rows, it never edits one in place
     basis = list(basis)
     sign = -den if maximize else den
-    scale = lcm(*[x.denominator for x in c])
+    scale, ints = scaled_ints(c)
     # the objective times scale, carried at the tableau's denominator
-    objrow = [sign * x for x in _scaled(c, scale)] + [0]
+    objrow = [sign * x for x in ints] + [0]
     for i, bv in enumerate(basis):
         f = objrow[bv]
         if f:
@@ -171,7 +172,7 @@ def _rref_ints(rows, ncols):
     echelon form is the returned rows divided by den, and every pivot
     entry equals den.
     """
-    mat = [_scaled(row, lcm(*[x.denominator for x in row])) for row in rows]
+    mat = [scaled_ints(row)[1] for row in rows]
     pivots = [None] * len(mat)
     den = 1
     r = 0

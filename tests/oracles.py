@@ -268,8 +268,8 @@ def forced_subsets_by_sweep(point, directions, stable_sets, n):
 
 
 def collides_by_sweep(denom_p, base, dsums, stable):
-    """What :func:`cisgraphs.equistable._collides` returns, from the full
-    subset sums of the point and of the direction."""
+    """Whether some non-stable T stays at w(T) = 1 along the direction,
+    from the full subset sums of the point and of the direction."""
     return any(
         base[m] == denom_p and dsums[m] == 0
         for m in range(1, len(base))
@@ -278,13 +278,49 @@ def collides_by_sweep(denom_p, base, dsums, stable):
 
 
 def meets_hyperplane_by_sweep(t, denom_p, base, denom_d, dsums):
-    """What :func:`cisgraphs.equistable._meets_hyperplane` returns, from
-    the full subset sums of the point and of the direction."""
+    """Whether some T that moves along the direction has w(T) = 1 at step
+    t, from the full subset sums of the point and of the direction."""
     num = t.numerator * denom_p
     den = t.denominator * denom_d
     return any(
         d and d * num == (denom_p - b) * den for d, b in zip(dsums, base)
     )
+
+
+def find_weighting_by_sweeps(g: Graph, point, directions, stable_sets):
+    """What :func:`cisgraphs.equistable._find_weighting` returns, by the
+    walk it replaced: each attempt's generic direction is dropped up front
+    when :func:`collides_by_sweep` finds a non-stable T at 1 along it, and
+    the step is the first step/k that :func:`meets_hyperplane_by_sweep`
+    clears.  Returns (weights or None, directions dropped, steps tried
+    past k = 2)."""
+    n = g.n
+    if not directions:
+        return point, 0, 0
+    stable = set(stable_sets)
+    denom_p, base = scaled_subset_sums(point, n)
+    dropped = extra = 0
+    for attempt in range(1, 32):
+        dvec = [Fraction(0)] * n
+        w = Fraction(1)
+        for d in directions:
+            dvec = [a + w * b for a, b in zip(dvec, d)]
+            w *= attempt + 1
+        denom_d, dsums = scaled_subset_sums(dvec, n)
+        if collides_by_sweep(denom_p, base, dsums, stable):
+            dropped += 1
+            continue
+        limits = [p / -d for p, d in zip(point, dvec) if d < 0]
+        step = min(limits, default=Fraction(1))
+        k = 2
+        while meets_hyperplane_by_sweep(step / k, denom_p, base, denom_d,
+                                        dsums):
+            k += 1
+        extra += k - 2
+        cand = [p + step / k * d for p, d in zip(point, dvec)]
+        if verify_weighting_by_sweep(g, cand):
+            return cand, dropped, extra
+    return None, dropped, extra
 
 
 def verify_weighting_by_sweep(g: Graph, weights) -> bool:

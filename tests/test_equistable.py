@@ -260,15 +260,13 @@ def _join_test_graphs():
 def test_forced_subsets_match_per_direction_sweeps():
     # each meet-in-the-middle join of the equistable module against the
     # 2^n sweep it replaced, on the polytope of every test graph: the
-    # forced subsets; along a zero, a single and a mixed null direction,
-    # the walk's collision check and its hyperplane test at steps that
-    # hit and that miss; the weight check on the interior point, on the
-    # mixed direction's line and on the walk's weights
+    # forced subsets, and the weight check on the interior point, on the
+    # walk's weights and on points of a mixed null direction's line at
+    # steps that put a set at 1 and that miss
     lp_gallery = [gallery(name) for name in LP_GALLERY]
     rng = random.Random(20)
     seen = {"graphs": 0, "infeasible": 0, "fixed point": 0, "n = 1": 0,
-            "packed": 0, "collides": set(), "meets": set(),
-            "verifies": set()}
+            "packed": 0, "verifies": set()}
     for g in _join_test_graphs():
         n = g.n
         seen["graphs"] += 1
@@ -285,39 +283,22 @@ def test_forced_subsets_match_per_direction_sweeps():
         if n <= 6 or g in lp_gallery:
             assert forced == oracles.forced_subsets_per_direction(*res, n)
 
-        stable = set(stable_sets)
         denom_p, base = oracles.scaled_subset_sums(point, n)
-        halves = equistable._halves(equistable._scaled_ints(point)[1], n)
         mixed = [F(0)] * n
         for d in directions:
             c = rng.randint(-3, 3)
             mixed = [a + c * b for a, b in zip(mixed, d)]
+        denom_d, dsums = oracles.scaled_subset_sums(mixed, n)
+        steps = [F(1, 2), F(-3, 7)]
+        moving = [m for m in range(1, 1 << n) if dsums[m]]
+        for m in rng.sample(moving, min(3, len(moving))):
+            hit = F((denom_p - base[m]) * denom_d, dsums[m] * denom_p)
+            steps += [hit, hit + F(1, 1009)]
+        # points of the walk's line; some put a non-stable set at 1 with
+        # every maximal stable set still at 1
         weightings = [point]
-        for dvec in ([F(0)] * n, *directions[:1], mixed):
-            denom_d, dsums = oracles.scaled_subset_sums(dvec, n)
-            dhalves = equistable._halves(equistable._scaled_ints(dvec)[1], n)
-            collides = equistable._collides(
-                denom_p, halves, dhalves, stable, n // 2)
-            assert collides == \
-                oracles.collides_by_sweep(denom_p, base, dsums, stable)
-            seen["collides"].add(collides)
-            steps = [F(1, 2), F(-3, 7)]
-            moving = [m for m in range(1, 1 << n) if dsums[m]]
-            for m in rng.sample(moving, min(3, len(moving))):
-                hit = F((denom_p - base[m]) * denom_d, dsums[m] * denom_p)
-                steps += [hit, hit + F(1, 1009)]
-            for t in steps:
-                meets = equistable._meets_hyperplane(
-                    t, denom_p, halves, denom_d, dhalves)
-                assert meets == oracles.meets_hyperplane_by_sweep(
-                    t, denom_p, base, denom_d, dsums)
-                seen["meets"].add(meets)
-            if dvec is mixed:
-                # points of the walk's line; some put a non-stable set at
-                # 1 with every maximal stable set still at 1
-                weightings += [[p + t * d for p, d in zip(point, dvec)]
-                               for t in steps]
-
+        weightings += [[p + t * d for p, d in zip(point, mixed)]
+                       for t in steps]
         cert = is_equistable(g)
         if cert.verdict:
             weightings.append(cert.weights)
@@ -328,8 +309,25 @@ def test_forced_subsets_match_per_direction_sweeps():
     assert seen["graphs"] == 2 * 1252 + len(LP_GALLERY) + 20
     assert seen["infeasible"] and seen["fixed point"] and seen["n = 1"]
     assert seen["packed"]
-    assert seen["collides"] == seen["meets"] == seen["verifies"] == \
-        {False, True}
+    assert seen["verifies"] == {False, True}
+
+
+def test_weighting_walk_matches_hyperplane_walk():
+    # the walk whose steps the weight check's join tests, against the walk
+    # it replaced, on every equistable test graph: the same weights, with
+    # directions dropped for a set stuck at 1 and steps past k = 2
+    seen = {"walks": 0, "dropped": 0, "past k = 2": 0}
+    for g in _join_test_graphs():
+        cert = is_equistable(g)
+        if not cert.verdict:
+            continue
+        res = g.memo("equistable_analysis", equistable._analysis)
+        weights, dropped, extra = oracles.find_weighting_by_sweeps(g, *res)
+        assert cert.weights == tuple(weights)
+        seen["walks"] += bool(res[1])
+        seen["dropped"] += dropped
+        seen["past k = 2"] += extra
+    assert seen["walks"] and seen["dropped"] and seen["past k = 2"]
 
 
 def _broken_conditions(g, weights):

@@ -109,8 +109,7 @@ def test_generation_form_count_pinned(monkeypatch):
         calls.append(g.n)
         return canonical_search(g)
 
-    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
-    monkeypatch.setattr(hasse, "_GROUPS_CACHE", {1: [()]})
+    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
     monkeypatch.setattr(hasse, "canonical_search", counted)
     reps = hasse.nonisomorphic_graphs(7)
     assert len(calls) == 1639
@@ -119,25 +118,20 @@ def test_generation_form_count_pinned(monkeypatch):
 
 
 def test_generation_count_check_not_cached(monkeypatch):
-    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
     monkeypatch.setitem(hasse.EXPECTED_GRAPH_COUNTS, 4, 12)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="11 classes at n=4"):
             hasse.nonisomorphic_graphs(5)
-    assert 4 not in hasse._REPS_CACHE
+    assert 4 not in hasse._LEVELS
 
 
 def test_generation_wrong_count_caches_no_form_index(monkeypatch):
-    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
-    monkeypatch.setattr(hasse, "_FORMS_CACHE", {})
-    monkeypatch.setattr(hasse, "_GROUPS_CACHE", {1: [()]})
+    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
     monkeypatch.setitem(hasse.EXPECTED_GRAPH_COUNTS, 4, 12)
     with pytest.raises(RuntimeError, match="11 classes at n=4"):
         hasse.nonisomorphic_graphs(4)
-    assert 4 not in hasse._REPS_CACHE and 4 not in hasse._FORMS_CACHE
-    assert 4 not in hasse._GROUPS_CACHE
-    assert sorted(hasse._FORMS_CACHE) == [2, 3]
-    assert sorted(hasse._GROUPS_CACHE) == [1, 2, 3]
+    assert sorted(hasse._LEVELS) == [1, 2, 3]
 
 
 def test_generation_counts_n8(monkeypatch):
@@ -148,9 +142,7 @@ def test_generation_counts_n8(monkeypatch):
         calls.append(g.n)
         return canonical_search(g)
 
-    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
-    monkeypatch.setattr(hasse, "_FORMS_CACHE", {})
-    monkeypatch.setattr(hasse, "_GROUPS_CACHE", {1: [()]})
+    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
     monkeypatch.setattr(hasse, "canonical_search", counted)
     reps = nonisomorphic_graphs(8)
     assert len(reps[8]) == EXPECTED_GRAPH_COUNTS[8] == 12346
@@ -158,9 +150,9 @@ def test_generation_counts_n8(monkeypatch):
     # the classes generated before the orbit rule, at the same places
     assert [encode_graph6(reps[8][i]) for i in (0, 6000, 12345)] == [
         "G?????", "GQovFo", "G~~~~{"]
-    index = hasse._class_index(8)
+    index = hasse._LEVELS[8].index
     assert len(index) == 12346
-    groups = hasse._GROUPS_CACHE[8]
+    groups = hasse._LEVELS[8].groups
     assert len(groups) == 12346
     for i in (0, 6000, 12345):
         g = reps[8][i]
@@ -187,7 +179,7 @@ def test_scan_small():
 def test_scan_keeps_no_fact_on_the_representatives(monkeypatch):
     # each class is evaluated on a fresh copy of its representative, so
     # the cached representatives gain no fact from a scan
-    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
+    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
     reps = [g for graphs in nonisomorphic_graphs(5).values() for g in graphs]
     before = [dict(g._facts or {}) for g in reps]
     assert scan(5).ok
@@ -220,10 +212,8 @@ def test_scan_reports_a_fault_like_the_oracle(monkeypatch):
 
 def test_scan_evaluates_each_class_once(monkeypatch):
     # 1,252 classes, 4 of them self-complementary: 628 pairs, one clique
-    # enumeration per graph of a pair and one canonical form per pair,
-    # plus the form of K1, whose level is seeded rather than generated
-    monkeypatch.setattr(hasse, "_REPS_CACHE", {1: [Graph(1)]})
-    monkeypatch.setattr(hasse, "_FORMS_CACHE", {})
+    # enumeration per graph of a pair and one canonical form per pair
+    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
     nonisomorphic_graphs(7)
     calls = {"_bron_kerbosch": 0, "canonical_form": 0}
 
@@ -239,7 +229,7 @@ def test_scan_evaluates_each_class_once(monkeypatch):
     counting(cliques, "_bron_kerbosch")
     counting(hasse, "canonical_form")
     assert scan(7).ok
-    assert calls == {"_bron_kerbosch": 1256, "canonical_form": 629}
+    assert calls == {"_bron_kerbosch": 1256, "canonical_form": 628}
 
 
 def test_scan_rejects_large():
