@@ -194,13 +194,14 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
     join of the weight check lists what each candidate puts at 1; the
     maximal stable sets stay there, since the direction sums to 0 on
     each.  When no other T is at 1, the weight check decides the
-    candidate.  Otherwise take the first such T.  If the direction sums
-    to 0 on T, then w(T) = 1 all along the line and no step dodges it, so
-    the next attempt takes another direction.  Else the line crosses T's
-    hyperplane at this step only, and step/(k + 1) is tried; the line
-    crosses finitely many hyperplanes, so the walk along a direction
-    ends.  On a direction that leaves no T at 1 along the whole line, the
-    first k with no T at 1 is the first whose step meets no hyperplane.
+    candidate on that same listing.  Otherwise take the first such T.
+    If the direction sums to 0 on T, then w(T) = 1 all along the line
+    and no step dodges it, so the next attempt takes another direction.
+    Else the line crosses T's hyperplane at this step only, and
+    step/(k + 1) is tried; the line crosses finitely many hyperplanes, so
+    the walk along a direction ends.  On a direction that leaves no T at
+    1 along the whole line, the first k with no T at 1 is the first whose
+    step meets no hyperplane.
     """
     n = g.n
     if not directions:
@@ -227,11 +228,17 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
         while True:
             eps = step / k
             cand = [p + eps * d for p, d in zip(point, dvec)]
-            t = next((m for m in _ones(cand, n) if m not in stable), None)
+            ones = []
+            t = None
+            for m in _ones(cand, n):
+                if m not in stable:
+                    t = m
+                    break
+                ones.append(m)
             if t is None or not sum(dints[v] for v in bits(t)):
                 break
             k += 1
-        if t is None and _verify_weighting(g, cand, stable_sets):
+        if t is None and _verify_weighting(cand, stable_sets, ones):
             return cand
     raise WeightingUndecided(
         "weight construction failed to avoid all hyperplanes"
@@ -247,15 +254,16 @@ def _ones(weights, n):
         yield l | h << n // 2
 
 
-def _verify_weighting(g: Graph, weights, stable_sets) -> bool:
-    """w(S) = 1 exactly for maximal stable sets and for nothing else: the
-    masks that the join finds at sum 1 are exactly the maximal stable
-    sets.  The check is exhaustive, since the join lists every hit."""
+def _verify_weighting(weights, stable_sets, ones) -> bool:
+    """w >= 0, and w(S) = 1 exactly for maximal stable sets and for
+    nothing else: ``ones``, every mask that the join of ``_ones`` finds
+    at sum 1, are exactly the maximal stable sets.  The check is
+    exhaustive, since the join lists every hit."""
     if any(w < 0 for w in weights):
         return False
     stable = set(stable_sets)
     hits = 0
-    for m in _ones(weights, g.n):
+    for m in ones:
         if m not in stable:
             return False
         hits += 1
@@ -263,8 +271,9 @@ def _verify_weighting(g: Graph, weights, stable_sets) -> bool:
 
 
 def verify_weighting(g: Graph, weights) -> bool:
-    return _verify_weighting(g, [Fraction(w) for w in weights],
-                             maximal_stable_sets(g))
+    weights = [Fraction(w) for w in weights]
+    return _verify_weighting(weights, maximal_stable_sets(g),
+                             _ones(weights, g.n))
 
 
 def decision(g: Graph, strongly: bool) -> EquistableCertificate:

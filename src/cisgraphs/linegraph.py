@@ -1,5 +1,6 @@
 """Line graphs: construction, root reconstruction from forced Krausz
-cells, maximum weight matching, and the CIS-line-graph recognizer.
+cells, maximum weight matching (branch and bound, and Edmonds' blossom
+algorithm from ``_blossom``), and the CIS-line-graph recognizer.
 
 The recognizer tests, for a root graph H: no bull subgraph, and for every
 relevant vertex x no matching of H(x) with at least two edges covering all
@@ -179,17 +180,20 @@ def max_weight_matching_brute(h: Graph, weight) -> tuple:
 
 
 def max_weight_matching_blossom(h: Graph, weight) -> tuple:
-    """Blossom-backed solver (networkx); exact for integer weights."""
-    import networkx as nx
+    """Edmonds' blossom algorithm for integer weights, with its optimum
+    checked against the dual solution; the solver above 24 edges.
 
-    g = nx.Graph()
-    g.add_nodes_from(range(h.n))
-    for e in h.edges():
-        g.add_edge(*e, weight=weight(e))
-    matching = nx.max_weight_matching(g, maxcardinality=False, weight="weight")
-    pairs = sorted(tuple(sorted(p)) for p in matching)
-    total = sum(weight(p) for p in pairs)
-    return total, pairs
+    ``_blossom`` is imported on first use: most processes never match
+    more than 24 edges, and without cached bytecode its compilation
+    would add to every start.
+    """
+    from . import _blossom
+
+    twice = _blossom.twice_weights(h, weight)
+    state = _blossom.blossom_matching(h, twice)
+    _blossom.check_optimum(h, twice, *state)
+    pairs = sorted((v, w) for v, w in state[0].items() if v < w)
+    return sum(weight(p) for p in pairs), pairs
 
 
 def max_weight_matching(h: Graph, weight) -> tuple:

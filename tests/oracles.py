@@ -10,6 +10,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+import networkx as nx
+
 from cisgraphs import equistable, hasse
 from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import _cross_adjacency
@@ -657,6 +659,20 @@ def krausz_partition_by_subcliques(g: Graph):
             cells.append((v,))
             capacity[v] -= 1
     return cells
+
+
+def max_weight_matching_networkx(h: Graph, weight) -> tuple:
+    """What :func:`cisgraphs.linegraph.max_weight_matching_blossom`
+    returns, by networkx's blossom solver on the same graph: vertices
+    0..n-1 and the edges in ``h.edges()`` order, so each vertex lists its
+    neighbours ascending.  Returns (total, sorted pair list)."""
+    g = nx.Graph()
+    g.add_nodes_from(range(h.n))
+    for e in h.edges():
+        g.add_edge(*e, weight=weight(e))
+    matching = nx.max_weight_matching(g, maxcardinality=False, weight="weight")
+    pairs = sorted(tuple(sorted(p)) for p in matching)
+    return sum(weight(p) for p in pairs), pairs
 
 
 def roots_agree(h: Graph) -> bool:

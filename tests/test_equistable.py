@@ -387,6 +387,38 @@ def test_verify_weighting_matches_sweep_on_perturbed_certificates():
     assert seen[frozenset()] >= certified
 
 
+def test_weighting_walk_joins_each_candidate_once(monkeypatch):
+    # the walk's listing of an accepted candidate's masks at 1 is the one
+    # the weight check reads, so no candidate is joined twice; every
+    # returned weighting still meets the three conditions, by full sweep
+    joined = []
+    original = equistable._ones
+
+    def recording(weights, n):
+        joined.append(tuple(weights))
+        return original(weights, n)
+
+    monkeypatch.setattr(equistable, "_ones", recording)
+    rng = random.Random(23)
+    graphs = [g for gs in nonisomorphic_graphs(6).values() for g in gs]
+    graphs += [random_graph(rng.randint(7, 12), rng.random(), rng)
+               for _ in range(20)]
+    walks = 0
+    for g in graphs:
+        cert = is_equistable(g)
+        if not cert.verdict:
+            continue
+        joined.clear()
+        weights = equistable._find_weighting(
+            g, *g.memo("equistable_analysis", equistable._analysis))
+        assert tuple(weights) == cert.weights
+        assert len(joined) == len(set(joined))
+        assert not joined or joined[-1] == tuple(weights)
+        assert not _broken_conditions(g, weights)
+        walks += bool(joined)
+    assert walks
+
+
 def test_weighting_builds_no_full_subset_sums(capsys, monkeypatch):
     # FK has 16 vertices; the decision, the weighting walk and the weight
     # check of --verify each build subset sums over half the vertices only

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cisgraphs.gallery import complete, complete_bipartite, cycle, gallery, path
 from cisgraphs.graphs import Graph, GraphError, is_isomorphic, random_graph
 from cisgraphs.hasse import nonisomorphic_graphs
+from cisgraphs._blossom import blossom_matching, check_optimum, twice_weights
 from cisgraphs.linegraph import (
     _krausz_partition,
     check_condition_vii,
@@ -23,7 +25,12 @@ from cisgraphs.linegraph import (
     tilde,
 )
 from cisgraphs.recognizers import is_cis
-from oracles import krausz_partition_by_subcliques, roots_agree
+from oracles import (
+    connected_graphs,
+    krausz_partition_by_subcliques,
+    max_weight_matching_networkx,
+    roots_agree,
+)
 
 
 def test_line_graph_basics():
@@ -175,6 +182,93 @@ def test_matching_dispatch():
     assert backend == "blossom"
     assert total == max_weight_matching_brute(h, wts.get)[0]
     assert sum(wts[e] for e in edges) == total
+
+
+def test_blossom_port_matches_networkx():
+    # the same total and the same pairs as networkx's solver, so that
+    # every blossom-backed certificate keeps its bytes; the branch and
+    # bound gives the same total wherever it runs
+    def agree(h, weight):
+        found = max_weight_matching_blossom(h, weight)
+        assert found == max_weight_matching_networkx(h, weight), (
+            sorted(h.edges()))
+        if h.edge_count() <= 24:
+            assert found[0] == max_weight_matching_brute(h, weight)[0]
+        return h.edge_count() > 24
+
+    def every_hx(h):
+        above = 0
+        for x in range(h.n):
+            edges, weights = neighborhood_subgraph(h, x)
+            if edges:
+                above += agree(Graph(h.n, edges), weights.get)
+        return above
+
+    for graphs in connected_graphs(7).values():
+        for h in graphs:
+            every_hx(h)
+    # the bench's dense bipartite root families, at most 64 edges
+    rng = random.Random(11)
+    roots = [Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)
+                           if rng.random() < 0.8])
+             for a, b in ((8, 8), (6, 10)) for _ in range(6)]
+    assert sum(map(every_hx, roots)) > 0  # the blossom's own range
+    for _ in range(150):
+        h = random_graph(rng.randint(2, 12), rng.choice([0.3, 0.5, 0.8]), rng)
+        wts = {e: rng.randint(-2, 5) for e in h.edges()}
+        agree(h, wts.get)
+    k8 = complete(8)  # the case of test_matching_dispatch
+    k8_rng = random.Random(3)
+    wts = {e: k8_rng.randint(-2, 5) for e in k8.edges()}
+    assert agree(k8, wts.get)
+
+
+def test_blossom_optimality_check_refuses_perturbations():
+    # the duals prove the matching optimal; moving one vertex or blossom
+    # dual by 1 or unmatching one pair of positive dual breaks that proof
+    # (a blossom of 2k + 1 vertices holds k matched edges at slack 0)
+    rng = random.Random(4)
+    unmatched = blossoms = 0
+    for _ in range(30):
+        h = random_graph(rng.randint(4, 14), 0.5, rng)
+        twice = twice_weights(h, lambda e: rng.randint(-2, 5))
+        mate, dualvar, blossomdual, parent = blossom_matching(h, twice)
+        check_optimum(h, twice, mate, dualvar, blossomdual, parent)
+        for v in range(h.n):
+            for step in (-1, 1):
+                moved = list(dualvar)
+                moved[v] += step
+                with pytest.raises(RuntimeError):
+                    check_optimum(h, twice, mate, moved, blossomdual, parent)
+        for b in blossomdual:
+            for step in (-1, 1):
+                moved = dict(blossomdual)
+                moved[b] += step
+                with pytest.raises(RuntimeError):
+                    check_optimum(h, twice, mate, dualvar, moved, parent)
+            blossoms += 1
+        for v, w in mate.items():
+            if v < w and dualvar[v] + dualvar[w] > 0:
+                fewer = {u: m for u, m in mate.items() if u not in (v, w)}
+                with pytest.raises(RuntimeError):
+                    check_optimum(h, twice, fewer, dualvar, blossomdual,
+                                   parent)
+                unmatched += 1
+        if mate:
+            v = next(iter(mate))
+            lopsided = dict(mate)
+            lopsided[v] = next(u for u in range(h.n) if u not in (v, mate[v]))
+            with pytest.raises(RuntimeError):
+                check_optimum(h, twice, lopsided, dualvar, blossomdual,
+                               parent)
+    assert unmatched and blossoms
+
+
+def test_blossom_refuses_non_integer_weights():
+    h = complete(8)
+    for bad in (1.0, 0.5, Fraction(1), True):
+        with pytest.raises(ValueError, match="integer weights"):
+            max_weight_matching_blossom(h, lambda e, w=bad: w)
 
 
 def test_find_bull():
