@@ -11,6 +11,18 @@ together with the implicitly tight bounds w(v) = 0.  So:
 * not strongly equistable iff P is empty or some such T has w(T)
   identically equal to a value <= 1.
 
+The implicit zeros and one point of P come from the maxima of the n
+coordinates over P, which share one phase 1; phase 2 runs only for the
+maxima the verdict reads, and two facts keep that set small:
+
+* v is an implicit zero iff max w_v over P is 0, and every optimum
+  already solved shows max w_u > 0 for each u positive in it; so the
+  coordinates are read in ascending order, skipping each u that an
+  earlier optimum made positive;
+* a subset T on which every null direction sums to 0 has the same w(T)
+  at every point of P, so the first optimum read serves as the point
+  from which the forced values are read.
+
 Constancy of w(T) is tested against a null-space basis of the equality
 system, with all directions packed into one integer vector.  The subsets
 T are never enumerated: each question about them (which T are forced,
@@ -24,9 +36,11 @@ one per mask that hits.
 is what the base predicates read, so ``classify``, ``table`` and
 ``scan`` never build weights.  Only ``is_equistable`` (the
 ``equistable`` command) adds the relative-interior walk that turns a
-positive verdict into explicit weights, testing each step with the
-weight check's join; when the walk gives up it raises
-``WeightingUndecided``, a certificate failure, never a verdict.
+positive verdict into explicit weights.  It starts from the mean of all
+n coordinate maxima, reading the ones the verdict skipped from the same
+sequence, and tests each step with the weight check's join; when the
+walk gives up it raises ``WeightingUndecided``, a certificate failure,
+never a verdict.
 
 All arithmetic is exact; no floating point enters this module.
 """
@@ -104,36 +118,65 @@ def _join(lo, wanted):
                 yield l, h
 
 
-def _analysis(g: Graph):
-    """Relative-interior point and null-space directions of the polytope.
-
-    Returns None when the polytope is empty, else (point, directions,
-    stable_sets); the directions span the affine hull around the point.
-    Callers share one result per graph object and must not mutate it.
+def _coordinate_maxima(g: Graph):
+    """The maximal stable sets, their 0/1 rows, and the maxima of the n
+    coordinates over the polytope: (stable_sets, rows, optima), where
+    optima is None when the polytope is empty, else the sequence of
+    :func:`solve_equality_lp`, whose item v maximizes w_v and is solved
+    when first read.  One phase 1 serves every coordinate.  Callers
+    share one result per graph object and must not mutate it.
     """
     n = g.n
     stable_sets = tuple(maximal_stable_sets(g))
     rows = [[s >> v & 1 for v in range(n)] for s in stable_sets]
-    # implicitly tight bounds and a relative interior point, from the
-    # maxima of the n coordinates
     units = [[int(u == v) for u in range(n)] for v in range(n)]
     optima = solve_equality_lp(rows, [1] * len(rows), units, maximize=True)
+    return stable_sets, rows, optima
+
+
+def _analysis(g: Graph):
+    """A point of the polytope and the null-space directions of its affine
+    hull, from as few coordinate maxima as the implicit zeros allow.
+
+    Returns None when the polytope is empty, else (point, directions,
+    stable_sets).  The coordinates are read in ascending order, and one
+    that is positive in an optimum already read is skipped: max w_v > 0
+    there, so v is no implicit zero.  The point is the first optimum
+    read.  Callers share one result per graph object and must not mutate
+    it.
+    """
+    n = g.n
+    stable_sets, rows, optima = g.memo("equistable_optima",
+                                       _coordinate_maxima)
     if optima is None:
         return None
-    implicit_zero = [v for v, (value, _) in enumerate(optima) if value == 0]
-    # the mean of the n optima, summed per coordinate in integers over
-    # one common denominator
+    point = optima[0][1]  # coordinate 0 is never skipped
+    positive = 0  # coordinates positive in an optimum read so far
+    zero_rows = []  # the implicitly tight bounds w_v = 0
+    for v in range(n):
+        if positive >> v & 1:
+            continue
+        value, x = optima[v]
+        if value == 0:
+            zero_rows.append([int(u == v) for u in range(n)])
+        positive |= sum(1 << u for u, xu in enumerate(x) if xu)
+    directions = null_space(rows + zero_rows, n)
+    return point, directions, stable_sets
+
+
+def _interior_point(g: Graph):
+    """The mean of the n coordinate maxima, a relative-interior point of
+    the (nonempty) polytope: every maximum is read, and those that the
+    analysis read are not solved again."""
+    n = g.n
+    _, _, optima = g.memo("equistable_optima", _coordinate_maxima)
+    # summed per coordinate in integers over one common denominator
     point = []
-    for coords in zip(*(p for _, p in optima)):
+    for coords in zip(*(x for _, x in optima)):
         den = lcm(*[c.denominator for c in coords])
         total = sum(c.numerator * (den // c.denominator) for c in coords)
         point.append(Fraction(total, den * n))
-    for v in implicit_zero:
-        row = [0] * n
-        row[v] = 1
-        rows.append(row)
-    directions = null_space(rows, n)
-    return point, directions, stable_sets
+    return point
 
 
 def _packed(directions, n):
@@ -305,7 +348,8 @@ def is_equistable(g: Graph) -> EquistableCertificate:
     cert = decision(g, strongly=False)
     if not cert.verdict:
         return cert
-    weights = _find_weighting(g, *g.memo("equistable_analysis", _analysis))
+    _, directions, stable_sets = g.memo("equistable_analysis", _analysis)
+    weights = _find_weighting(g, _interior_point(g), directions, stable_sets)
     return EquistableCertificate(True, "weights", weights=tuple(weights))
 
 

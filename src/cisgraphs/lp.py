@@ -7,13 +7,17 @@ dense tableau holds integer rows and one common denominator ``den > 0``
 integer-preserving (Edmonds 1967): every other row becomes
 ``(T[i]·p − T[i][c]·T[r]) // den``, which divides exactly, and ``den``
 becomes the pivot ``|p|``.  The pivot sequence is the one a rational
-tableau would take, so the optima are the same.  :func:`null_space`
+tableau would take, so the optima are the same.
+:func:`solve_equality_lp` runs phase 1 once per system, and phase 2 for
+an objective only when the caller first reads its optimum, so a caller
+that needs a few of many optima pays for those.  :func:`null_space`
 uses fraction-free elimination (Bareiss 1968) and divides once at the
 end.  :class:`fractions.Fraction` appears only in the returned values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -148,21 +152,51 @@ def _optimize(start, c, n, maximize):
     return value, x
 
 
+class _Optima(Sequence):
+    """The optima of :func:`solve_equality_lp`, one per objective.
+
+    Item k runs phase 2 for objective k from the shared feasible tableau
+    the first time it is read and keeps the (value, x) it finds; an
+    unbounded objective raises :class:`Unbounded` each time it is read.
+    Since phase 2 copies the tableau, an item does not depend on which
+    items were read before it.
+    """
+
+    def __init__(self, start, objectives, n, maximize):
+        self._start = start
+        self._objectives = objectives
+        self._n = n
+        self._maximize = maximize
+        self._solved = [None] * len(objectives)
+
+    def __len__(self):
+        return len(self._objectives)
+
+    def __getitem__(self, k):
+        k = range(len(self._objectives))[k]  # IndexError ends iteration
+        if self._solved[k] is None:
+            self._solved[k] = _optimize(self._start, self._objectives[k],
+                                        self._n, self._maximize)
+        return self._solved[k]
+
+
 def solve_equality_lp(a_rows, b, objectives, maximize=False):
     """Optimize each objective c.x subject to a_rows @ x == b, x >= 0,
     exactly.
 
-    Phase 1 runs once; phase 2 runs for each objective, in order, from a
-    fresh copy of the feasible tableau.  Returns None when the system is
-    infeasible, else one (value, x) per objective, with Fraction entries.
-    Raises :class:`Unbounded` when an objective is unbounded.
+    Phase 1 runs once, here.  Returns None when the system is infeasible,
+    else a sequence with one (value, x) per objective, Fraction entries;
+    phase 2 for an objective runs from a fresh copy of the feasible
+    tableau when its item is first read, so a caller pays only for the
+    optima it reads.  Reading the item of an unbounded objective raises
+    :class:`Unbounded`.
     """
     objectives = list(objectives)
     n = len(objectives[0]) if objectives else (len(a_rows[0]) if a_rows else 0)
     start = _feasible_tableau(a_rows, b, n)
     if start is None:
         return None
-    return [_optimize(start, c, n, maximize) for c in objectives]
+    return _Optima(start, objectives, n, maximize)
 
 
 def _rref_ints(rows, ncols):

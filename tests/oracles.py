@@ -12,7 +12,7 @@ from math import lcm
 
 import networkx as nx
 
-from cisgraphs import equistable, hasse
+from cisgraphs import equistable, hasse, lp
 from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import _cross_adjacency
 from cisgraphs.graphs import (
@@ -236,6 +236,29 @@ def forced_subsets_per_direction(point, directions, stable_sets, n):
 
     return (first(m for m in value if value[m] == 1),
             first(m for m in value if value[m] <= 1))
+
+
+def equistable_analysis_all_maxima(g: Graph):
+    """What :func:`cisgraphs.equistable._analysis` found when it solved
+    every coordinate maximum: None when the polytope is empty, else
+    (interior point, implicit zeros, directions, stable_sets), with the
+    mean of the n maxima as the relative-interior point and the vertices
+    whose maximum is 0 as the implicit zeros."""
+    n = g.n
+    stable_sets = tuple(maximal_stable_sets(g))
+    rows = [[s >> v & 1 for v in range(n)] for s in stable_sets]
+    units = [[int(u == v) for u in range(n)] for v in range(n)]
+    optima = lp.solve_equality_lp(rows, [1] * len(rows), units, maximize=True)
+    if optima is None:
+        return None
+    optima = list(optima)
+    implicit_zero = [v for v, (value, _) in enumerate(optima) if value == 0]
+    point = [sum(coords, Fraction(0)) / n
+             for coords in zip(*(x for _, x in optima))]
+    for v in implicit_zero:
+        rows.append(units[v])
+    directions = lp.null_space(rows, n)
+    return point, implicit_zero, directions, stable_sets
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,11 @@ def test_verify_forced_subset_rejects_bad_input():
 
 def test_analysis_runs_phase_one_once(monkeypatch):
     # the n coordinate maxima share one constraint system, so one LP call
-    # and one phase 1 serve them all
+    # and one phase 1 per graph serve both decisions and the weighting
+    # walk, and no coordinate is optimised twice; G12's decisions solve 6
+    # of its 12 maxima, and LK33's walk reads the 4 its decision skipped
     calls = {"solve": 0, "phase1": 0}
+    phase2 = []
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -158,9 +161,23 @@ def test_analysis_runs_phase_one_once(monkeypatch):
 
     counting(equistable, "solve_equality_lp", "solve")
     counting(lp, "_feasible_tableau", "phase1")
+    optimize = lp._optimize
+    monkeypatch.setattr(lp, "_optimize", lambda start, c, n, maximize: (
+        phase2.append(tuple(c)) or optimize(start, c, n, maximize)))
     g = gallery("G12")
-    assert equistable._analysis(g) is not None
+    assert not equistable.decision(g, False).verdict
+    assert not equistable.decision(g, True).verdict
+    assert not is_equistable(g).verdict
     assert calls == {"solve": 1, "phase1": 1}
+    assert len(phase2) == len(set(phase2)) == 6
+    calls.update(solve=0, phase1=0)
+    phase2.clear()
+    g = gallery("LK33")
+    assert equistable.decision(g, False).verdict
+    assert len(phase2) == 5
+    assert is_equistable(g).weights
+    assert calls == {"solve": 1, "phase1": 1}
+    assert len(phase2) == len(set(phase2)) == g.n == 9
 
 
 def test_size_cap():
@@ -260,7 +277,7 @@ def _join_test_graphs():
 def test_forced_subsets_match_per_direction_sweeps():
     # each meet-in-the-middle join of the equistable module against the
     # 2^n sweep it replaced, on the polytope of every test graph: the
-    # forced subsets, and the weight check on the interior point, on the
+    # forced subsets, and the weight check on the analysis' point, on the
     # walk's weights and on points of a mixed null direction's line at
     # steps that put a set at 1 and that miss
     lp_gallery = [gallery(name) for name in LP_GALLERY]
@@ -312,6 +329,53 @@ def test_forced_subsets_match_per_direction_sweeps():
     assert seen["verifies"] == {False, True}
 
 
+def test_analysis_matches_all_maxima_oracle(monkeypatch):
+    # the analysis solves only the coordinate maxima its verdict needs; on
+    # every test graph it agrees with the analysis that solved all n: the
+    # same emptiness, implicit zeros, directions and forced subsets, with
+    # a point of the polytope; the walk's point is the oracle's mean, and
+    # the whole set solves fewer maxima than it has vertices
+    phase2 = []
+    optimize = lp._optimize
+    monkeypatch.setattr(lp, "_optimize", lambda start, c, n, maximize: (
+        phase2.append(c) or optimize(start, c, n, maximize)))
+    solved = vertices = 0
+    seen = {"empty": 0, "zeros": 0, "directions": 0}
+    for g in _join_test_graphs():
+        n = g.n
+        phase2.clear()
+        res = g.memo("equistable_analysis", equistable._analysis)
+        forced = res and equistable._forced_subsets(g)
+        assert len(phase2) <= n
+        solved += len(phase2)
+        vertices += n
+        want = oracles.equistable_analysis_all_maxima(g)
+        if want is None:
+            assert res is None
+            seen["empty"] += 1
+            continue
+        interior, zeros, want_directions, want_sets = want
+        point, directions, stable_sets = res
+        assert stable_sets == want_sets
+        assert directions == want_directions
+        # a vertex is an implicit zero iff the point and every direction
+        # are 0 there, as the directions span the affine hull around it
+        assert zeros == [v for v in range(n) if point[v] == 0
+                         and all(d[v] == 0 for d in directions)]
+        assert min(point) >= 0
+        assert all(sum((point[v] for v in bits(s)), F(0)) == 1
+                   for s in stable_sets)
+        oracle_graph = Graph.from_adj(g.adj)
+        oracle_graph.memo("equistable_analysis",
+                          lambda _: (interior, want_directions, want_sets))
+        assert forced == equistable._forced_subsets(oracle_graph)
+        assert equistable._interior_point(g) == interior
+        seen["zeros"] += bool(zeros)
+        seen["directions"] += bool(directions)
+    assert min(seen.values()) > 0, seen
+    assert solved < vertices
+
+
 def test_weighting_walk_matches_hyperplane_walk():
     # the walk whose steps the weight check's join tests, against the walk
     # it replaced, on every equistable test graph: the same weights, with
@@ -321,10 +385,12 @@ def test_weighting_walk_matches_hyperplane_walk():
         cert = is_equistable(g)
         if not cert.verdict:
             continue
-        res = g.memo("equistable_analysis", equistable._analysis)
-        weights, dropped, extra = oracles.find_weighting_by_sweeps(g, *res)
+        _, directions, stable_sets = g.memo("equistable_analysis",
+                                            equistable._analysis)
+        weights, dropped, extra = oracles.find_weighting_by_sweeps(
+            g, equistable._interior_point(g), directions, stable_sets)
         assert cert.weights == tuple(weights)
-        seen["walks"] += bool(res[1])
+        seen["walks"] += bool(directions)
         seen["dropped"] += dropped
         seen["past k = 2"] += extra
     assert seen["walks"] and seen["dropped"] and seen["past k = 2"]
@@ -409,8 +475,10 @@ def test_weighting_walk_joins_each_candidate_once(monkeypatch):
         if not cert.verdict:
             continue
         joined.clear()
+        _, directions, stable_sets = g.memo("equistable_analysis",
+                                            equistable._analysis)
         weights = equistable._find_weighting(
-            g, *g.memo("equistable_analysis", equistable._analysis))
+            g, equistable._interior_point(g), directions, stable_sets)
         assert tuple(weights) == cert.weights
         assert len(joined) == len(set(joined))
         assert not joined or joined[-1] == tuple(weights)

@@ -41,7 +41,7 @@ def test_infeasible():
     assert solve_equality_lp([[-1, -1]], [1], [[0, 0]]) is None
     # infeasibility is found without any objective
     assert solve_equality_lp([[-1, -1]], [1], []) is None
-    assert solve_equality_lp([[1, 1]], [1], []) == []
+    assert list(solve_equality_lp([[1, 1]], [1], [])) == []
 
 
 def test_redundant_rows():
@@ -51,10 +51,11 @@ def test_redundant_rows():
 
 def test_unbounded():
     with pytest.raises(Unbounded):
-        solve_equality_lp([[1, -1]], [0], [[1, 0]], maximize=True)
+        list(solve_equality_lp([[1, -1]], [0], [[1, 0]], maximize=True))
     # a bounded objective listed first does not hide a later unbounded one
     with pytest.raises(Unbounded):
-        solve_equality_lp([[1, -1]], [0], [[-1, 0], [1, 0]], maximize=True)
+        list(solve_equality_lp([[1, -1]], [0], [[-1, 0], [1, 0]],
+                               maximize=True))
 
 
 def test_degenerate_cycling_guard():
@@ -120,14 +121,15 @@ def test_many_objectives_match_single_calls():
             if Unbounded in singles:
                 unbounded += 1
                 with pytest.raises(Unbounded):
-                    solve_equality_lp(a, b, objectives, maximize)
+                    list(solve_equality_lp(a, b, objectives, maximize))
                 # the objectives before the first unbounded one still solve
                 first = singles.index(Unbounded)
-                assert solve_equality_lp(
+                assert list(solve_equality_lp(
                     a, b, objectives[:first], maximize
-                ) == singles[:first]
+                )) == singles[:first]
             else:
-                assert solve_equality_lp(a, b, objectives, maximize) == singles
+                assert list(solve_equality_lp(a, b, objectives,
+                                              maximize)) == singles
     assert unbounded > 0
 
 
@@ -196,7 +198,8 @@ def reference_systems(seed, count):
 
 def outcome(solve, a, b, objectives, maximize):
     try:
-        return solve(a, b, objectives, maximize)
+        optima = solve(a, b, objectives, maximize)
+        return None if optima is None else list(optima)
     except Unbounded:
         return Unbounded
 
@@ -238,3 +241,52 @@ def test_fraction_free_rref_matches_fraction_reference():
         red = [[F(x, den) for x in row] for row in mat]
         assert (red, pivots) == oracles.rref(a, n)
         assert null_space(a, n) == oracles.null_space(a, n)
+
+
+def test_optima_are_solved_once_each_when_read(monkeypatch):
+    # each item of the returned sequence runs phase 2 for its objective
+    # on first read and keeps it: whatever the order of reading, the items
+    # equal the reference's optima, and an unbounded objective raises
+    # only when its own item is read
+    phase2 = []
+    original = lp._optimize
+
+    def counting(start, c, n, maximize):
+        phase2.append(c)
+        return original(start, c, n, maximize)
+
+    monkeypatch.setattr(lp, "_optimize", counting)
+    rng = random.Random(9)
+    seen = {"read": 0, "unbounded": 0, "out of order": 0}
+    for a, b, objectives in reference_systems(seed=9, count=600):
+        for maximize in (False, True):
+            phase2.clear()
+            optima = solve_equality_lp(a, b, objectives, maximize)
+            assert phase2 == []
+            if optima is None:
+                assert oracles.solve_equality_lp(a, b, objectives,
+                                                 maximize) is None
+                continue
+            assert len(optima) == len(objectives)
+            order = list(range(len(objectives)))
+            rng.shuffle(order)
+            seen["out of order"] += order != sorted(order)
+            for k in order:
+                want = outcome(oracles.solve_equality_lp, a, b,
+                               [objectives[k]], maximize)
+                phase2.clear()
+                if want is Unbounded:
+                    with pytest.raises(Unbounded):
+                        optima[k]
+                    assert phase2 == [objectives[k]]
+                    seen["unbounded"] += 1
+                    continue
+                got = optima[k]
+                assert phase2 == [objectives[k]] and [got] == want
+                phase2.clear()
+                assert optima[k] is got and optima[k - len(optima)] is got
+                assert phase2 == []
+                seen["read"] += 1
+            with pytest.raises(IndexError):
+                optima[len(objectives)]
+    assert min(seen.values()) >= 50, seen

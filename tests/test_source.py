@@ -68,7 +68,10 @@ print(json.dumps([code, backends, "networkx" in sys.modules]))
 
 def test_bench_tracer_installs():
     # bench/tracer.py wraps the package's public functions by name and
-    # hooks MembershipCache.base; renaming either breaks ``--trace 1``
+    # hooks MembershipCache.base; renaming either breaks ``--trace 1``.
+    # The LP and equistable spans must record calls too: a generator or a
+    # call that bypasses the wrapped name would read 0 in the bench's LP
+    # counters without failing anything else
     code = f"""
 import contextlib, io, json, sys
 sys.dont_write_bytecode = True  # read bench/, write nothing there
@@ -83,7 +86,8 @@ print(json.dumps([code, t.summary()["names"]]))
 """
     code, names = json.loads(_run_python(code).stdout)
     assert code == 0
-    for name in ("hasse.MembershipCache.base", "search.disjointness"):
+    for name in ("hasse.MembershipCache.base", "search.disjointness",
+                 "lp.solve_equality_lp", "equistable.decision"):
         assert names[name]["calls"] > 0
 
 
