@@ -23,8 +23,13 @@ maxima the verdict reads, and two facts keep that set small:
   at every point of P, so the first optimum read serves as the point
   from which the forced values are read.
 
-Constancy of w(T) is tested against a null-space basis of the equality
-system, with all directions packed into one integer vector.  The subsets
+The LP hands back integers over one positive denominator: each optimum
+as (value, x, den), and the null-space basis as integer vectors that
+share one positive scale.  The analysis keeps that form, the point as
+(den, ints), since every zero test and every comparison with den is
+exact in it.  Constancy of w(T) is tested against the null-space basis
+of the equality system, with all directions packed into one integer
+vector.  The subsets
 T are never enumerated: each question about them (which T are forced,
 which T the weights put at 1) is a meet-in-the-middle join (Horowitz and
 Sahni 1974).  Subset sums over the low n // 2 vertices are indexed by
@@ -43,6 +48,9 @@ walk gives up it raises ``WeightingUndecided``, a certificate failure,
 never a verdict.
 
 All arithmetic is exact; no floating point enters this module.
+``Fraction`` appears only where a rational leaves or enters it: the
+walk's weights, a forced subset's value, and the weights that
+``verify_weighting`` reads.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from math import lcm
 
 from .cliques import maximal_stable_sets
 from .graphs import Graph, bits
-from .lp import null_space, scaled_ints, solve_equality_lp
+from .lp import null_space, solve_equality_lp
 from .recognizers import UnsupportedSize
 
 MAX_LP_VERTICES = 16
@@ -122,9 +130,10 @@ def _coordinate_maxima(g: Graph):
     """The maximal stable sets, their 0/1 rows, and the maxima of the n
     coordinates over the polytope: (stable_sets, rows, optima), where
     optima is None when the polytope is empty, else the sequence of
-    :func:`solve_equality_lp`, whose item v maximizes w_v and is solved
-    when first read.  One phase 1 serves every coordinate.  Callers
-    share one result per graph object and must not mutate it.
+    :func:`solve_equality_lp`, whose item v is the integer (value, x,
+    den) that maximizes w_v, solved when first read.  One phase 1 serves
+    every coordinate.  Callers share one result per graph object and
+    must not mutate it.
     """
     n = g.n
     stable_sets = tuple(maximal_stable_sets(g))
@@ -139,24 +148,26 @@ def _analysis(g: Graph):
     hull, from as few coordinate maxima as the implicit zeros allow.
 
     Returns None when the polytope is empty, else (point, directions,
-    stable_sets).  The coordinates are read in ascending order, and one
-    that is positive in an optimum already read is skipped: max w_v > 0
-    there, so v is no implicit zero.  The point is the first optimum
-    read.  Callers share one result per graph object and must not mutate
-    it.
+    stable_sets), in integers: the point is (den, ints), w_v = ints[v] /
+    den, and the directions are integer vectors that share one positive
+    scale.  The coordinates are read in ascending order, and one that is
+    positive in an optimum already read is skipped: max w_v > 0 there,
+    so v is no implicit zero.  The point is the first optimum read.
+    Callers share one result per graph object and must not mutate it.
     """
     n = g.n
     stable_sets, rows, optima = g.memo("equistable_optima",
                                        _coordinate_maxima)
     if optima is None:
         return None
-    point = optima[0][1]  # coordinate 0 is never skipped
+    _, x, den = optima[0]  # coordinate 0 is never skipped
+    point = den, x
     positive = 0  # coordinates positive in an optimum read so far
     zero_rows = []  # the implicitly tight bounds w_v = 0
     for v in range(n):
         if positive >> v & 1:
             continue
-        value, x = optima[v]
+        value, x, _ = optima[v]
         if value == 0:
             zero_rows.append([int(u == v) for u in range(n)])
         positive |= sum(1 << u for u, xu in enumerate(x) if xu)
@@ -170,28 +181,26 @@ def _interior_point(g: Graph):
     analysis read are not solved again."""
     n = g.n
     _, _, optima = g.memo("equistable_optima", _coordinate_maxima)
-    # summed per coordinate in integers over one common denominator
-    point = []
-    for coords in zip(*(x for _, x in optima)):
-        den = lcm(*[c.denominator for c in coords])
-        total = sum(c.numerator * (den // c.denominator) for c in coords)
-        point.append(Fraction(total, den * n))
-    return point
+    # summed per coordinate over the lcm of the optima's denominators
+    den = lcm(*[d for _, _, d in optima])
+    totals = [0] * n
+    for _, x, d in optima:
+        totals = [t + xv * (den // d) for t, xv in zip(totals, x)]
+    return [Fraction(t, den * n) for t in totals]
 
 
 def _packed(directions, n):
     """One integer vector whose subset sum is 0 exactly on the masks where
     every direction's subset sum is 0.
 
-    Each direction d, scaled to integers, is one digit of a balanced
-    mixed radix: packed = packed * B + d with B = 2 * sum(|d|) + 1, so
-    every subset sum of d lies strictly between -B/2 and B/2.
+    Each integer direction d is one digit of a balanced mixed radix:
+    packed = packed * B + d with B = 2 * sum(|d|) + 1, so every subset
+    sum of d lies strictly between -B/2 and B/2.
     """
     packed = [0] * n
     for d in directions:
-        _, ints = scaled_ints(d)
-        radix = 2 * sum(map(abs, ints)) + 1
-        packed = [p * radix + x for p, x in zip(packed, ints)]
+        radix = 2 * sum(map(abs, d)) + 1
+        packed = [p * radix + x for p, x in zip(packed, d)]
     return packed
 
 
@@ -209,7 +218,7 @@ def _forced_subsets(g: Graph):
     n = g.n
     half = n // 2
     stable = set(stable_sets)
-    denom, ints = scaled_ints(point)
+    denom, ints = point
     base_lo, base_hi = _halves(ints, n)
     move_lo, move_hi = _halves(_packed(directions, n), n)
     equal_one = at_most_one = None  # (vertices, mask, denom * value)
@@ -231,20 +240,20 @@ def _forced_subsets(g: Graph):
 def _find_weighting(g: Graph, point, directions, stable_sets):
     """A point of the polytope with w(T) != 1 for every non-stable T.
 
-    Walks from the relative interior point along a generic null
-    direction, to the candidates point + step/k * direction for
-    k = 2, 3, ..., where step is the largest that keeps w >= 0.  The
-    join of the weight check lists what each candidate puts at 1; the
-    maximal stable sets stay there, since the direction sums to 0 on
-    each.  When no other T is at 1, the weight check decides the
-    candidate on that same listing.  Otherwise take the first such T.
-    If the direction sums to 0 on T, then w(T) = 1 all along the line
-    and no step dodges it, so the next attempt takes another direction.
-    Else the line crosses T's hyperplane at this step only, and
-    step/(k + 1) is tried; the line crosses finitely many hyperplanes, so
-    the walk along a direction ends.  On a direction that leaves no T at
-    1 along the whole line, the first k with no T at 1 is the first whose
-    step meets no hyperplane.
+    Walks from the relative interior point along a generic integer
+    combination of the null directions, to the candidates
+    point + step/k * direction for k = 2, 3, ..., where step is the
+    largest that keeps w >= 0.  The join of the weight check lists what
+    each candidate puts at 1; the maximal stable sets stay there, since
+    the direction sums to 0 on each.  When no other T is at 1, the
+    weight check decides the candidate on that same listing.  Otherwise
+    take the first such T.  If the direction sums to 0 on T, then
+    w(T) = 1 all along the line and no step dodges it, so the next
+    attempt takes another direction.  Else the line crosses T's
+    hyperplane at this step only, and step/(k + 1) is tried; the line
+    crosses finitely many hyperplanes, so the walk along a direction
+    ends.  On a direction that leaves no T at 1 along the whole line, the
+    first k with no T at 1 is the first whose step meets no hyperplane.
     """
     n = g.n
     if not directions:
@@ -252,21 +261,14 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
     stable = set(stable_sets)
     for attempt in range(1, 32):
         # deterministic "generic" combination of the null directions
-        dvec = [Fraction(0)] * n
-        w = Fraction(1)
+        dvec = [0] * n
+        w = 1
         for d in directions:
             dvec = [a + w * b for a, b in zip(dvec, d)]
             w *= attempt + 1
-        _, dints = scaled_ints(dvec)
-        # largest step keeping w >= 0
-        step = None
-        for v in range(n):
-            if dvec[v] < 0:
-                lim = point[v] / -dvec[v]
-                if step is None or lim < step:
-                    step = lim
-        if step is None:
-            step = Fraction(1)
+        # largest step keeping w >= 0; dvec sums to 0 on each maximal
+        # stable set, and every vertex lies in one, so some entry is < 0
+        step = min(p / -d for p, d in zip(point, dvec) if d < 0)
         k = 2
         while True:
             eps = step / k
@@ -278,7 +280,7 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
                     t = m
                     break
                 ones.append(m)
-            if t is None or not sum(dints[v] for v in bits(t)):
+            if t is None or not sum(dvec[v] for v in bits(t)):
                 break
             k += 1
         if t is None and _verify_weighting(cand, stable_sets, ones):
@@ -289,10 +291,11 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
 
 
 def _ones(weights, n):
-    """The nonempty masks that the weights put at sum 1, from one join of
-    the half sums scaled to integers."""
-    denom, ints = scaled_ints(weights)
-    lo, hi = _halves(ints, n)
+    """The nonempty masks that the rational weights put at sum 1, from one
+    join of the half sums scaled to integers."""
+    denom = lcm(*[w.denominator for w in weights])
+    lo, hi = _halves([w.numerator * (denom // w.denominator)
+                      for w in weights], n)
     for l, h in _join(lo, [denom - s for s in hi]):
         yield l | h << n // 2
 
@@ -363,10 +366,8 @@ def forced_value(g: Graph, subset: int):
     res = g.memo("equistable_analysis", _analysis)
     if res is None:
         return None
-    point, directions, _ = res
-    if any(
-        sum(d[v] for v in bits(subset)) != 0 for d in directions
-    ):
+    (den, ints), directions, _ = res
+    if any(sum(d[v] for v in bits(subset)) for d in directions):
         return None
-    return sum((point[v] for v in bits(subset)), Fraction(0))
+    return Fraction(sum(ints[v] for v in bits(subset)), den)
 

@@ -267,9 +267,13 @@ def _int_token(token: str, lineno: int) -> int:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse graph6 if the input looks like it, else fall back to edge list."""
+    """Parse graph6 if the input looks like it, else fall back to edge list.
+
+    A graph6 order byte is 63..126, so an input that starts with a digit
+    is an edge list, such as a lone vertex count.
+    """
     stripped = text.strip()
-    if "\n" not in stripped and (
+    if "\n" not in stripped and not stripped[:1].isdigit() and (
         stripped.startswith(_G6_HEADER) or not any(c.isspace() for c in stripped)
     ):
         return parse_graph6(stripped)

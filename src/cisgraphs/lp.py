@@ -1,38 +1,29 @@
 """Exact simplex over the rationals (two-phase, Bland's rule), run in
 integers.
 
-Problems here are tiny (at most a few dozen variables and rows).  The
-dense tableau holds integer rows and one common denominator ``den > 0``
-(entry ``T[i][j]`` stands for ``T[i][j] / den``), and each pivot is
-integer-preserving (Edmonds 1967): every other row becomes
-``(T[i]·p − T[i][c]·T[r]) // den``, which divides exactly, and ``den``
-becomes the pivot ``|p|``.  The pivot sequence is the one a rational
+Problems here are small: at most 16 variables, one per vertex, and one
+row per maximal stable set, up to 324 of them at 16 vertices.  The
+systems are integer; the dense tableau holds integer rows and one common
+denominator ``den > 0`` (entry ``T[i][j]`` stands for ``T[i][j] / den``),
+and each pivot is integer-preserving (Edmonds 1967): every other row
+becomes ``(T[i]·p − T[i][c]·T[r]) // den``, which divides exactly, and
+``den`` becomes the pivot ``|p|``.  The pivot sequence is the one a rational
 tableau would take, so the optima are the same.
 :func:`solve_equality_lp` runs phase 1 once per system, and phase 2 for
 an objective only when the caller first reads its optimum, so a caller
 that needs a few of many optima pays for those.  :func:`null_space`
-uses fraction-free elimination (Bareiss 1968) and divides once at the
-end.  :class:`fractions.Fraction` appears only in the returned values.
+uses fraction-free elimination (Bareiss 1968).  Results keep the same
+form: integers over one positive denominator, never divided out.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
-from math import lcm
 
 
 class Unbounded(RuntimeError):
     """The LP is unbounded; the callers' polytopes are bounded, so this
     signals a modeling bug."""
-
-
-def scaled_ints(values):
-    """Rational values (ints or Fractions) scaled to integers: (scale,
-    ints), where scale is the lcm of their denominators and ints[i] is
-    values[i] * scale."""
-    scale = lcm(*[x.denominator for x in values])
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def _pivot(tab, basis, den, row, col):
@@ -92,18 +83,13 @@ def _feasible_tableau(a_rows, b, n):
     objective over the same system.
     """
     m = len(a_rows)
-    # one multiple for the whole system: scaling rows separately would
-    # change the phase-1 objective (the sum of the rows) and its pivots
-    _, flat = scaled_ints([x for ai, bi in zip(a_rows, b) for x in (*ai, bi)])
     tab = []
-    for i in range(m):
-        ints = flat[i * (n + 1):(i + 1) * (n + 1)]
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
+    for i, (ai, bi) in enumerate(zip(a_rows, b)):
+        sign = -1 if bi < 0 else 1
         # artificial variable per row
         art = [0] * m
         art[i] = 1
-        tab.append(ints[:n] + art + ints[n:])
+        tab.append([sign * x for x in ai] + art + [sign * bi])
     width = n + m
     basis = list(range(n, width))
     objrow = [-sum(col) for col in zip(*tab)] if tab else [0] * (width + 1)
@@ -135,9 +121,8 @@ def _optimize(start, c, n, maximize):
     tab = list(rows)  # _pivot replaces rows, it never edits one in place
     basis = list(basis)
     sign = -den if maximize else den
-    scale, ints = scaled_ints(c)
-    # the objective times scale, carried at the tableau's denominator
-    objrow = [sign * x for x in ints] + [0]
+    # the objective, carried at the tableau's denominator
+    objrow = [sign * x for x in c] + [0]
     for i, bv in enumerate(basis):
         f = objrow[bv]
         if f:
@@ -145,18 +130,17 @@ def _optimize(start, c, n, maximize):
             objrow = [a - f * b_ // den for a, b_ in zip(objrow, tab[i])]
     tab.append(objrow)
     den = _iterate(tab, basis, den, n)
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, bv in enumerate(basis):
-        x[bv] = Fraction(tab[i][-1], den)
-    value = Fraction(tab[-1][-1] if maximize else -tab[-1][-1], den * scale)
-    return value, x
+        x[bv] = tab[i][-1]
+    return tab[-1][-1] if maximize else -tab[-1][-1], x, den
 
 
 class _Optima(Sequence):
     """The optima of :func:`solve_equality_lp`, one per objective.
 
     Item k runs phase 2 for objective k from the shared feasible tableau
-    the first time it is read and keeps the (value, x) it finds; an
+    the first time it is read and keeps the (value, x, den) it finds; an
     unbounded objective raises :class:`Unbounded` each time it is read.
     Since phase 2 copies the tableau, an item does not depend on which
     items were read before it.
@@ -182,14 +166,15 @@ class _Optima(Sequence):
 
 def solve_equality_lp(a_rows, b, objectives, maximize=False):
     """Optimize each objective c.x subject to a_rows @ x == b, x >= 0,
-    exactly.
+    exactly; every entry of a_rows, b and the objectives is an integer.
 
     Phase 1 runs once, here.  Returns None when the system is infeasible,
-    else a sequence with one (value, x) per objective, Fraction entries;
-    phase 2 for an objective runs from a fresh copy of the feasible
-    tableau when its item is first read, so a caller pays only for the
-    optima it reads.  Reading the item of an unbounded objective raises
-    :class:`Unbounded`.
+    else a sequence with one integer (value, x, den) per objective: den
+    is the final tableau's denominator, value / den the optimum and
+    x[j] / den the optimal vertex.  Phase 2 for an objective runs from a
+    fresh copy of the feasible tableau when its item is first read, so a
+    caller pays only for the optima it reads.  Reading the item of an
+    unbounded objective raises :class:`Unbounded`.
     """
     objectives = list(objectives)
     n = len(objectives[0]) if objectives else (len(a_rows[0]) if a_rows else 0)
@@ -206,7 +191,7 @@ def _rref_ints(rows, ncols):
     echelon form is the returned rows divided by den, and every pivot
     entry equals den.
     """
-    mat = [scaled_ints(row)[1] for row in rows]
+    mat = list(rows)  # _pivot replaces rows, it never edits one in place
     pivots = [None] * len(mat)
     den = 1
     r = 0
@@ -223,15 +208,17 @@ def _rref_ints(rows, ncols):
 
 
 def null_space(rows, ncols):
-    """Basis of the null space of the matrix, as rational vectors: one
-    per free column, 1 there and 0 at the other free columns."""
+    """Basis of the null space of the integer matrix, as integer vectors:
+    one per free column, with one den > 0 at that column and 0 at the
+    other free columns.  Divided by den, they are the basis that the
+    reduced row echelon form gives."""
     mat, pivots, den = _rref_ints(rows, ncols)
-    free = [j for j in range(ncols) if j not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(mat, pivots):
-            v[p] = Fraction(-row[f], den)
-        basis.append(v)
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = den
+            for row, p in zip(mat, pivots):
+                v[p] = -row[f]
+            basis.append(v)
     return basis

@@ -156,35 +156,54 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
     excl = [x << nc for x in cx] + sx
     backtracks = 0
 
-    def solve(true: int, false: int):
-        """The chosen mask of a solution extending (true, false), or None."""
-        nonlocal backtracks
-        branch, fewest = 0, None
+    def branch(true: int, false: int):
+        """The open candidates of the first unsatisfied clause with the
+        fewest, or None when every clause is satisfied."""
+        best, fewest = None, None
         for clause in clauses:
             if clause & true:
                 continue
             open_ = clause & ~false
             k = open_.bit_count()
             if fewest is None or k < fewest:
-                branch, fewest = open_, k
+                best, fewest = open_, k
                 if k <= 1:
                     break
-        if fewest is None:
-            return true
-        for v in bits(branch):
-            if not excl[v] & true:
-                found = solve(true | 1 << v, false | excl[v])
-                if found is not None:
-                    return found
-            backtracks += 1
-            if backtracks > cap:
-                raise SearchUndecided("backtrack cap exceeded")
-            false |= 1 << v
-        return None
+        return best
 
-    chosen = solve(0, 0)
-    if chosen is None:
-        return None
+    def backtrack():
+        nonlocal backtracks
+        backtracks += 1
+        if backtracks > cap:
+            raise SearchUndecided("backtrack cap exceeded")
+
+    # an explicit stack, since a solution may choose over a thousand
+    # candidates (K32,32 has 1024 maximal cliques): one frame per
+    # branching, [chosen, ruled out, candidates not yet tried], where a
+    # tried candidate is ruled out for the later ones
+    true = false = 0
+    stack = []
+    while (left := branch(true, false)) is not None:
+        stack.append([true, false, left])
+        while True:
+            if not stack:
+                return None
+            frame = stack[-1]
+            true, false, left = frame
+            if not left:
+                stack.pop()
+                if stack:  # the parent's candidate led nowhere
+                    backtrack()
+                continue
+            low = left & -left
+            frame[1] |= low
+            frame[2] ^= low
+            v = low.bit_length() - 1
+            if not excl[v] & true:
+                true, false = true | low, false | excl[v]
+                break
+            backtrack()
+    chosen = true
     return (
         [c for i, c in enumerate(cliques) if chosen >> i & 1],
         [s for j, s in enumerate(stables) if chosen >> nc + j & 1],

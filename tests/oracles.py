@@ -12,7 +12,7 @@ from math import lcm
 
 import networkx as nx
 
-from cisgraphs import equistable, hasse, lp
+from cisgraphs import equistable, hasse
 from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import _cross_adjacency
 from cisgraphs.graphs import (
@@ -142,7 +142,9 @@ def _optimize(start, c, n, maximize):
 
 
 def solve_equality_lp(a_rows, b, objectives, maximize=False):
-    """Same contract as :func:`cisgraphs.lp.solve_equality_lp`."""
+    """The optima of :func:`cisgraphs.lp.solve_equality_lp` as rationals:
+    None when infeasible, else one (value, x) per objective, all solved
+    here; an unbounded objective raises :class:`Unbounded`."""
     objectives = list(objectives)
     n = len(objectives[0]) if objectives else (len(a_rows[0]) if a_rows else 0)
     start = _feasible_tableau(a_rows, b, n)
@@ -179,7 +181,8 @@ def rref(rows, ncols):
 
 
 def null_space(rows, ncols):
-    """Same contract as :func:`cisgraphs.lp.null_space`, from :func:`rref`."""
+    """The basis of :func:`cisgraphs.lp.null_space` divided by its den,
+    from :func:`rref`: 1 at the vector's free column."""
     red, pivots = rref(rows, ncols)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
@@ -216,17 +219,16 @@ def forced_subsets_per_direction(point, directions, stable_sets, n):
     first of value at most 1 (fewest vertices, then smallest mask)."""
     live = bytearray([1]) * (1 << n)
     for d in directions:
-        scale = lcm(*[x.denominator for x in d])
-        ints = [int(x * scale) for x in d]
         sums = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
-            sums[m] = sums[m ^ low] + ints[low.bit_length() - 1]
+            sums[m] = sums[m ^ low] + d[low.bit_length() - 1]
             if sums[m]:
                 live[m] = 0
     stable = set(stable_sets)
+    den, ints = point
     value = {
-        m: sum((point[v] for v in bits(m)), Fraction(0))
+        m: Fraction(sum(ints[v] for v in bits(m)), den)
         for m in range(1, 1 << n) if live[m] and m not in stable
     }
 
@@ -243,21 +245,21 @@ def equistable_analysis_all_maxima(g: Graph):
     every coordinate maximum: None when the polytope is empty, else
     (interior point, implicit zeros, directions, stable_sets), with the
     mean of the n maxima as the relative-interior point and the vertices
-    whose maximum is 0 as the implicit zeros."""
+    whose maximum is 0 as the implicit zeros.  Rational throughout, from
+    the Fraction simplex and elimination above."""
     n = g.n
     stable_sets = tuple(maximal_stable_sets(g))
     rows = [[s >> v & 1 for v in range(n)] for s in stable_sets]
     units = [[int(u == v) for u in range(n)] for v in range(n)]
-    optima = lp.solve_equality_lp(rows, [1] * len(rows), units, maximize=True)
+    optima = solve_equality_lp(rows, [1] * len(rows), units, maximize=True)
     if optima is None:
         return None
-    optima = list(optima)
     implicit_zero = [v for v, (value, _) in enumerate(optima) if value == 0]
     point = [sum(coords, Fraction(0)) / n
              for coords in zip(*(x for _, x in optima))]
     for v in implicit_zero:
         rows.append(units[v])
-    directions = lp.null_space(rows, n)
+    directions = null_space(rows, n)
     return point, implicit_zero, directions, stable_sets
 
 
@@ -265,19 +267,26 @@ def equistable_analysis_all_maxima(g: Graph):
 # the 2^n sweeps that the meet-in-the-middle joins of equistable replaced
 
 
+def integral(vec):
+    """A rational vector scaled to integers: (denom, ints), where denom is
+    the lcm of its denominators and ints[i] = denom * vec[i]."""
+    denom = lcm(*[f.denominator for f in vec])
+    return denom, [f.numerator * (denom // f.denominator) for f in vec]
+
+
 def scaled_subset_sums(vec, n):
     """Subset sums of a rational vector over all 2^n masks, scaled to
     integers: (denom, sums) with sums[mask] = denom * vec-sum."""
-    denom = lcm(*[f.denominator for f in vec])
-    return denom, subset_sums_indexed(
-        [f.numerator * (denom // f.denominator) for f in vec], n)
+    denom, ints = integral(vec)
+    return denom, subset_sums_indexed(ints, n)
 
 
 def forced_subsets_by_sweep(point, directions, stable_sets, n):
     """What :func:`cisgraphs.equistable._forced_subsets` returns, from one
     pass over every mask of the packed directions' subset sums."""
     stable = set(stable_sets)
-    denom, base = scaled_subset_sums(point, n)
+    denom, ints = point
+    base = subset_sums_indexed(ints, n)
     moving = subset_sums_indexed(equistable._packed(directions, n), n)
     at_most_one = [
         m for m in range(1, 1 << n)

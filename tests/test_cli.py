@@ -162,6 +162,23 @@ def test_classify_k1(capsys):
     assert data["base"]["almost_cis"] is False
 
 
+@pytest.mark.parametrize("flip", [False, True], ids=["K32,32", "2K32"])
+def test_classify_weakly_cis_with_a_thousand_chosen_cliques(
+        capsys, monkeypatch, flip):
+    # every edge of K32,32 is its own maximal clique, so a weakly-CIS
+    # certificate chooses 1024 cliques (on 2K32, 1024 stable sets); the
+    # search keeps them on a stack, not in nested calls
+    g = complete_bipartite(32, 32)
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(encode_graph6(complement(g) if flip
+                                                  else g)))
+    code, out, _ = run(capsys, "classify", "-i", "-", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    for base in (data["base"], data["complement_base"]):
+        assert base["weakly_cis"] is True and base["normal"] is True
+
+
 def test_classify_unsupported_lp(capsys):
     # 17 vertices: LP-backed predicates report "unsupported"
     import tempfile

@@ -27,7 +27,8 @@ from oracles import verify_forced_subset
 
 
 def brute_constant_subsets(g):
-    """Independent oracle: per-subset min/max LPs over the polytope.
+    """Independent oracle: per-subset min/max LPs over the polytope, by
+    the Fraction simplex of the oracles.
 
     Returns {mask: constant value} for the non-stable nonempty subsets
     whose weight is constant, or None if the polytope is empty.
@@ -38,10 +39,10 @@ def brute_constant_subsets(g):
     stable = set(stable_sets)
     subsets = [m for m in range(1, 1 << g.n) if m not in stable]
     coeffs = [[m >> v & 1 for v in range(g.n)] for m in subsets]
-    lows = lp.solve_equality_lp(rows, ones, coeffs, maximize=False)
+    lows = oracles.solve_equality_lp(rows, ones, coeffs, maximize=False)
     if lows is None:
         return None
-    highs = lp.solve_equality_lp(rows, ones, coeffs, maximize=True)
+    highs = oracles.solve_equality_lp(rows, ones, coeffs, maximize=True)
     return {
         m: lo
         for m, (lo, _), (hi, _) in zip(subsets, lows, highs)
@@ -292,7 +293,8 @@ def test_forced_subsets_match_per_direction_sweeps():
         if res is None:
             seen["infeasible"] += 1
             continue
-        point, directions, stable_sets = res
+        (den, ints), directions, stable_sets = res
+        point = [F(x, den) for x in ints]
         seen["fixed point"] += not directions
         seen["packed"] += len(directions) > 1
         forced = equistable._forced_subsets(g)
@@ -355,19 +357,26 @@ def test_analysis_matches_all_maxima_oracle(monkeypatch):
             seen["empty"] += 1
             continue
         interior, zeros, want_directions, want_sets = want
-        point, directions, stable_sets = res
+        (den, ints), directions, stable_sets = res
         assert stable_sets == want_sets
-        assert directions == want_directions
+        # the integer directions are one positive multiple of the oracle's
+        # rational ones
+        scale = 1
+        if directions:
+            j = next(j for j, x in enumerate(want_directions[0]) if x)
+            scale = directions[0][j] / want_directions[0][j]
+        assert scale > 0
+        assert directions == [[scale * x for x in d] for d in want_directions]
         # a vertex is an implicit zero iff the point and every direction
         # are 0 there, as the directions span the affine hull around it
-        assert zeros == [v for v in range(n) if point[v] == 0
+        assert zeros == [v for v in range(n) if ints[v] == 0
                          and all(d[v] == 0 for d in directions)]
-        assert min(point) >= 0
-        assert all(sum((point[v] for v in bits(s)), F(0)) == 1
-                   for s in stable_sets)
+        assert den > 0 and min(ints) >= 0
+        assert all(sum(ints[v] for v in bits(s)) == den for s in stable_sets)
         oracle_graph = Graph.from_adj(g.adj)
-        oracle_graph.memo("equistable_analysis",
-                          lambda _: (interior, want_directions, want_sets))
+        oracle_graph.memo("equistable_analysis", lambda _: (
+            oracles.integral(interior),
+            [oracles.integral(d)[1] for d in want_directions], want_sets))
         assert forced == equistable._forced_subsets(oracle_graph)
         assert equistable._interior_point(g) == interior
         seen["zeros"] += bool(zeros)
@@ -431,8 +440,9 @@ def test_verify_weighting_matches_sweep_on_perturbed_certificates():
             for moved in (w[v] + F(1, 101), w[v] / 2,
                           *(1 - w[u] for u in bits(g.adj[v]))):
                 weightings.append([*w[:v], moved, *w[v + 1:]])
-        point, directions, _ = g.memo("equistable_analysis",
-                                      equistable._analysis)
+        (den, ints), directions, _ = g.memo("equistable_analysis",
+                                            equistable._analysis)
+        point = [F(x, den) for x in ints]
         for d in directions[:1]:
             denom_p, base = oracles.scaled_subset_sums(point, g.n)
             denom_d, dsums = oracles.scaled_subset_sums(d, g.n)

@@ -194,6 +194,10 @@ def test_parse_edge_list_bad_tokens():
 def test_parse_graph_dispatch():
     assert parse_graph("Ch").n == 4
     assert parse_graph("0 1\n1 2").n == 3
+    # no graph6 string starts with a digit: a lone count is an edge list
+    g = parse_graph("5")
+    assert g.n == 5 and g.edge_count() == 0
+    assert parse_graph(" 12\n").n == 12
 
 
 def test_is_isomorphic_basic():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,25 +12,41 @@ from cisgraphs.lp import Unbounded, null_space, solve_equality_lp
 import oracles
 
 
+def rational(optimum):
+    """An integer optimum (value, x, den) as the rational (value, x) it
+    stands for."""
+    value, x, den = optimum
+    assert den > 0
+    return F(value, den), [F(v, den) for v in x]
+
+
+def rational_lp(a, b, objectives, maximize=False):
+    """solve_equality_lp with every optimum read as rationals."""
+    optima = solve_equality_lp(a, b, objectives, maximize)
+    return None if optima is None else [rational(o) for o in optima]
+
+
 def solve_one(a, b, c, maximize=False):
     res = solve_equality_lp(a, b, [c], maximize)
     return None if res is None else res[0]
 
 
 def test_simple_max():
-    value, x = solve_one([[1, 1, 1]], [1], [2, 1, 0], maximize=True)
+    value, x = rational(solve_one([[1, 1, 1]], [1], [2, 1, 0],
+                                  maximize=True))
     assert value == 2
     assert x == [F(1), F(0), F(0)]
 
 
 def test_simple_min():
-    value, _ = solve_one([[1, 1]], [1], [3, 5], maximize=False)
+    value, _ = rational(solve_one([[1, 1]], [1], [3, 5], maximize=False))
     assert value == 3
 
 
 def test_exact_fractions():
     # x + 2y = 1, 3x + y = 1 -> x = 1/5, y = 2/5
-    value, x = solve_one([[1, 2], [3, 1]], [1, 1], [1, 1], maximize=False)
+    value, x = rational(solve_one([[1, 2], [3, 1]], [1, 1], [1, 1],
+                                  maximize=False))
     assert x == [F(1, 5), F(2, 5)]
     assert value == F(3, 5)
 
@@ -45,7 +62,8 @@ def test_infeasible():
 
 
 def test_redundant_rows():
-    value, _ = solve_one([[1, 1], [2, 2]], [1, 2], [1, 0], maximize=True)
+    value, _ = rational(solve_one([[1, 1], [2, 2]], [1, 2], [1, 0],
+                                  maximize=True))
     assert value == 1
 
 
@@ -61,7 +79,8 @@ def test_unbounded():
 def test_degenerate_cycling_guard():
     # classic degenerate instance; Bland's rule must terminate
     rows = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [1, 1, 0, 0, 0, 1]]
-    value, _ = solve_one(rows, [0, 0, 0], [1, 1, 0, 0, 0, 0], maximize=True)
+    value, _ = rational(solve_one(rows, [0, 0, 0], [1, 1, 0, 0, 0, 0],
+                                  maximize=True))
     assert value == 0
 
 
@@ -72,7 +91,7 @@ def random_systems(seed=0, count=40):
         m = rng.randint(1, 4)
         n = rng.randint(m, 6)
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        feas = [F(rng.randint(0, 3)) for _ in range(n)]
+        feas = [rng.randint(0, 3) for _ in range(n)]
         b = [sum(r[j] * feas[j] for j in range(n)) for r in a]
         c = [rng.randint(-3, 3) for _ in range(n)]
         yield a, b, c
@@ -89,7 +108,7 @@ def test_against_scipy_random():
             method="highs",
         )
         try:
-            value, x = solve_one(a, b, c, maximize=False)
+            value, x = rational(solve_one(a, b, c, maximize=False))
         except Unbounded:
             assert res.status == 3  # scipy: unbounded
             continue
@@ -155,13 +174,22 @@ def test_null_space_dimension_random():
                 assert sum(F(a) * b for a, b in zip(r, v)) == 0
 
 
+def integral(rows):
+    """Rational rows times one positive multiple that makes them
+    integers."""
+    scale = lcm(*[F(x).denominator for row in rows for x in row])
+    return [[int(x * scale) for x in row] for row in rows]
+
+
 def reference_systems(seed, count):
     """Random systems a @ x == b over the rationals, with several
     objectives: negative right-hand sides, redundant rows, infeasible and
     unbounded cases all occur.  A third are 0/1 systems with b = 1, the
     weight polytopes' shape, where degenerate ratio-test ties are common;
     zero and 0/1 objectives have many optima, so a different pivot
-    sequence shows as a different vertex."""
+    sequence shows as a different vertex.  The LP takes integers, so each
+    system is scaled as a whole by one positive multiple, which keeps its
+    pivots, and each objective by its own."""
     rng = random.Random(seed)
 
     def entry():
@@ -193,7 +221,8 @@ def reference_systems(seed, count):
             ))
             for _ in range(rng.randint(0, 3))
         ]
-        yield a, b, objectives
+        *a, b = integral([*a, b])
+        yield a, b, [integral([c])[0] for c in objectives]
 
 
 def outcome(solve, a, b, objectives, maximize):
@@ -221,7 +250,7 @@ def test_integer_simplex_matches_fraction_reference():
             assert basis == want[1]
             assert [[F(x, den) for x in row] for row in rows] == want[0]
         for maximize in (False, True):
-            got = outcome(solve_equality_lp, a, b, objectives, maximize)
+            got = outcome(rational_lp, a, b, objectives, maximize)
             want = outcome(oracles.solve_equality_lp, a, b, objectives,
                            maximize)
             assert got == want, (a, b, objectives, maximize)
@@ -240,7 +269,9 @@ def test_fraction_free_rref_matches_fraction_reference():
         mat, pivots, den = lp._rref_ints(a, n)
         red = [[F(x, den) for x in row] for row in mat]
         assert (red, pivots) == oracles.rref(a, n)
-        assert null_space(a, n) == oracles.null_space(a, n)
+        # den times the rational basis, the same den for every vector
+        assert null_space(a, n) == [[den * x for x in v]
+                                    for v in oracles.null_space(a, n)]
 
 
 def test_optima_are_solved_once_each_when_read(monkeypatch):
@@ -282,7 +313,7 @@ def test_optima_are_solved_once_each_when_read(monkeypatch):
                     seen["unbounded"] += 1
                     continue
                 got = optima[k]
-                assert phase2 == [objectives[k]] and [got] == want
+                assert phase2 == [objectives[k]] and [rational(got)] == want
                 phase2.clear()
                 assert optima[k] is got and optima[k - len(optima)] is got
                 assert phase2 == []

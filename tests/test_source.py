@@ -33,21 +33,37 @@ def test_no_runtime_check_uses_assert():
     assert found == []
 
 
+def imported_modules(path):
+    """(line, top-level module name) of each import in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_only_equistable_imports_fractions():
+    # the LP hands back integers over one denominator; Fraction is built
+    # only where the equistable module prints a rational or reads one in
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "equistable.py"
+        for line, name in imported_modules(path) if name == "fractions"
+    ]
+    assert found == []
+
+
 def test_cli_import_leaves_networkx_out():
     # networkx is a test oracle only: no package module imports it, and
     # a blossom-backed request (every H(x) of K6,6 has 30 edges) ends
     # without it loaded; importing it would take about 0.15 s
-    found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "networkx" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line, name in imported_modules(path) if name == "networkx"
+    ]
     assert found == []
     code = """
 import contextlib, io, json, sys
