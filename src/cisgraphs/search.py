@@ -19,9 +19,20 @@ mask of candidates containing it), and each candidate excludes the
 candidates of the other family that are disjoint from it.  Every clause
 is non-empty: an edge lies in a maximal clique, a non-edge in a maximal
 stable set, a vertex in both.  The search state is two masks, the
-candidates chosen and the candidates ruled out.  It always branches on
-the first unsatisfied clause with the fewest open candidates, in
-ascending candidate order, so certificates are reproducible.
+candidates chosen and the candidates ruled out; choosing a candidate
+rules out what it excludes, so no open candidate excludes a chosen one
+(exclusion is symmetric).  Each node branches on the first unsatisfied
+clause with the fewest open candidates, its options (the clique clauses
+come before the stable-set ones).  When there are two or more, every
+child chooses one of them, so a candidate that each option excludes can
+never be chosen below the node: those are ruled out at the node
+(forward checking on the branching clause, after Haralick and Elliott
+1980), and the clause is selected again if any of them was still open.
+The children try the options least constraining first: fewest excluded
+candidates, the lowest number on ties, so certificates are
+reproducible.  A backtrack is a node below the root left without
+options, by an emptied clause or because every option failed; a
+candidate ruled out at a node is not one.
 
 ``dominated_clique`` decides CIS without listing the maximal stable sets.
 A maximal stable set S misses a maximal clique C exactly when some stable
@@ -149,64 +160,83 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
     cliques, stables, ch, sh, cx, sx = disjointness(g)
     nc = len(cliques)
     sh = [h << nc for h in sh]  # the stable sets are candidates nc, ...
+    # the clique clauses, then the stable-set clauses
     if normal:
-        clauses = ch + sh
+        families = ch, sh
     else:
-        clauses = [*edge_holders(g, ch), *edge_holders(complement(g), sh)]
+        families = ([*edge_holders(g, ch)],
+                    [*edge_holders(complement(g), sh)])
     excl = [x << nc for x in cx] + sx
+    every = (1 << len(excl)) - 1
     backtracks = 0
 
-    def branch(true: int, false: int):
-        """The open candidates of the first unsatisfied clause with the
-        fewest, or None when every clause is satisfied."""
-        best, fewest = None, None
+    def branch(true: int, false: int, clauses=families[0] + families[1],
+               best=None, fewest=len(excl) + 1):
+        """The open candidates of the first unsatisfied clause of
+        ``clauses`` with the fewest, if fewer than ``fewest``, else
+        ``best`` (None when every clause is satisfied)."""
+        keep = every & ~false  # a negative mask would be copied per clause
         for clause in clauses:
             if clause & true:
                 continue
-            open_ = clause & ~false
+            open_ = clause & keep
             k = open_.bit_count()
-            if fewest is None or k < fewest:
-                best, fewest = open_, k
+            if k < fewest:
                 if k <= 1:
-                    break
+                    return open_
+                best, fewest = open_, k
         return best
-
-    def backtrack():
-        nonlocal backtracks
-        backtracks += 1
-        if backtracks > cap:
-            raise SearchUndecided("backtrack cap exceeded")
 
     # an explicit stack, since a solution may choose over a thousand
     # candidates (K32,32 has 1024 maximal cliques): one frame per
-    # branching, [chosen, ruled out, candidates not yet tried], where a
-    # tried candidate is ruled out for the later ones
+    # branching, [chosen, ruled out, candidates not yet tried, the next
+    # last], where a tried candidate is ruled out for the later ones
     true = false = 0
     stack = []
-    while (left := branch(true, false)) is not None:
-        stack.append([true, false, left])
-        while True:
+    while (options := branch(true, false)) is not None:
+        # every child chooses one of the options, so a candidate that
+        # they all exclude is ruled out here
+        while options & options - 1:
+            order, common, m = [], -1, options
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                order.append(v)
+                common &= excl[v]
+            if not common & ~false:
+                order.sort(key=lambda c: excl[c].bit_count())
+                order.reverse()
+                break
+            false |= common
+            # only the other family's clauses lost open candidates; the
+            # clique clauses come first, so they also win a tie
+            k = len(order)
+            if options >> nc:
+                options = branch(true, false, families[0], options, k + 1)
+            else:
+                options = branch(true, false, families[1], options, k)
+        else:  # at most one option
+            order = [options.bit_length() - 1] if options else []
+        stack.append([true, false, order])
+        while not order:
+            stack.pop()
             if not stack:
                 return None
-            frame = stack[-1]
-            true, false, left = frame
-            if not left:
-                stack.pop()
-                if stack:  # the parent's candidate led nowhere
-                    backtrack()
-                continue
-            low = left & -left
-            frame[1] |= low
-            frame[2] ^= low
-            v = low.bit_length() - 1
-            if not excl[v] & true:
-                true, false = true | low, false | excl[v]
-                break
-            backtrack()
-    chosen = true
+            backtracks += 1  # the parent's candidate led nowhere
+            if backtracks > cap:
+                raise SearchUndecided(
+                    f"cross-intersecting search exceeded {cap} backtracks"
+                )
+            true, false, order = stack[-1]
+        # an open candidate excludes no chosen one, since exclusion is
+        # symmetric and what a chosen candidate excludes is ruled out
+        v = order.pop()
+        stack[-1][1] |= 1 << v
+        true, false = true | 1 << v, false | excl[v]
     return (
-        [c for i, c in enumerate(cliques) if chosen >> i & 1],
-        [s for j, s in enumerate(stables) if chosen >> nc + j & 1],
+        [cliques[i] for i in bits(true & (1 << nc) - 1)],
+        [stables[j] for j in bits(true >> nc)],
     )
 
 

@@ -30,7 +30,7 @@ from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
 from cisgraphs.recognizers import has_bad_p4, induced_p4s
 from cisgraphs.linegraph import line_graph, root_graph
 from cisgraphs.lp import Unbounded
-from cisgraphs.search import disjointness
+from cisgraphs.search import disjointness, edge_holders
 
 # ---------------------------------------------------------------------------
 # the exact simplex over Fraction entries (the integer tableau's reference)
@@ -571,6 +571,58 @@ def strong_maximal_cliques_pairwise(g: Graph):
     pair."""
     stables = maximal_stable_sets(g)
     return [c for c in maximal_cliques(g) if all(c & s for s in stables)]
+
+
+def exists_cross_intersecting_plain(g: Graph, *, normal: bool):
+    """What :func:`cisgraphs.search.exists_cross_intersecting` decides,
+    by its search without the branching-clause pruning and without a
+    budget: branch on the first unsatisfied clause with the fewest open
+    candidates and try them in ascending order."""
+    cliques, stables, ch, sh, cx, sx = disjointness(g)
+    nc = len(cliques)
+    sh = [h << nc for h in sh]
+    if normal:
+        clauses = ch + sh
+    else:
+        clauses = [*edge_holders(g, ch), *edge_holders(complement(g), sh)]
+    excl = [x << nc for x in cx] + sx
+
+    def branch(true: int, false: int):
+        best, fewest = None, None
+        for clause in clauses:
+            if clause & true:
+                continue
+            open_ = clause & ~false
+            k = open_.bit_count()
+            if fewest is None or k < fewest:
+                best, fewest = open_, k
+                if k <= 1:
+                    break
+        return best
+
+    true = false = 0
+    stack = []
+    while (left := branch(true, false)) is not None:
+        stack.append([true, false, left])
+        while True:
+            if not stack:
+                return None
+            frame = stack[-1]
+            true, false, left = frame
+            if not left:
+                stack.pop()
+                continue
+            low = left & -left
+            frame[1] |= low
+            frame[2] ^= low
+            v = low.bit_length() - 1
+            if not excl[v] & true:
+                true, false = true | low, false | excl[v]
+                break
+    return (
+        [c for i, c in enumerate(cliques) if true >> i & 1],
+        [s for j, s in enumerate(stables) if true >> nc + j & 1],
+    )
 
 
 def verify_cover_certificate(

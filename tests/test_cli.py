@@ -9,7 +9,9 @@ import time
 
 import pytest
 
-from cisgraphs import cli, cliques, equistable, linegraph, recognizers, search
+from cisgraphs import (
+    cli, cliques, equistable, hasse, linegraph, recognizers, search,
+)
 from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
 from cisgraphs.cliques import maximal_stable_sets
@@ -225,6 +227,17 @@ def test_closed_stdout_exits_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_scan_stops_at_order_8(capsys):
+    # the class count at order 9 is checked, but the scan stays at 8
+    assert hasse.EXPECTED_GRAPH_COUNTS[9] == 274668
+    with pytest.raises(ValueError, match=r"^exhaustive scan supported for "
+                                         r"1 <= max_n <= 8$"):
+        hasse.scan(max_n=9)
+    code, out, err = run(capsys, "scan", "--max-n", "9")
+    assert (code, out, err) == (
+        2, "", "error: --max-n must be between 1 and 8\n")
 
 
 def test_input_errors(capsys, monkeypatch, tmp_path):

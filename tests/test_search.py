@@ -161,26 +161,66 @@ def test_normal_against_subfamily_oracle():
             assert is_normal(g) == brute_normal(g)
 
 
+def _digest(results):
+    return hashlib.sha256(json.dumps(results).encode()).hexdigest()
+
+
 def test_results_and_budget_pinned(monkeypatch):
-    # certificates of both searches on seeded graphs of 8-24 vertices,
-    # recorded before the search kept its state in bitmasks
-    results = []
+    # certificates of both searches on seeded graphs of 8-24 vertices;
+    # the search without branching-clause pruning, trying candidates in
+    # ascending order, found the certificates of digest a7012a69...
+    results, plain = [], []
     for n in range(8, 25, 2):
         for k in (1, 3, 5, 7, 9):
             g = random_graph(n, k / 10, random.Random(100 * n + k))
-            results.append(exists_cross_intersecting(g, normal=False))
-            results.append(exists_cross_intersecting(g, normal=True))
-    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
-    assert digest == (
+            for normal in (False, True):
+                found = exists_cross_intersecting(g, normal=normal)
+                assert found is None or verify_cover_certificate(
+                    g, *found, normal=normal)
+                results.append(found)
+                plain.append(oracles.exists_cross_intersecting_plain(
+                    g, normal=normal))
+    assert _digest(plain) == (
         "a7012a6961dc5659989fbc448a565e4ad97313e5b9509f5a824e31c821923154"
     )
-    # the search refutes normality of this graph in exactly 108 backtracks
+    assert _digest(results) == (
+        "0f1ef98be3bca6774f8f7afef650d8f385b42a01ae41bb98efce942dd3ef8971"
+    )
+    # the search refutes normality of this graph in exactly 50
+    # backtracks (the plain search in 108)
     g = random_graph(24, 0.5, random.Random(1))
-    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 107)
-    with pytest.raises(SearchUndecided):
+    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 49)
+    with pytest.raises(SearchUndecided,
+                       match="cross-intersecting search exceeded 49 "
+                             "backtracks"):
         exists_cross_intersecting(g, normal=True)
-    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 108)
+    monkeypatch.setattr(search, "DEFAULT_BACKTRACK_CAP", 50)
     assert exists_cross_intersecting(g, normal=True) is None
+
+
+def _check_against_plain_search(g):
+    for normal in (False, True):
+        found = exists_cross_intersecting(g, normal=normal)
+        plain = oracles.exists_cross_intersecting_plain(g, normal=normal)
+        assert (found is None) == (plain is None), normal
+        for certificate in (found, plain):
+            assert certificate is None or verify_cover_certificate(
+                g, *certificate, normal=normal)
+
+
+def test_pruned_search_matches_plain_search():
+    checked = 0
+    for graphs in nonisomorphic_graphs(7).values():
+        for g in graphs:
+            _check_against_plain_search(g)
+            _check_against_plain_search(complement(g))
+            checked += 1
+    assert checked == 1252
+    for n in range(17, 29):
+        for p in (0.3, 0.5, 0.7):
+            for seed in range(2):
+                rng = random.Random(f"{n}/{p}/{seed}")
+                _check_against_plain_search(random_graph(n, p, rng))
 
 
 # ---------------------------------------------------------------------------
