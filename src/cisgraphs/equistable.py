@@ -23,29 +23,29 @@ maxima the verdict reads, and two facts keep that set small:
   at every point of P, so the first optimum read serves as the point
   from which the forced values are read.
 
-The LP hands back integers over one positive denominator: each optimum
-as (value, x, den), and the null-space basis as integer vectors that
-share one positive scale.  The analysis keeps that form, the point as
-(den, ints), since every zero test and every comparison with den is
-exact in it.  Constancy of w(T) is tested against the null-space basis
-of the equality system, with all directions packed into one integer
-vector.  The subsets
-T are never enumerated: each question about them (which T are forced,
-which T the weights put at 1) is a meet-in-the-middle join (Horowitz and
-Sahni 1974).  Subset sums over the low n // 2 vertices are indexed by
-key, and each of the 2^(n - n // 2) high-half sums looks up the low key
-that completes the target, so a question costs about 2^(n/2) steps plus
-one per mask that hits.
+The LP hands back integers over one positive denominator, and the
+module keeps that form: a point or a weighting is (den, ints), and the
+null-space basis is integer vectors that share one positive scale, so
+every zero test and every comparison with den is exact.  Constancy of
+w(T) is tested against that basis, with all directions packed into one
+integer vector.  The subsets T are never enumerated: each question
+about them (which T are forced, which T the weights put at 1) is a
+meet-in-the-middle join (Horowitz and Sahni 1974).  Subset sums over
+the low n // 2 vertices are indexed by key, and each of the
+2^(n - n // 2) high-half sums looks up the low key that completes the
+target, so a question costs about 2^(n/2) steps plus one per mask that
+hits.
 
-``decision`` gives both verdicts from that analysis and join alone; it
-is what the base predicates read, so ``classify``, ``table`` and
-``scan`` never build weights.  Only ``is_equistable`` (the
-``equistable`` command) adds the relative-interior walk that turns a
-positive verdict into explicit weights.  It starts from the mean of all
-n coordinate maxima, reading the ones the verdict skipped from the same
-sequence, and tests each step with the weight check's join; when the
-walk gives up it raises ``WeightingUndecided``, a certificate failure,
-never a verdict.
+One record per graph holds the analysis: the stable sets, the
+coordinate maxima, the point, the directions and the forced subsets.
+``decision`` gives both verdicts from it alone; it is what the base
+predicates read, so ``classify``, ``table`` and ``scan`` never build
+weights.  Only ``is_equistable`` (the ``equistable`` command) adds the
+relative-interior walk that turns a positive verdict into explicit
+weights.  It starts from the mean of all n coordinate maxima, solving
+the ones the verdict skipped, and tests each step with the weight
+check's join; when the walk gives up it raises ``WeightingUndecided``,
+a certificate failure, never a verdict.
 
 All arithmetic is exact; no floating point enters this module.
 ``Fraction`` appears only where a rational leaves or enters it: the
@@ -55,9 +55,11 @@ walk's weights, a forced subset's value, and the weights that
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .cliques import maximal_stable_sets
 from .graphs import Graph, bits
@@ -126,67 +128,66 @@ def _join(lo, wanted):
                 yield l, h
 
 
-def _coordinate_maxima(g: Graph):
-    """The maximal stable sets, their 0/1 rows, and the maxima of the n
-    coordinates over the polytope: (stable_sets, rows, optima), where
-    optima is None when the polytope is empty, else the sequence of
-    :func:`solve_equality_lp`, whose item v is the integer (value, x,
-    den) that maximizes w_v, solved when first read.  One phase 1 serves
-    every coordinate.  Callers share one result per graph object and
-    must not mutate it.
-    """
-    n = g.n
-    stable_sets = tuple(maximal_stable_sets(g))
-    rows = [[s >> v & 1 for v in range(n)] for s in stable_sets]
-    units = [[int(u == v) for u in range(n)] for v in range(n)]
-    optima = solve_equality_lp(rows, [1] * len(rows), units, maximize=True)
-    return stable_sets, rows, optima
+class _Analysis(NamedTuple):
+    """One graph's equistable analysis, in integers."""
+
+    stable_sets: tuple
+    optimum: Callable  # v -> the (value, x, den) that maximizes w_v
+    point: tuple  # (den, ints): w_v = ints[v] / den
+    directions: list  # integer vectors that share one positive scale
+    equal_one: tuple | None  # the forced hits of _forced_subsets
+    at_most_one: tuple | None
 
 
 def _analysis(g: Graph):
-    """A point of the polytope and the null-space directions of its affine
-    hull, from as few coordinate maxima as the implicit zeros allow.
+    """A point of the polytope, the null-space directions of its affine
+    hull and the forced subsets, from as few coordinate maxima as the
+    implicit zeros allow; None when the polytope is empty.
 
-    Returns None when the polytope is empty, else (point, directions,
-    stable_sets), in integers: the point is (den, ints), w_v = ints[v] /
-    den, and the directions are integer vectors that share one positive
-    scale.  The coordinates are read in ascending order, and one that is
-    positive in an optimum already read is skipped: max w_v > 0 there,
-    so v is no implicit zero.  The point is the first optimum read.
-    Callers share one result per graph object and must not mutate it.
+    One phase 1 serves every coordinate.  The coordinates are read in
+    ascending order, and one that is positive in an optimum already read
+    is skipped: max w_v > 0 there, so v is no implicit zero.  The point
+    is the first optimum read.  Callers share one result per graph object
+    and must not mutate it.
     """
     n = g.n
-    stable_sets, rows, optima = g.memo("equistable_optima",
-                                       _coordinate_maxima)
-    if optima is None:
+    if n > MAX_LP_VERTICES:
+        raise UnsupportedSize(
+            f"equistability decision limited to n <= {MAX_LP_VERTICES}"
+        )
+    stable_sets = tuple(maximal_stable_sets(g))
+    rows = [[s >> v & 1 for v in range(n)] for s in stable_sets]
+    units = [[int(u == v) for u in range(n)] for v in range(n)]
+    optimum = solve_equality_lp(rows, [1] * len(rows), units)
+    if optimum is None:
         return None
-    _, x, den = optima[0]  # coordinate 0 is never skipped
+    _, x, den = optimum(0)  # coordinate 0 is never skipped
     point = den, x
     positive = 0  # coordinates positive in an optimum read so far
     zero_rows = []  # the implicitly tight bounds w_v = 0
     for v in range(n):
         if positive >> v & 1:
             continue
-        value, x, _ = optima[v]
+        value, x, _ = optimum(v)
         if value == 0:
-            zero_rows.append([int(u == v) for u in range(n)])
+            zero_rows.append(units[v])
         positive |= sum(1 << u for u, xu in enumerate(x) if xu)
     directions = null_space(rows + zero_rows, n)
-    return point, directions, stable_sets
+    return _Analysis(stable_sets, optimum, point, directions,
+                     *_forced_subsets(point, directions, stable_sets, n))
 
 
 def _interior_point(g: Graph):
     """The mean of the n coordinate maxima, a relative-interior point of
-    the (nonempty) polytope: every maximum is read, and those that the
-    analysis read are not solved again."""
+    the (nonempty) polytope, as (den, ints): every maximum is read, and
+    those that the analysis read are not solved again."""
     n = g.n
-    _, _, optima = g.memo("equistable_optima", _coordinate_maxima)
+    optimum = g.memo("equistable", _analysis).optimum
+    optima = [optimum(v) for v in range(n)]
     # summed per coordinate over the lcm of the optima's denominators
     den = lcm(*[d for _, _, d in optima])
-    totals = [0] * n
-    for _, x, d in optima:
-        totals = [t + xv * (den // d) for t, xv in zip(totals, x)]
-    return [Fraction(t, den * n) for t in totals]
+    totals = [sum(x[v] * (den // d) for _, x, d in optima) for v in range(n)]
+    return den * n, totals
 
 
 def _packed(directions, n):
@@ -204,7 +205,7 @@ def _packed(directions, n):
     return packed
 
 
-def _forced_subsets(g: Graph):
+def _forced_subsets(point, directions, stable_sets, n):
     """The forced subsets that the certificates name.
 
     A subset T is forced when it is nonempty, not a maximal stable set,
@@ -214,8 +215,6 @@ def _forced_subsets(g: Graph):
     The candidates are the masks where the packed directions sum to 0,
     from one join.
     """
-    point, directions, stable_sets = g.memo("equistable_analysis", _analysis)
-    n = g.n
     half = n // 2
     stable = set(stable_sets)
     denom, ints = point
@@ -238,7 +237,8 @@ def _forced_subsets(g: Graph):
 
 
 def _find_weighting(g: Graph, point, directions, stable_sets):
-    """A point of the polytope with w(T) != 1 for every non-stable T.
+    """A point of the polytope with w(T) != 1 for every non-stable T, as
+    (den, ints) like the point it starts from.
 
     Walks from the relative interior point along a generic integer
     combination of the null directions, to the candidates
@@ -258,6 +258,7 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
     n = g.n
     if not directions:
         return point
+    den, ints = point
     stable = set(stable_sets)
     for attempt in range(1, 32):
         # deterministic "generic" combination of the null directions
@@ -266,13 +267,16 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
         for d in directions:
             dvec = [a + w * b for a, b in zip(dvec, d)]
             w *= attempt + 1
-        # largest step keeping w >= 0; dvec sums to 0 on each maximal
+        # largest step keeping w >= 0, step = p / (den * q) for the least
+        # ratio p / q = ints[v] / -dvec[v]; dvec sums to 0 on each maximal
         # stable set, and every vertex lies in one, so some entry is < 0
-        step = min(p / -d for p, d in zip(point, dvec) if d < 0)
+        p, q = None, 1
+        for x, d in zip(ints, dvec):
+            if d < 0 and (p is None or x * q < p * -d):
+                p, q = x, -d
         k = 2
         while True:
-            eps = step / k
-            cand = [p + eps * d for p, d in zip(point, dvec)]
+            cand = den * q * k, [x * q * k + p * d for x, d in zip(ints, dvec)]
             ones = []
             t = None
             for m in _ones(cand, n):
@@ -291,21 +295,21 @@ def _find_weighting(g: Graph, point, directions, stable_sets):
 
 
 def _ones(weights, n):
-    """The nonempty masks that the rational weights put at sum 1, from one
-    join of the half sums scaled to integers."""
-    denom = lcm(*[w.denominator for w in weights])
-    lo, hi = _halves([w.numerator * (denom // w.denominator)
-                      for w in weights], n)
-    for l, h in _join(lo, [denom - s for s in hi]):
+    """The nonempty masks that the weights (den, ints), w_v = ints[v] / den,
+    put at sum 1, from one join of the half sums."""
+    den, ints = weights
+    lo, hi = _halves(ints, n)
+    for l, h in _join(lo, [den - s for s in hi]):
         yield l | h << n // 2
 
 
 def _verify_weighting(weights, stable_sets, ones) -> bool:
-    """w >= 0, and w(S) = 1 exactly for maximal stable sets and for
-    nothing else: ``ones``, every mask that the join of ``_ones`` finds
-    at sum 1, are exactly the maximal stable sets.  The check is
-    exhaustive, since the join lists every hit."""
-    if any(w < 0 for w in weights):
+    """w >= 0 for the weights (den, ints), den > 0, and w(S) = 1 exactly
+    for maximal stable sets and for nothing else: ``ones``, every mask
+    that the join of ``_ones`` finds at sum 1, are exactly the maximal
+    stable sets.  The check is exhaustive, since the join lists every
+    hit."""
+    if any(x < 0 for x in weights[1]):
         return False
     stable = set(stable_sets)
     hits = 0
@@ -318,25 +322,22 @@ def _verify_weighting(weights, stable_sets, ones) -> bool:
 
 def verify_weighting(g: Graph, weights) -> bool:
     weights = [Fraction(w) for w in weights]
-    return _verify_weighting(weights, maximal_stable_sets(g),
-                             _ones(weights, g.n))
+    den = lcm(*[w.denominator for w in weights])
+    scaled = den, [w.numerator * (den // w.denominator) for w in weights]
+    return _verify_weighting(scaled, maximal_stable_sets(g),
+                             _ones(scaled, g.n))
 
 
 def decision(g: Graph, strongly: bool) -> EquistableCertificate:
     """The (strongly) equistable verdict, from the polytope analysis and
-    the forced-subset join alone: the graph is equistable iff the
+    its forced-subset join alone: the graph is equistable iff the
     polytope is nonempty and no subset is forced to 1 (strongly: to a
     value at most 1).  A negative verdict names the forced subset; a
     positive one carries no weights."""
-    if g.n > MAX_LP_VERTICES:
-        raise UnsupportedSize(
-            f"equistability decision limited to n <= {MAX_LP_VERTICES}"
-        )
-    if g.memo("equistable_analysis", _analysis) is None:
+    res = g.memo("equistable", _analysis)
+    if res is None:
         return EquistableCertificate(False, "infeasible")
-    # both decisions read the same join, so it is kept with the analysis
-    equal_one, at_most_one = g.memo("forced_subsets", _forced_subsets)
-    hit = at_most_one if strongly else equal_one
+    hit = res.at_most_one if strongly else res.equal_one
     if hit is not None:
         m, val = hit
         return EquistableCertificate(
@@ -351,9 +352,11 @@ def is_equistable(g: Graph) -> EquistableCertificate:
     cert = decision(g, strongly=False)
     if not cert.verdict:
         return cert
-    _, directions, stable_sets = g.memo("equistable_analysis", _analysis)
-    weights = _find_weighting(g, _interior_point(g), directions, stable_sets)
-    return EquistableCertificate(True, "weights", weights=tuple(weights))
+    res = g.memo("equistable", _analysis)
+    den, ints = _find_weighting(g, _interior_point(g), res.directions,
+                                res.stable_sets)
+    return EquistableCertificate(
+        True, "weights", weights=tuple(Fraction(x, den) for x in ints))
 
 
 def is_strongly_equistable(g: Graph) -> EquistableCertificate:
@@ -363,11 +366,10 @@ def is_strongly_equistable(g: Graph) -> EquistableCertificate:
 def forced_value(g: Graph, subset: int):
     """The constant value of w(subset) over the polytope, or None if the
     value varies (or the polytope is empty)."""
-    res = g.memo("equistable_analysis", _analysis)
+    res = g.memo("equistable", _analysis)
     if res is None:
         return None
-    (den, ints), directions, _ = res
-    if any(sum(d[v] for v in bits(subset)) for d in directions):
+    if any(sum(d[v] for v in bits(subset)) for d in res.directions):
         return None
+    den, ints = res.point
     return Fraction(sum(ints[v] for v in bits(subset)), den)
-

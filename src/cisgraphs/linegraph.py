@@ -45,10 +45,6 @@ class RootResult:
     kind: str  # "root" | "not-line-graph" | "ambiguous"
     roots: list = field(default_factory=list)
 
-    @property
-    def root(self):
-        return self.roots[0] if self.roots else None
-
 
 def _krausz_partition(g: Graph):
     """Partition of E(g) into cliques with every vertex in at most two

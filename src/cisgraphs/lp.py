@@ -10,15 +10,13 @@ becomes ``(T[i]·p − T[i][c]·T[r]) // den``, which divides exactly, and
 ``den`` becomes the pivot ``|p|``.  The pivot sequence is the one a rational
 tableau would take, so the optima are the same.
 :func:`solve_equality_lp` runs phase 1 once per system, and phase 2 for
-an objective only when the caller first reads its optimum, so a caller
+an objective only when the caller first asks for its optimum, so a caller
 that needs a few of many optima pays for those.  :func:`null_space`
 uses fraction-free elimination (Bareiss 1968).  Results keep the same
 form: integers over one positive denominator, never divided out.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 
 class Unbounded(RuntimeError):
@@ -115,14 +113,14 @@ def _feasible_tableau(a_rows, b, n):
     return [row[:n] + [row[-1]] for row in tab], basis, den
 
 
-def _optimize(start, c, n, maximize):
-    """Phase 2 from a feasible tableau, which is left unchanged."""
+def _optimize(start, c, n):
+    """Phase 2, maximizing c.x from a feasible tableau, which is left
+    unchanged."""
     rows, basis, den = start
     tab = list(rows)  # _pivot replaces rows, it never edits one in place
     basis = list(basis)
-    sign = -den if maximize else den
-    # the objective, carried at the tableau's denominator
-    objrow = [sign * x for x in c] + [0]
+    # the objective to minimize, -c.x, carried at the tableau's denominator
+    objrow = [-den * x for x in c] + [0]
     for i, bv in enumerate(basis):
         f = objrow[bv]
         if f:
@@ -133,55 +131,34 @@ def _optimize(start, c, n, maximize):
     x = [0] * n
     for i, bv in enumerate(basis):
         x[bv] = tab[i][-1]
-    return tab[-1][-1] if maximize else -tab[-1][-1], x, den
+    return tab[-1][-1], x, den
 
 
-class _Optima(Sequence):
-    """The optima of :func:`solve_equality_lp`, one per objective.
-
-    Item k runs phase 2 for objective k from the shared feasible tableau
-    the first time it is read and keeps the (value, x, den) it finds; an
-    unbounded objective raises :class:`Unbounded` each time it is read.
-    Since phase 2 copies the tableau, an item does not depend on which
-    items were read before it.
-    """
-
-    def __init__(self, start, objectives, n, maximize):
-        self._start = start
-        self._objectives = objectives
-        self._n = n
-        self._maximize = maximize
-        self._solved = [None] * len(objectives)
-
-    def __len__(self):
-        return len(self._objectives)
-
-    def __getitem__(self, k):
-        k = range(len(self._objectives))[k]  # IndexError ends iteration
-        if self._solved[k] is None:
-            self._solved[k] = _optimize(self._start, self._objectives[k],
-                                        self._n, self._maximize)
-        return self._solved[k]
-
-
-def solve_equality_lp(a_rows, b, objectives, maximize=False):
-    """Optimize each objective c.x subject to a_rows @ x == b, x >= 0,
+def solve_equality_lp(a_rows, b, objectives):
+    """Maximize each objective c.x subject to a_rows @ x == b, x >= 0,
     exactly; every entry of a_rows, b and the objectives is an integer.
 
     Phase 1 runs once, here.  Returns None when the system is infeasible,
-    else a sequence with one integer (value, x, den) per objective: den
-    is the final tableau's denominator, value / den the optimum and
-    x[j] / den the optimal vertex.  Phase 2 for an objective runs from a
-    fresh copy of the feasible tableau when its item is first read, so a
-    caller pays only for the optima it reads.  Reading the item of an
-    unbounded objective raises :class:`Unbounded`.
+    else a function ``optimum(k)`` giving objective k's integer (value,
+    x, den): den is the final tableau's denominator, value / den the
+    maximum and x[j] / den the optimal vertex.  Phase 2 for objective k
+    runs from a copy of the feasible tableau on the first call with k,
+    and its result is kept, so a caller pays only for the optima it asks
+    for.  For an unbounded objective each call raises :class:`Unbounded`.
     """
     objectives = list(objectives)
     n = len(objectives[0]) if objectives else (len(a_rows[0]) if a_rows else 0)
     start = _feasible_tableau(a_rows, b, n)
     if start is None:
         return None
-    return _Optima(start, objectives, n, maximize)
+    solved = {}
+
+    def optimum(k):
+        if k not in solved:
+            solved[k] = _optimize(start, objectives[k], n)
+        return solved[k]
+
+    return optimum
 
 
 def _rref_ints(rows, ncols):

@@ -774,7 +774,7 @@ def roots_agree(h: Graph) -> bool:
     res = root_graph(line_graph(h))
     if res.kind == "ambiguous":
         return any(is_isomorphic(r, h) for r in res.roots)
-    return res.kind == "root" and is_isomorphic(res.root, h)
+    return res.kind == "root" and is_isomorphic(res.roots[0], h)
 
 
 def all_extensions_graphs(max_n: int):

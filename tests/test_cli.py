@@ -65,7 +65,7 @@ def test_classify_cir9(capsys):
 
 def test_classify_computes_each_fact_once(capsys, monkeypatch):
     # one clique enumeration, one disjointness relation, one polytope
-    # analysis, one forced-subset sweep and one triangle walk per graph
+    # analysis (with its forced-subset join) and one triangle walk per graph
     # object (G12 and its complement), however many predicates read them;
     # two holder builds in all, as the second relation is the first with
     # its families swapped; one disjoint-pair walk, on G12 only, as the
@@ -86,7 +86,6 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
 
     counting(cliques, "_bron_kerbosch")
     counting(equistable, "_analysis")
-    counting(equistable, "_forced_subsets")
     counting(recognizers, "_first_disjoint_pairs")
     counting(recognizers, "_triangle_walk")
     counting(search, "_disjointness")
@@ -97,7 +96,7 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     assert sorted(name for name, _ in calls) == [
         "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
         "_disjointness", "_disjointness",
-        "_first_disjoint_pairs", "_forced_subsets", "_forced_subsets",
+        "_first_disjoint_pairs",
         "_holders", "_holders",
         "_triangle_walk", "_triangle_walk"]
     assert set(calls.values()) == {1}
@@ -112,7 +111,7 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0 and json.loads(out)["base"]["equistable"] is True
     names = [name for name, _ in calls]
-    assert "_forced_subsets" in names and "_find_weighting" not in names
+    assert "_analysis" in names and "_find_weighting" not in names
 
 
 def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):

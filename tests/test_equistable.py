@@ -20,7 +20,7 @@ from cisgraphs.equistable import (
 from cisgraphs.gallery import complete, cycle, gallery, path, random_split
 from cisgraphs.graphs import Graph, bits, complement, mask_of, random_graph
 from cisgraphs.hasse import nonisomorphic_graphs
-from cisgraphs.recognizers import base_predicate
+from cisgraphs.recognizers import UnsupportedSize, base_predicate
 
 import oracles
 from oracles import verify_forced_subset
@@ -163,8 +163,8 @@ def test_analysis_runs_phase_one_once(monkeypatch):
     counting(equistable, "solve_equality_lp", "solve")
     counting(lp, "_feasible_tableau", "phase1")
     optimize = lp._optimize
-    monkeypatch.setattr(lp, "_optimize", lambda start, c, n, maximize: (
-        phase2.append(tuple(c)) or optimize(start, c, n, maximize)))
+    monkeypatch.setattr(lp, "_optimize", lambda start, c, n: (
+        phase2.append(tuple(c)) or optimize(start, c, n)))
     g = gallery("G12")
     assert not equistable.decision(g, False).verdict
     assert not equistable.decision(g, True).verdict
@@ -184,6 +184,10 @@ def test_analysis_runs_phase_one_once(monkeypatch):
 def test_size_cap():
     with pytest.raises(ValueError):
         is_equistable(Graph(MAX_LP_VERTICES + 1))
+    # the cap guards the analysis itself, so forced_value refuses C17 at
+    # once instead of solving its LP
+    with pytest.raises(UnsupportedSize):
+        forced_value(cycle(MAX_LP_VERTICES + 1), 0b11)
 
 
 def all_graphs(n):
@@ -228,6 +232,12 @@ def test_certificates_verify(seed, n):
     if strong.reason == "forced-subset":
         assert strong.forced_value <= 1
         assert forced_value(g, strong.forced_subset) == strong.forced_value
+
+
+def rationals(weights):
+    """The rationals ints[v] / den of an integer point (den, ints)."""
+    den, ints = weights
+    return [F(x, den) for x in ints]
 
 
 def subset_sum(vec, mask):
@@ -289,18 +299,19 @@ def test_forced_subsets_match_per_direction_sweeps():
         n = g.n
         seen["graphs"] += 1
         seen["n = 1"] += n == 1
-        res = g.memo("equistable_analysis", equistable._analysis)
+        res = g.memo("equistable", equistable._analysis)
         if res is None:
             seen["infeasible"] += 1
             continue
-        (den, ints), directions, stable_sets = res
-        point = [F(x, den) for x in ints]
+        directions = res.directions
+        point = rationals(res.point)
         seen["fixed point"] += not directions
         seen["packed"] += len(directions) > 1
-        forced = equistable._forced_subsets(g)
-        assert forced == oracles.forced_subsets_by_sweep(*res, n)
+        forced = res.equal_one, res.at_most_one
+        analysis = res.point, directions, res.stable_sets, n
+        assert forced == oracles.forced_subsets_by_sweep(*analysis)
         if n <= 6 or g in lp_gallery:
-            assert forced == oracles.forced_subsets_per_direction(*res, n)
+            assert forced == oracles.forced_subsets_per_direction(*analysis)
 
         denom_p, base = oracles.scaled_subset_sums(point, n)
         mixed = [F(0)] * n
@@ -339,15 +350,14 @@ def test_analysis_matches_all_maxima_oracle(monkeypatch):
     # the whole set solves fewer maxima than it has vertices
     phase2 = []
     optimize = lp._optimize
-    monkeypatch.setattr(lp, "_optimize", lambda start, c, n, maximize: (
-        phase2.append(c) or optimize(start, c, n, maximize)))
+    monkeypatch.setattr(lp, "_optimize", lambda start, c, n: (
+        phase2.append(c) or optimize(start, c, n)))
     solved = vertices = 0
     seen = {"empty": 0, "zeros": 0, "directions": 0}
     for g in _join_test_graphs():
         n = g.n
         phase2.clear()
-        res = g.memo("equistable_analysis", equistable._analysis)
-        forced = res and equistable._forced_subsets(g)
+        res = g.memo("equistable", equistable._analysis)
         assert len(phase2) <= n
         solved += len(phase2)
         vertices += n
@@ -357,8 +367,8 @@ def test_analysis_matches_all_maxima_oracle(monkeypatch):
             seen["empty"] += 1
             continue
         interior, zeros, want_directions, want_sets = want
-        (den, ints), directions, stable_sets = res
-        assert stable_sets == want_sets
+        (den, ints), directions = res.point, res.directions
+        assert res.stable_sets == want_sets
         # the integer directions are one positive multiple of the oracle's
         # rational ones
         scale = 1
@@ -372,13 +382,12 @@ def test_analysis_matches_all_maxima_oracle(monkeypatch):
         assert zeros == [v for v in range(n) if ints[v] == 0
                          and all(d[v] == 0 for d in directions)]
         assert den > 0 and min(ints) >= 0
-        assert all(sum(ints[v] for v in bits(s)) == den for s in stable_sets)
-        oracle_graph = Graph.from_adj(g.adj)
-        oracle_graph.memo("equistable_analysis", lambda _: (
+        assert all(sum(ints[v] for v in bits(s)) == den for s in want_sets)
+        # the forced subsets, read from the oracle's point and directions
+        assert (res.equal_one, res.at_most_one) == equistable._forced_subsets(
             oracles.integral(interior),
-            [oracles.integral(d)[1] for d in want_directions], want_sets))
-        assert forced == equistable._forced_subsets(oracle_graph)
-        assert equistable._interior_point(g) == interior
+            [oracles.integral(d)[1] for d in want_directions], want_sets, n)
+        assert rationals(equistable._interior_point(g)) == interior
         seen["zeros"] += bool(zeros)
         seen["directions"] += bool(directions)
     assert min(seen.values()) > 0, seen
@@ -394,12 +403,12 @@ def test_weighting_walk_matches_hyperplane_walk():
         cert = is_equistable(g)
         if not cert.verdict:
             continue
-        _, directions, stable_sets = g.memo("equistable_analysis",
-                                            equistable._analysis)
+        res = g.memo("equistable", equistable._analysis)
         weights, dropped, extra = oracles.find_weighting_by_sweeps(
-            g, equistable._interior_point(g), directions, stable_sets)
+            g, rationals(equistable._interior_point(g)), res.directions,
+            res.stable_sets)
         assert cert.weights == tuple(weights)
-        seen["walks"] += bool(directions)
+        seen["walks"] += bool(res.directions)
         seen["dropped"] += dropped
         seen["past k = 2"] += extra
     assert seen["walks"] and seen["dropped"] and seen["past k = 2"]
@@ -440,10 +449,9 @@ def test_verify_weighting_matches_sweep_on_perturbed_certificates():
             for moved in (w[v] + F(1, 101), w[v] / 2,
                           *(1 - w[u] for u in bits(g.adj[v]))):
                 weightings.append([*w[:v], moved, *w[v + 1:]])
-        (den, ints), directions, _ = g.memo("equistable_analysis",
-                                            equistable._analysis)
-        point = [F(x, den) for x in ints]
-        for d in directions[:1]:
+        res = g.memo("equistable", equistable._analysis)
+        point = rationals(res.point)
+        for d in res.directions[:1]:
             denom_p, base = oracles.scaled_subset_sums(point, g.n)
             denom_d, dsums = oracles.scaled_subset_sums(d, g.n)
             for m in range(1, 1 << g.n):
@@ -471,7 +479,7 @@ def test_weighting_walk_joins_each_candidate_once(monkeypatch):
     original = equistable._ones
 
     def recording(weights, n):
-        joined.append(tuple(weights))
+        joined.append(tuple(rationals(weights)))
         return original(weights, n)
 
     monkeypatch.setattr(equistable, "_ones", recording)
@@ -485,10 +493,10 @@ def test_weighting_walk_joins_each_candidate_once(monkeypatch):
         if not cert.verdict:
             continue
         joined.clear()
-        _, directions, stable_sets = g.memo("equistable_analysis",
-                                            equistable._analysis)
-        weights = equistable._find_weighting(
-            g, equistable._interior_point(g), directions, stable_sets)
+        res = g.memo("equistable", equistable._analysis)
+        weights = rationals(equistable._find_weighting(
+            g, equistable._interior_point(g), res.directions,
+            res.stable_sets))
         assert tuple(weights) == cert.weights
         assert len(joined) == len(set(joined))
         assert not joined or joined[-1] == tuple(weights)

@@ -66,7 +66,7 @@ def test_root_graph_known_cases():
     # line graph of P5 is P4
     res = root_graph(path(4))
     assert res.kind == "root"
-    assert is_isomorphic(res.root, path(5))
+    assert is_isomorphic(res.roots[0], path(5))
     # the 4-rim wheel is L(K4 minus an edge); the 5-rim wheel is a
     # minimal non-line graph
     w4 = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),

@@ -20,14 +20,30 @@ def rational(optimum):
     return F(value, den), [F(v, den) for v in x]
 
 
-def rational_lp(a, b, objectives, maximize=False):
-    """solve_equality_lp with every optimum read as rationals."""
-    optima = solve_equality_lp(a, b, objectives, maximize)
+def solve_all(a, b, objectives, maximize=True):
+    """Every optimum of solve_equality_lp, read in order, or None when the
+    system is infeasible.  The LP only maximizes: a minimum of c is read
+    as the maximum of -c with the value negated."""
+    sign = 1 if maximize else -1
+    optimum = solve_equality_lp(a, b, [[sign * x for x in c]
+                                       for c in objectives])
+    if optimum is None:
+        return None
+    out = []
+    for k in range(len(objectives)):
+        value, x, den = optimum(k)
+        out.append((sign * value, x, den))
+    return out
+
+
+def rational_lp(a, b, objectives, maximize=True):
+    """solve_all with every optimum read as rationals."""
+    optima = solve_all(a, b, objectives, maximize)
     return None if optima is None else [rational(o) for o in optima]
 
 
-def solve_one(a, b, c, maximize=False):
-    res = solve_equality_lp(a, b, [c], maximize)
+def solve_one(a, b, c, maximize=True):
+    res = solve_all(a, b, [c], maximize)
     return None if res is None else res[0]
 
 
@@ -58,7 +74,7 @@ def test_infeasible():
     assert solve_equality_lp([[-1, -1]], [1], [[0, 0]]) is None
     # infeasibility is found without any objective
     assert solve_equality_lp([[-1, -1]], [1], []) is None
-    assert list(solve_equality_lp([[1, 1]], [1], [])) == []
+    assert solve_all([[1, 1]], [1], []) == []
 
 
 def test_redundant_rows():
@@ -69,11 +85,10 @@ def test_redundant_rows():
 
 def test_unbounded():
     with pytest.raises(Unbounded):
-        list(solve_equality_lp([[1, -1]], [0], [[1, 0]], maximize=True))
+        solve_all([[1, -1]], [0], [[1, 0]])
     # a bounded objective listed first does not hide a later unbounded one
     with pytest.raises(Unbounded):
-        list(solve_equality_lp([[1, -1]], [0], [[-1, 0], [1, 0]],
-                               maximize=True))
+        solve_all([[1, -1]], [0], [[-1, 0], [1, 0]])
 
 
 def test_degenerate_cycling_guard():
@@ -140,15 +155,13 @@ def test_many_objectives_match_single_calls():
             if Unbounded in singles:
                 unbounded += 1
                 with pytest.raises(Unbounded):
-                    list(solve_equality_lp(a, b, objectives, maximize))
+                    solve_all(a, b, objectives, maximize)
                 # the objectives before the first unbounded one still solve
                 first = singles.index(Unbounded)
-                assert list(solve_equality_lp(
-                    a, b, objectives[:first], maximize
-                )) == singles[:first]
+                assert solve_all(a, b, objectives[:first],
+                                 maximize) == singles[:first]
             else:
-                assert list(solve_equality_lp(a, b, objectives,
-                                              maximize)) == singles
+                assert solve_all(a, b, objectives, maximize) == singles
     assert unbounded > 0
 
 
@@ -227,8 +240,7 @@ def reference_systems(seed, count):
 
 def outcome(solve, a, b, objectives, maximize):
     try:
-        optima = solve(a, b, objectives, maximize)
-        return None if optima is None else list(optima)
+        return solve(a, b, objectives, maximize)
     except Unbounded:
         return Unbounded
 
@@ -275,30 +287,31 @@ def test_fraction_free_rref_matches_fraction_reference():
 
 
 def test_optima_are_solved_once_each_when_read(monkeypatch):
-    # each item of the returned sequence runs phase 2 for its objective
-    # on first read and keeps it: whatever the order of reading, the items
-    # equal the reference's optima, and an unbounded objective raises
-    # only when its own item is read
+    # solving runs no phase 2; the returned function runs phase 2 for an
+    # objective on its first call with it and keeps the optimum: whatever
+    # the order of calls, the optima equal the reference's, and an
+    # unbounded objective raises on each call with it, and only then
     phase2 = []
     original = lp._optimize
 
-    def counting(start, c, n, maximize):
+    def counting(start, c, n):
         phase2.append(c)
-        return original(start, c, n, maximize)
+        return original(start, c, n)
 
     monkeypatch.setattr(lp, "_optimize", counting)
     rng = random.Random(9)
     seen = {"read": 0, "unbounded": 0, "out of order": 0}
     for a, b, objectives in reference_systems(seed=9, count=600):
         for maximize in (False, True):
+            sign = 1 if maximize else -1
             phase2.clear()
-            optima = solve_equality_lp(a, b, objectives, maximize)
+            signed = [[sign * x for x in c] for c in objectives]
+            optimum = solve_equality_lp(a, b, signed)
             assert phase2 == []
-            if optima is None:
+            if optimum is None:
                 assert oracles.solve_equality_lp(a, b, objectives,
                                                  maximize) is None
                 continue
-            assert len(optima) == len(objectives)
             order = list(range(len(objectives)))
             rng.shuffle(order)
             seen["out of order"] += order != sorted(order)
@@ -307,17 +320,20 @@ def test_optima_are_solved_once_each_when_read(monkeypatch):
                                [objectives[k]], maximize)
                 phase2.clear()
                 if want is Unbounded:
-                    with pytest.raises(Unbounded):
-                        optima[k]
-                    assert phase2 == [objectives[k]]
+                    for _ in range(2):
+                        with pytest.raises(Unbounded):
+                            optimum(k)
+                    assert phase2 == [signed[k]] * 2
                     seen["unbounded"] += 1
                     continue
-                got = optima[k]
-                assert phase2 == [objectives[k]] and [rational(got)] == want
+                got = optimum(k)
+                value, x, den = got
+                assert phase2 == [signed[k]]
+                assert [rational((sign * value, x, den))] == want
                 phase2.clear()
-                assert optima[k] is got and optima[k - len(optima)] is got
+                assert optimum(k) is got
                 assert phase2 == []
                 seen["read"] += 1
             with pytest.raises(IndexError):
-                optima[len(objectives)]
+                optimum(len(objectives))
     assert min(seen.values()) >= 50, seen
