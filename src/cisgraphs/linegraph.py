@@ -207,7 +207,8 @@ def max_weight_matching(h: Graph, weight) -> tuple:
 def find_bull_subgraph(h: Graph):
     """A (not necessarily induced) bull: triangle plus pendant edges at two
     distinct triangle vertices with distinct outside endpoints.  Returns
-    the 5 vertices (a, x, y, z, b) or None."""
+    (a, u, v, b, w), pendant a at u and b at v, w the third triangle
+    vertex; or None."""
     for x, y, z in itertools.combinations(range(h.n), 3):
         tri = mask_of((x, y, z))
         if not h.is_clique(tri):
@@ -247,8 +248,9 @@ def neighborhood_subgraph(h: Graph, x: int):
 def is_cis_line_root(h: Graph):
     """Decide whether L(h) is CIS, working on the root graph h.
 
-    Returns (verdict, certificate, backend_used); the certificate on
-    failure is ("bull", vertices) or ("matching", x, edges).
+    Returns (verdict, certificate, backend); the certificate on failure
+    is ("bull", vertices) or ("matching", x, edges), and the backend is
+    that of the last H(x) matched, or None when no matching ran.
     """
     bull = find_bull_subgraph(h)
     if bull is not None:

@@ -10,8 +10,8 @@ peels isolated or dominating vertices (Chvátal and Hammer 1977), cograph
 peels twins (Corneil, Lerchs and Stewart Burlingham 1981), and edge
 simplicial asks every edge for a common simplicial neighbour.
 
-The covering classes (edge simplicial, semi-weakly CIS, weakly triangle)
-read the holder masks per edge through ``search.edge_holders``.
+Semi-weakly CIS and weakly triangle read their coverage clauses off the
+disjointness relation (``search.disjointness``).
 
 Degenerate verdicts are fixed: edgeless graphs are edge simplicial,
 semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .cliques import maximal_stable_sets
 from .graphs import Graph, bits, complement, mask_of
-from .search import disjointness, edge_holders, is_normal, is_weakly_cis
+from .search import disjointness, is_normal, is_weakly_cis
 
 
 class UnsupportedSize(ValueError):
@@ -132,7 +132,7 @@ def is_edge_simplicial(g: Graph) -> bool:
     closed = [g.closed_nbhd(v) for v in range(g.n)]
     simplicial = mask_of(v for v in range(g.n) if g.is_clique(closed[v]))
     # N[w] holds v exactly when w is in N[v]
-    return all(m & simplicial for m in edge_holders(g, closed))
+    return all(closed[u] & closed[v] & simplicial for u, v in g.edges())
 
 
 def is_semi_weakly_cis(g: Graph) -> bool:
@@ -145,11 +145,8 @@ def is_semi_weakly_cis(g: Graph) -> bool:
     mask of the strong cliques.
     """
     rel = disjointness(g)
-    strong = 0
-    for i, missing in enumerate(rel.clique_excl):
-        if not missing:
-            strong |= 1 << i
-    return all(m & strong for m in edge_holders(g, rel.clique_holders))
+    strong = mask_of(i for i, x in enumerate(rel.clique_excl) if not x)
+    return all(m & strong for m in rel.edge_clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +210,7 @@ def is_weakly_triangle(g: Graph) -> bool:
     decides the class.
     """
     admissible = g.memo("triangle_walk", _triangle_walk)[1]
-    holders = disjointness(g).stable_holders
-    return all(m & admissible for m in edge_holders(complement(g), holders))
+    return all(m & admissible for m in disjointness(g).nonedge_clauses)
 
 
 def induced_p4s(g: Graph):

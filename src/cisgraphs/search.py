@@ -1,14 +1,12 @@
 """The clique/stable-set disjointness relation and two budgeted searches.
 
 ``disjointness`` is the one fact behind the CIS family, semi-weakly CIS,
-weakly triangle, weakly CIS and normal, built once per graph: the maximal
-cliques and the maximal stable sets, each numbered from 0; per vertex,
-the mask of each family's members holding it (``clique_holders``,
-``stable_holders``); and per member, the mask of the other family's
-members disjoint from it (``clique_excl``, ``stable_excl``).
-
-``edge_holders`` is the one per-edge coverage routine, read by edge
-simplicial, semi-weakly CIS, weakly triangle and the weakly-CIS clauses.
+weakly triangle, weakly CIS and normal, built once per complement pair
+(complementing swaps the families): the maximal cliques and the maximal
+stable sets, each numbered from 0, and masks of them: per vertex, the
+members holding it; per member, the other family's members disjoint from
+it; per edge, the cliques holding it, and per non-edge, the stable sets
+holding it (the coverage clauses).
 
 ``exists_cross_intersecting`` looks for cross-intersecting
 clique/stable-set subfamilies (weakly CIS and normal).  The candidates are
@@ -53,10 +51,10 @@ Both searches raise ``SearchUndecided`` when their budget,
 
 from __future__ import annotations
 
-import collections
+from typing import NamedTuple
 
 from .cliques import maximal_cliques, maximal_stable_sets
-from .graphs import Graph, bits, complement
+from .graphs import Graph, bits
 
 DEFAULT_BACKTRACK_CAP = 1_000_000
 
@@ -65,16 +63,22 @@ class SearchUndecided(RuntimeError):
     """Search budget exhausted; never silently reported as 'no'."""
 
 
-Disjointness = collections.namedtuple("Disjointness", (
-    "cliques", "stables", "clique_holders", "stable_holders",
-    "clique_excl", "stable_excl",
-))
+class Disjointness(NamedTuple):
+    """The disjointness relation of one graph (module docstring)."""
+
+    cliques: list  # the maximal cliques, in maximal_cliques(g) order
+    stables: list  # the maximal stable sets, in maximal_stable_sets(g) order
+    clique_holders: list  # per vertex, the cliques holding it
+    stable_holders: list  # per vertex, the stable sets holding it
+    clique_excl: list  # per clique, the stable sets disjoint from it
+    stable_excl: list  # per stable set, the cliques disjoint from it
+    edge_clauses: list  # per edge, in g.edges() order, the cliques holding it
+    nonedge_clauses: list  # the same per non-edge (complement(g).edges())
 
 
 def disjointness(g: Graph) -> Disjointness:
-    """The clique/stable-set disjointness relation of g (module
-    docstring), built once per graph, or read off the complement's
-    relation when that is built."""
+    """The disjointness relation of g (module docstring), built once per
+    graph or read off the complement's."""
     return g.memo("disjointness", _disjointness)
 
 
@@ -82,19 +86,19 @@ def _disjointness(g: Graph) -> Disjointness:
     co = g.known("complement")
     rel = co.known("disjointness") if co is not None else None
     if rel is not None:
-        # complementing swaps the two families
+        # complementing swaps the families and the edges with the non-edges
         return Disjointness(
             rel.stables, rel.cliques, rel.stable_holders,
             rel.clique_holders, rel.stable_excl, rel.clique_excl,
+            rel.nonedge_clauses, rel.edge_clauses,
         )
-    cliques = maximal_cliques(g)
-    stables = maximal_stable_sets(g)
-    ch = _holders(cliques, g.n)
-    sh = _holders(stables, g.n)
+    cliques, stables = maximal_cliques(g), maximal_stable_sets(g)
+    ch, sh = _holders(cliques, g.n), _holders(stables, g.n)
     return Disjointness(
         cliques, stables, ch, sh,
         _exclusions(cliques, sh, (1 << len(stables)) - 1),
         _exclusions(stables, ch, (1 << len(cliques)) - 1),
+        _coverage_clauses(g, ch, True), _coverage_clauses(g, sh, False),
     )
 
 
@@ -125,13 +129,12 @@ def _holders(family, n: int):
     ]
 
 
-def edge_holders(g: Graph, holders):
-    """Per edge (u, v) of g, in ``g.edges()`` order, the mask
-    ``holders[u] & holders[v]`` of the members holding both ends; on
-    ``complement(g)``, per non-edge of g.  A generator, so that a
-    coverage test stops at its first uncovered edge."""
-    for u, v in g.edges():
-        yield holders[u] & holders[v]
+def _coverage_clauses(g: Graph, holders, edges: bool):
+    """Per edge of g (``edges``) or per non-edge, pairs u < v ascending,
+    the mask ``holders[u] & holders[v]`` of the members holding both."""
+    flip = 0 if edges else g.full
+    return [hu & holders[v] for u, hu in enumerate(holders)
+            for v in bits((g.adj[u] ^ flip) & -(2 << u))]
 
 
 def _exclusions(family, other_holders, other_all: int):
@@ -157,16 +160,13 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
     complete.
     """
     cap = DEFAULT_BACKTRACK_CAP
-    cliques, stables, ch, sh, cx, sx = disjointness(g)
-    nc = len(cliques)
-    sh = [h << nc for h in sh]  # the stable sets are candidates nc, ...
-    # the clique clauses, then the stable-set clauses
-    if normal:
-        families = ch, sh
-    else:
-        families = ([*edge_holders(g, ch)],
-                    [*edge_holders(complement(g), sh)])
-    excl = [x << nc for x in cx] + sx
+    rel = disjointness(g)
+    nc = len(rel.cliques)
+    # the clique clauses, then the stable-set clauses (candidates nc, ...)
+    ch, sh = ((rel.clique_holders, rel.stable_holders) if normal
+              else (rel.edge_clauses, rel.nonedge_clauses))
+    families = ch, [h << nc for h in sh]
+    excl = [x << nc for x in rel.clique_excl] + rel.stable_excl
     every = (1 << len(excl)) - 1
     backtracks = 0
 
@@ -235,8 +235,8 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
         stack[-1][1] |= 1 << v
         true, false = true | 1 << v, false | excl[v]
     return (
-        [cliques[i] for i in bits(true & (1 << nc) - 1)],
-        [stables[j] for j in bits(true >> nc)],
+        [rel.cliques[i] for i in bits(true & (1 << nc) - 1)],
+        [rel.stables[j] for j in bits(true >> nc)],
     )
 
 

@@ -30,7 +30,7 @@ from cisgraphs.hasse import MembershipCache, nonisomorphic_graphs
 from cisgraphs.recognizers import has_bad_p4, induced_p4s
 from cisgraphs.linegraph import line_graph, root_graph
 from cisgraphs.lp import Unbounded
-from cisgraphs.search import disjointness, edge_holders
+from cisgraphs.search import disjointness
 
 # ---------------------------------------------------------------------------
 # the exact simplex over Fraction entries (the integer tableau's reference)
@@ -578,14 +578,16 @@ def exists_cross_intersecting_plain(g: Graph, *, normal: bool):
     by its search without the branching-clause pruning and without a
     budget: branch on the first unsatisfied clause with the fewest open
     candidates and try them in ascending order."""
-    cliques, stables, ch, sh, cx, sx = disjointness(g)
-    nc = len(cliques)
-    sh = [h << nc for h in sh]
+    rel = disjointness(g)
+    nc = len(rel.cliques)
+    ch = rel.clique_holders
+    sh = [h << nc for h in rel.stable_holders]
     if normal:
         clauses = ch + sh
     else:
-        clauses = [*edge_holders(g, ch), *edge_holders(complement(g), sh)]
-    excl = [x << nc for x in cx] + sx
+        clauses = [ch[u] & ch[v] for u, v in g.edges()]
+        clauses += [sh[u] & sh[v] for u, v in complement(g).edges()]
+    excl = [x << nc for x in rel.clique_excl] + rel.stable_excl
 
     def branch(true: int, false: int):
         best, fewest = None, None
@@ -620,8 +622,8 @@ def exists_cross_intersecting_plain(g: Graph, *, normal: bool):
                 true, false = true | low, false | excl[v]
                 break
     return (
-        [c for i, c in enumerate(cliques) if true >> i & 1],
-        [s for j, s in enumerate(stables) if true >> nc + j & 1],
+        [c for i, c in enumerate(rel.cliques) if true >> i & 1],
+        [s for j, s in enumerate(rel.stables) if true >> nc + j & 1],
     )
 
 

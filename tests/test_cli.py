@@ -67,8 +67,9 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     # one clique enumeration, one disjointness relation, one polytope
     # analysis (with its forced-subset join) and one triangle walk per graph
     # object (G12 and its complement), however many predicates read them;
-    # two holder builds in all, as the second relation is the first with
-    # its families swapped; one disjoint-pair walk, on G12 only, as the
+    # two holder builds and two coverage-clause builds in all, both on
+    # G12, as the second relation is the first with its families and
+    # clause lists swapped; one disjoint-pair walk, on G12 only, as the
     # CIS family is complement-invariant
     calls = {}
     graphs = {}
@@ -90,17 +91,22 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     counting(recognizers, "_triangle_walk")
     counting(search, "_disjointness")
     counting(search, "_holders")  # keyed by the family, not the graph
+    counting(search, "_coverage_clauses")
     counting(equistable, "_find_weighting")  # classify prints no weights
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     assert sorted(name for name, _ in calls) == [
         "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
+        "_coverage_clauses",
         "_disjointness", "_disjointness",
         "_first_disjoint_pairs",
         "_holders", "_holders",
         "_triangle_walk", "_triangle_walk"]
-    assert set(calls.values()) == {1}
+    assert {name: k for (name, _), k in calls.items() if k != 1} == {
+        "_coverage_clauses": 2}
     g12 = gallery("G12")
+    assert [g for (name, _), g in graphs.items()
+            if name == "_coverage_clauses"] == [g12]
     assert [g for (name, _), g in graphs.items()
             if name == "_first_disjoint_pairs"] == [g12]
     assert [g for (name, _), g in graphs.items()

@@ -313,7 +313,8 @@ def _swap_test_graphs():
 def test_disjointness_read_off_the_complement():
     # the relation of a graph's complement, in either build order, is
     # the graph's own with the families swapped, field by field equal to
-    # a relation built from scratch
+    # a relation built from scratch, whose coverage clauses are the
+    # holders shared by the ends of each edge and of each non-edge
     checked = 0
     for rep in _swap_test_graphs():
         for first_complement in (False, True):
@@ -326,6 +327,11 @@ def test_disjointness_read_off_the_complement():
             fresh = search._disjointness(Graph.from_adj(second.adj))
             for field in Disjointness._fields:
                 assert getattr(swapped, field) == getattr(fresh, field), field
+            ch, sh = fresh.clique_holders, fresh.stable_holders
+            assert fresh.edge_clauses == [
+                ch[u] & ch[v] for u, v in second.edges()]
+            assert fresh.nonedge_clauses == [
+                sh[u] & sh[v] for u, v in complement(second).edges()]
         checked += 1
     assert checked == 1252 + 100
 
