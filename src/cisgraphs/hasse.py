@@ -125,19 +125,26 @@ class MembershipCache:
     """The package's evaluator: memoized base predicates, and their lifts
     to the table properties.  A verdict is True, False, or "unsupported"
     when the graph is too large for an exact predicate; that depends only
-    on n, so a graph and its complement always agree on it."""
+    on n, so a graph and its complement always agree on it.
+
+    Verdicts are kept as one dict per graph, {graph: {base name:
+    verdict}}, each filled on the base's first read.  ``holds`` lifts
+    them lazily: a cap or cup property reads the complement's base only
+    when the graph's own verdict does not settle it."""
 
     def __init__(self):
-        self._vals = {}
+        self._verdicts = {}
 
     def base(self, name: str, g: Graph):
-        key = (name, g)
-        if key not in self._vals:
+        verdicts = self._verdicts.get(g)
+        if verdicts is None:
+            verdicts = self._verdicts[g] = {}
+        if name not in verdicts:
             try:
-                self._vals[key] = base_predicate(name)(g)
+                verdicts[name] = base_predicate(name)(g)
             except UnsupportedSize:
-                self._vals[key] = "unsupported"
-        return self._vals[key]
+                verdicts[name] = "unsupported"
+        return verdicts[name]
 
     def holds(self, prop: str, g: Graph):
         """A table property id (cap = on g and its complement, cup = on
@@ -399,17 +406,21 @@ def _new_report(max_n: int, include_lp: bool) -> ScanReport:
 
 
 def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
-    """Evaluate all classes on every graph up to max_n (up to isomorphism)
-    and assert every inclusion arrow and every "subset" table cell.
+    """Evaluate all classes on every graph up to max_n (up to isomorphism),
+    check every inclusion arrow and every "subset" table cell, and record
+    each class that fails one.
 
     The complement of a class is a class, so the scan walks complement
     pairs: class i's representative g, its complement co, a copy of the
     class j that the canonical form of co names, and one
     ``MembershipCache`` serve class i's checks on (g, co) and, if j != i,
-    class j's checks on (co, g).  Each base thus runs once per class, and
-    the collapse check compares two classes' verdicts.  Each pair gets a
-    fresh graph and cache, so no fact outlives it.  A failure is named by
-    the graph6 of its class representative, listed in class order.
+    class j's checks on (co, g).  Each base and each table property in
+    play is read from the cache once per graph of a pair, into one dict
+    per graph that every check of both classes reads; so each base runs
+    once per class, and the collapse check compares two classes'
+    verdicts.  Each pair gets a fresh graph and cache, so no fact
+    outlives it.  A failure is named by the graph6 of its class
+    representative, listed in class order.
 
     LP-backed classes (equistable, strongly equistable) are always run
     for n <= 6; ``include_lp`` extends them to larger n.
@@ -434,19 +445,20 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
         checked.append(arrows["split<->aCIS-or-cap-es"])
         if with_lp:
             checked.append(arrows["equistable->no-bad-p4"])
+        # every base and property a check below reads, in a fixed order
+        keys = dict.fromkeys([*props, "almost_cis", *(
+            x for a, b, _ in implications for x in (a, b))])
 
-        def failures(cache, g, co):
-            """The results that g's class fails; co is g's complement."""
-            out = [res for a, b, res in implications
-                   if cache.holds(a, g) and not cache.holds(b, g)]
-            if with_lp and cache.base("equistable", g) and has_bad_p4(g):
+        def failures(v, v_co, g):
+            """The results that g's class fails, read from its verdicts v
+            and those of its complement, v_co."""
+            out = [res for a, b, res in implications if v[a] and not v[b]]
+            if with_lp and v["equistable"] and has_bad_p4(g):
                 out.append(arrows["equistable->no-bad-p4"])
-            rhs = cache.base("almost_cis", g) or cache.holds("cap-es", g)
-            if cache.base("split", g) != rhs:
+            if v["split"] != (v["almost_cis"] or v["cap-es"]):
                 out.append(arrows["split<->aCIS-or-cap-es"])
-            vec = {p: cache.holds(p, g) for p in props}
-            out += [collapse[p] for p in props if vec[p] != cache.holds(p, co)]
-            out += [res for row, col, res in cells if vec[row] and not vec[col]]
+            out += [collapse[p] for p in props if v[p] != v_co[p]]
+            out += [res for row, col, res in cells if v[row] and not v[col]]
             return tuple(out)
 
         index = _LEVELS[n].index
@@ -457,10 +469,12 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
             g = Graph.from_adj(rep.adj)
             co = complement(g)
             cache = MembershipCache()
-            failed[i] = failures(cache, g, co)
+            v_g = {x: cache.holds(x, g) for x in keys}
+            v_co = {x: cache.holds(x, co) for x in keys}
+            failed[i] = failures(v_g, v_co, g)
             j = index[canonical_form(co)]
             if j != i:
-                failed[j] = failures(cache, co, g)
+                failed[j] = failures(v_co, v_g, co)
         for res in checked:
             res.checked += len(classes)
         for rep, results in zip(classes, failed):

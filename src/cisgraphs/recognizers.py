@@ -128,11 +128,38 @@ def is_quasi_cis(g: Graph) -> bool:
 def is_edge_simplicial(g: Graph) -> bool:
     """Every edge uv lies in some N[w] with w simplicial, i.e. has a
     simplicial vertex in N[u] & N[v]; the N[w] are the simplicial
-    maximal cliques."""
-    closed = [g.closed_nbhd(v) for v in range(g.n)]
-    simplicial = mask_of(v for v in range(g.n) if g.is_clique(closed[v]))
-    # N[w] holds v exactly when w is in N[v]
-    return all(closed[u] & closed[v] & simplicial for u, v in g.edges())
+    maximal cliques.
+
+    v is simplicial when N[v] lies in N[u] for each neighbour u.  An edge
+    with a simplicial end is covered by that end, so only edges between
+    two non-simplicial ends need a simplicial common neighbour.
+    """
+    adj = g.adj
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    simplicial = 0
+    for v, nv in enumerate(closed):
+        m = adj[v]
+        while m:
+            low = m & -m
+            if nv & ~closed[low.bit_length() - 1]:
+                break
+            m ^= low
+        else:
+            simplicial |= 1 << v
+    rest = g.full & ~simplicial
+    m = rest
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        shared = adj[u] & simplicial
+        partners = adj[u] & rest & -(low << 1)  # v > u, v not simplicial
+        while partners:
+            lv = partners & -partners
+            partners ^= lv
+            if not adj[lv.bit_length() - 1] & shared:
+                return False
+    return True
 
 
 def is_semi_weakly_cis(g: Graph) -> bool:
@@ -281,7 +308,8 @@ def is_perfect(g: Graph) -> bool:
     Seymour and Thomas 2006)."""
     if g.n > 16:
         raise UnsupportedSize("perfect test limited to n <= 16")
-    return not (_has_odd_hole(g) or _has_odd_hole(complement(g)))
+    return not (g.memo("odd_hole", _has_odd_hole)
+                or complement(g).memo("odd_hole", _has_odd_hole))
 
 
 # ---------------------------------------------------------------------------

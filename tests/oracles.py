@@ -400,6 +400,13 @@ def verify_forced_subset(g: Graph, combination):
 # graphs, cliques, line graphs and scans
 
 
+def relabelled(g: Graph, rng) -> Graph:
+    """g with its vertices renumbered by a permutation drawn from rng."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Induced subgraph on the vertices of ``mask``, relabeled 0..k-1."""
     verts = list(bits(mask))

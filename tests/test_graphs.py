@@ -33,7 +33,12 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from cisgraphs import hasse
 from cisgraphs.hasse import EXPECTED_GRAPH_COUNTS, nonisomorphic_graphs
 from cisgraphs.recognizers import is_edge_simplicial
-from oracles import group_order, induced_subgraph, smallest_leaf_form
+from oracles import (
+    group_order,
+    induced_subgraph,
+    relabelled,
+    smallest_leaf_form,
+)
 
 
 def graphs(max_n=10):
@@ -279,12 +284,6 @@ def circulants(draw, max_n=24):
     the search meets many leaves with one form."""
     n = draw(st.integers(1, max_n))
     return circulant(n, draw(st.sets(st.integers(1, max(1, n // 2)))))
-
-
-def relabelled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def is_automorphism(g, perm):

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from cisgraphs import cliques, hasse
+from cisgraphs import cliques, hasse, recognizers
 from cisgraphs.gallery import cycle, gallery, path
 from cisgraphs.graphs import (
     Graph,
@@ -230,6 +232,36 @@ def test_scan_evaluates_each_class_once(monkeypatch):
     counting(hasse, "canonical_form")
     assert scan(7).ok
     assert calls == {"_bron_kerbosch": 1256, "canonical_form": 628}
+
+
+def test_scan_reads_each_verdict_once_per_graph(monkeypatch):
+    # in scan(7) each base predicate runs at most once per graph of a
+    # complement pair, and perfect's odd-hole scan once per graph: 1,256
+    # scans, where testing both graphs on every call of perfect made 2,358
+    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
+    nonisomorphic_graphs(7)
+    runs, scans = [], []  # the graphs are kept, so no id is reused
+    original = hasse.base_predicate
+
+    def counted(name):
+        pred = original(name)
+
+        def wrapper(g):
+            runs.append((name, g))
+            return pred(g)
+
+        return wrapper
+
+    def counted_scan(g, scan=recognizers._has_odd_hole):
+        scans.append(g)
+        return scan(g)
+
+    monkeypatch.setattr(hasse, "base_predicate", counted)
+    monkeypatch.setattr(recognizers, "_has_odd_hole", counted_scan)
+    assert scan(7).ok
+    per_graph = Counter((name, id(g)) for name, g in runs)
+    assert max(per_graph.values()) == 1
+    assert len({id(g) for g in scans}) == len(scans) == 1256
 
 
 def test_scan_rejects_large():

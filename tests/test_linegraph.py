@@ -29,6 +29,7 @@ from oracles import (
     connected_graphs,
     krausz_partition_by_subcliques,
     max_weight_matching_networkx,
+    relabelled,
     roots_agree,
 )
 
@@ -122,12 +123,6 @@ def test_claw_check_agrees_with_krausz_search():
     assert rejected > 0
 
 
-def _relabelled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def test_forced_cells_match_subclique_search():
     # the same cells in the same order, so every root_graph6 byte stays
     def agree(g):
@@ -139,14 +134,14 @@ def test_forced_cells_match_subclique_search():
             agree(Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1]))
     rng = random.Random(7)
     for g in itertools.chain(*nonisomorphic_graphs(7).values()):
-        agree(_relabelled(g, rng))
-        agree(_relabelled(g, rng))
+        agree(relabelled(g, rng))
+        agree(relabelled(g, rng))
     done = 0
     while done < 300:
         h = random_graph(rng.randint(2, 12), rng.choice([0.25, 0.4, 0.6]), rng)
         if not 0 < h.edge_count() <= 24:
             continue
-        agree(_relabelled(line_graph(h), rng))
+        agree(relabelled(line_graph(h), rng))
         done += 1
 
 

@@ -68,6 +68,7 @@ from oracles import (
     is_cograph_by_four_subsets,
     is_edge_simplicial_by_cliques,
     is_threshold_by_four_subsets,
+    relabelled,
     split_partition,
     strong_maximal_cliques,
     strong_maximal_cliques_pairwise,
@@ -181,6 +182,41 @@ def test_shortcuts_match_oracles_on_random_graphs():
     for seed in range(60):
         g = _from_nx(nx.random_cograph(rng.randint(1, 5), seed=seed))
         assert _assert_shortcuts_match_oracles(g)[2]
+
+
+def _toggled(g, u, v):
+    """g with the pair uv flipped between edge and non-edge."""
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return Graph.from_adj(adj)
+
+
+def test_edge_simplicial_matches_oracle_beyond_seven_vertices():
+    # the bit-loop kernel against the simplicial-clique oracle on seeded
+    # G(n, p) and random split graphs, their complements, and every graph
+    # one vertex pair away from two split graphs, each relabelled, where a
+    # single uncovered edge, at any vertex, can decide the verdict
+    rng = random.Random(29)
+    graphs = [random_graph(n, p, rng)
+              for n in range(8, 25) for p in (0.3, 0.5, 0.7)]
+    splits = []
+    for seed in range(40):
+        n = rng.randint(18, 36)
+        k = rng.randint(1, n - 1)
+        splits.append(random_split(k, n - k, seed))
+    graphs += splits
+    for g in splits[:2]:
+        graphs += [relabelled(_toggled(g, u, v), rng)
+                   for u, v in itertools.combinations(range(g.n), 2)]
+    verdicts = set()
+    for g in graphs:
+        for h in (g, complement(g)):
+            found = is_edge_simplicial(h)
+            assert found == is_edge_simplicial_by_cliques(
+                Graph.from_adj(h.adj)), h.adj
+            verdicts.add(found)
+    assert verdicts == {False, True}
 
 
 def _threshold_graph(n, rng):
