@@ -282,34 +282,29 @@ def parse_graph(text: str) -> Graph:
 
 # ---------------------------------------------------------------------------
 # canonical form (colour refinement plus individualisation, after McKay,
-# "Practical Graph Isomorphism", 1981).  Each connected component gets its
-# own form, so many copies of one component cost one small search each, and
-# a graph whose complement is disconnected is formed through the
-# complement's components.  Within a connected graph the search prunes by
-# the automorphisms it finds: two leaves with one form give one, and so do
-# two twins.  At each node only one child per orbit of the automorphisms
-# found so far that fix the node's individualised vertices is tried, and
-# a leaf that repeats an earlier form ends its branch back to the node
-# where the two paths part.
+# "Practical Graph Isomorphism", 1981).  The search prunes by the
+# automorphisms it finds: two leaves with one form give one, and so do two
+# twins.  At each node only one child per orbit of the automorphisms found
+# so far that fix the node's individualised vertices is tried, and a leaf
+# that repeats an earlier form ends its branch back to the node where the
+# two paths part.  A disconnected graph, or one with a disconnected
+# complement, needs no search of its own: swapping two isomorphic
+# components is an automorphism like swapping two twins, and the search
+# finds it from two equal leaves.
 
 
 def components(g: Graph) -> list:
     """Vertex masks of the connected components, by smallest vertex."""
-    return _components(g.adj)
-
-
-def _components(adj, flip: int = 0) -> list:
-    """``components`` of the rows ``adj``, or with ``flip`` the mask of
-    all vertices, of their complement."""
+    adj = g.adj
     comps = []
-    rest = (1 << len(adj)) - 1
+    rest = g.full
     while rest:
         comp = frontier = rest & -rest
         while frontier:
             reach = 0
             while frontier:
                 low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1] ^ flip
+                reach |= adj[low.bit_length() - 1]
                 frontier ^= low
             frontier = reach & ~comp
             comp |= reach
@@ -391,9 +386,8 @@ def orbit(mask: int, generators) -> list:
     return out
 
 
-def _connected_search(adj) -> tuple:
-    """(form, order, generators) of the connected graph with rows ``adj``
-    (see ``canonical_search``)."""
+def _search(adj) -> tuple:
+    """``canonical_search`` on the rows ``adj``."""
     n = len(adj)
     leaves = {}  # leaf form -> (its order, its individualised vertices)
     found = []   # automorphisms found: (permutation, mask of vertices moved)
@@ -470,74 +464,13 @@ def _connected_search(adj) -> tuple:
     return best[0], best[1], tuple([p for p, _ in found])
 
 
-def _search(adj) -> tuple:
-    """``canonical_search`` on the rows ``adj``."""
-    comps = _components(adj)
-    if len(comps) > 1:
-        return _union_search(adj, comps)
-    return _co_search(adj)
-
-
-def _co_search(adj) -> tuple:
-    """``_search`` on a connected graph."""
-    n = len(adj)
-    if n == 1:
-        return (0,), [0], ()
-    if n == 2:  # K2
-        return (2, 1), [0, 1], ((1, 0),)
-    full = (1 << n) - 1
-    comps = _components(adj, full)
-    if len(comps) == 1:
-        return _connected_search(adj)
-    # g and its complement have the same automorphisms, and the
-    # complement's canonical order labels g canonically as well
-    co = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
-    form, order, gens = _union_search(co, comps)
-    return (tuple([full & ~row & ~(1 << i) for i, row in enumerate(form)]),
-            order, gens)
-
-
-def _union_search(adj, comps) -> tuple:
-    """``_search`` on a graph with the connected components ``comps``."""
-    n = len(adj)
-    parts = []
-    gens = []
-    for comp in comps:
-        if not comp & (comp - 1):
-            parts.append(((0,), [comp.bit_length() - 1]))
-            continue
-        verts = list(bits(comp))
-        form, order, local = _co_search(
-            _relabel([adj[v] for v in verts], _positions(n, verts)))
-        for p in local:
-            perm = list(range(n))
-            for v, w in zip(verts, p):
-                perm[v] = verts[w]
-            gens.append(tuple(perm))
-        parts.append((form, [verts[i] for i in order]))
-    parts.sort(key=lambda part: (len(part[0]), part[0]))
-    rows = []
-    order = []
-    for k, (form, part) in enumerate(parts):
-        shift = len(rows)
-        rows.extend(row << shift for row in form)
-        order.extend(part)
-        if k and parts[k - 1][0] == form:
-            # swap this component with the previous, isomorphic one
-            perm = list(range(n))
-            for v, w in zip(parts[k - 1][1], part):
-                perm[v], perm[w] = w, v
-            gens.append(tuple(perm))
-    return tuple(rows), order, tuple(gens)
-
-
 def canonical_search(g: Graph) -> tuple:
     """(form, order, generators): the canonical form of ``g``, a vertex
     order that relabels ``g`` to it (vertex ``order[i]`` becomes ``i``),
     and permutations (``perm[v]`` is the image of v) that generate the
     automorphism group of ``g``.
 
-    A connected graph's form is the smallest leaf of a search: each leaf
+    The form is the smallest leaf of a search: each leaf
     is a discrete partition reached by refining and then individualising,
     in turn, each vertex of the first non-singleton cell, and its form is
     the graph's rows relabelled in cell order.  Two leaves with one form
@@ -552,15 +485,9 @@ def canonical_search(g: Graph) -> tuple:
     1981): at each node of the first path, below every child tried that
     an automorphism fixing the node maps the first path's child to,
     there is a leaf with the first leaf's form, and the automorphism
-    that leaf gives does the same.
-
-    A disconnected graph's form joins its components' forms as diagonal
-    blocks, sorted by (vertex count, form): two graphs are isomorphic iff
-    their components are, class by class.  Its generators are the
-    components' and one swap of each isomorphic component with the one
-    before it.  A connected graph with a disconnected complement is
-    relabelled by the complement's canonical order; which of the three
-    cases applies is an isomorphism invariant.
+    that leaf gives does the same.  This holds for every graph: swapping
+    two isomorphic components of the graph or of its complement is an
+    automorphism like swapping two twins, found from two equal leaves.
     """
     return _search(g.adj)
 

@@ -808,8 +808,7 @@ def all_extensions_graphs(max_n: int):
 
 def smallest_leaf_form(g: Graph) -> tuple:
     """The smallest leaf form of the whole search tree over ``g``, with
-    nothing pruned: what ``canonical_form`` returns for a graph that is
-    connected and has a connected complement."""
+    nothing pruned: what ``canonical_form`` returns for every graph."""
     adj = g.adj
 
     def leaves(cells):

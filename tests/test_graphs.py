@@ -321,8 +321,9 @@ def test_canonical_form_invariant_and_isomorphic(g, rng):
 
 
 def test_canonical_form_is_the_smallest_leaf():
-    # pruning skips only images of explored subtrees, so a connected graph
-    # with a connected complement keeps the form of the unpruned search
+    # pruning skips only images of explored subtrees, so every graph keeps
+    # the form of the unpruned search, disconnected or with a disconnected
+    # complement too
     rng = random.Random(5)
     petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                      + [(i, i + 5) for i in range(5)]
@@ -330,11 +331,12 @@ def test_canonical_form_is_the_smallest_leaf():
     cube = Graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3)])
     cases = [g for graphs in nonisomorphic_graphs(7).values() for g in graphs]
     cases += [circulant(n, (1, 3)) for n in range(7, 13)]
-    cases += [hub_triangles(3), petersen, cube]
+    matching8 = complement(Graph(8, [(2 * i, 2 * i + 1) for i in range(4)]))
+    cases += [hub_triangles(3), petersen, cube, triangles(4),
+              complement(triangles(4)), matching8]
     for g in cases:
-        if len(components(g)) == 1 == len(components(complement(g))):
-            h = relabelled(g, rng)
-            assert canonical_form(h) == smallest_leaf_form(h)
+        h = relabelled(g, rng)
+        assert canonical_form(h) == smallest_leaf_form(h)
     # a 3-regular graph on 10 vertices times P3 (vertex 3u + x): its cells
     # hold several orbits, so returning past the node where two equal
     # leaves' paths part loses forms on some labellings
@@ -351,8 +353,10 @@ def test_canonical_form_is_the_smallest_leaf():
 
 
 def test_canonical_form_many_components():
-    # each component is formed on its own; a single search over all 21
-    # vertices took seconds, and every further triangle multiplied that
+    # one search over all 21 vertices: swapping two triangles is an
+    # automorphism found from two equal leaves, and the bound catches a
+    # search that loses that pruning, whose leaves multiply with every
+    # further triangle
     g = triangles(7)
     h = relabelled(g, random.Random(7))
     hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -361,8 +365,11 @@ def test_canonical_form_many_components():
     assert is_isomorphic(g, h)
     assert not is_isomorphic(h, other)
     assert time.perf_counter() - start < 1.0
-    assert canonical_form(h) == tuple(
-        (0b111 ^ 1 << i % 3) << 3 * (i // 3) for i in range(21))
+    # triangle t is {t, 19 - 2t, 20 - 2t}
+    expect = []
+    for t in range(7):
+        expect += [(t, 19 - 2 * t), (t, 20 - 2 * t), (19 - 2 * t, 20 - 2 * t)]
+    assert canonical_form(h) == Graph(21, expect).adj
 
 
 def test_canonical_form_hub_triangles():
@@ -387,8 +394,9 @@ def test_canonical_form_hub_triangles():
 
 
 def test_canonical_form_complement_disconnected():
-    # K_2k minus a perfect matching: its complement is k disjoint edges,
-    # and the form is built from theirs (27 s at 2k = 18 without that)
+    # K_2k minus a perfect matching: its non-adjacent pairs are twins and
+    # swapping two of them is an automorphism, so the pruned search stays
+    # small; the bound catches a search that loses either pruning
     rng = random.Random(18)
     start = time.perf_counter()
     for k in range(2, 10):
@@ -410,6 +418,32 @@ def test_canonical_form_complement_disconnected():
             assert not nx.is_isomorphic(to_nx(miss), to_nx(g))
             assert canonical_form(miss) != canonical_form(h)
     assert time.perf_counter() - start < 1.0
+
+
+def test_canonical_form_at_64_vertices():
+    # the CLI's order limit, on the most symmetric graphs of that order:
+    # edgeless, complete, two cliques, K_32,32, K_64 minus a perfect
+    # matching and 21 triangles, each against a relabelled copy, and
+    # near misses with as many edges; the per-call bound catches
+    # exponential growth, not host noise
+    rng = random.Random(64)
+    k32 = complement(Graph(32))
+    matching = complement(Graph(64, [(2 * i, 2 * i + 1) for i in range(32)]))
+    hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    # a P3 missing in place of two of the matching's edges
+    p3 = complement(Graph(64, [(0, 1), (1, 2)]
+                          + [(2 * i + 1, 2 * i + 2) for i in range(1, 31)]))
+    pairs = [(g, relabelled(g, rng), True) for g in (
+        Graph(64), complement(Graph(64)), disjoint_union(k32, k32),
+        complement(disjoint_union(k32, k32)), matching, triangles(21))]
+    pairs += [(triangles(21), relabelled(disjoint_union(triangles(19),
+                                                       hexagon), rng), False),
+              (matching, relabelled(p3, rng), False)]
+    for g, h, same in pairs:
+        assert h.edge_count() == g.edge_count()
+        start = time.perf_counter()
+        assert is_isomorphic(g, h) == same
+        assert time.perf_counter() - start < 5.0
 
 
 def test_automorphism_generators_against_networkx():
