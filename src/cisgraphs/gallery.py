@@ -54,12 +54,6 @@ CIR9_STABLE_SETS = [
     for s in ({1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 4, 7}, {3, 6, 9})
 ]
 
-GALLERY_NAMES = (
-    "K1", "P4", "C4", "TwoK2", "Bull", "Net", "S3", "SK", "CK", "C5Star",
-    "C9", "Cir9", "F", "FK", "G12", "LK33", "L", "LLbar",
-)
-
-
 def _shift(sets):
     return [frozenset(v - 1 for v in s) for s in sets]
 
@@ -174,8 +168,8 @@ _GALLERY_BUILDERS = {
     "C4": lambda: cycle(4),
     "TwoK2": lambda: Graph(4, [(0, 1), (2, 3)]),
     "Bull": lambda: Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4)]),
-    "S3": _sun3,
     "Net": lambda: complement(_sun3()),
+    "S3": _sun3,
     "SK": lambda: disjoint_union(_sun3(), complete(2)),
     "CK": lambda: disjoint_union(cycle(4), complete(2)),
     "C5Star": lambda: _glue_triangles(cycle(5)),
@@ -189,3 +183,4 @@ _GALLERY_BUILDERS = {
     "L": _big_L,
     "LLbar": lambda: disjoint_union(_big_L(), complement(_big_L())),
 }
+GALLERY_NAMES = tuple(_GALLERY_BUILDERS)  # in the order `gallery list` prints

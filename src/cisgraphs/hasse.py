@@ -240,23 +240,21 @@ def verify_table(include_lp: bool = True):
 EXPECTED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
                          8: 12346, 9: 274668}  # OEIS A000088
 # the arrow scan stops at 8 although the count at 9 is checked: order 9
-# alone takes about 38 s and 300 MB to generate, and with the LP
-# properties the scan would run about 550,000 exact LP analyses
+# alone takes about 25 s and 230 MB peak RSS to generate on a 2-core
+# host, and with the LP properties the scan would run about 550,000
+# exact LP analyses
 MAX_SCAN_N = 8
 
 
 class _Level(NamedTuple):
     """The classes of one order, kept from generation: their
-    representatives, {canonical form: index of its class}, and the
-    generators of each representative's automorphism group, which extend
-    the next order."""
+    representatives and {canonical form: index of its class}."""
 
     reps: list
     index: dict
-    groups: list
 
 
-_LEVELS = {1: _Level([Graph(1)], {(0,): 0}, [()])}
+_LEVELS = {1: _Level([Graph(1)], {(0,): 0})}
 
 
 def nonisomorphic_graphs(max_n: int):
@@ -275,16 +273,18 @@ def nonisomorphic_graphs(max_n: int):
     neighbourhood to another, with w fixed, is an isomorphism between the
     two extensions, and the first extension of a class is the first of
     its orbit.  The degree rule skips whole orbits, since automorphisms
-    keep degrees.  Returns {n: list of Graph}, each list sorted by (edge
-    count, adjacency rows).
+    keep degrees.  The generators of g's group come from one canonical
+    search of g, just before its extensions, so no generators are kept
+    between orders.  Returns {n: list of Graph}, each list sorted by
+    (edge count, adjacency rows).
     """
     levels = _LEVELS
     for n in range(2, max_n + 1):
         if n in levels:
             continue
-        classes = {}
-        prev = levels[n - 1]
-        for g, group in zip(prev.reps, prev.groups):
+        classes = {}  # canonical form -> its first extension
+        for g in levels[n - 1].reps:
+            group = canonical_search(g)[2]
             # at_least[d]: the old vertices of degree at least d.  With
             # k = |mask|, an old vertex ends above w's degree k when its
             # degree exceeds k, or equals k and w joins it.
@@ -300,21 +300,19 @@ def nonisomorphic_graphs(max_n: int):
                        for v, row in enumerate(g.adj)]
                 adj.append(mask)
                 cand = Graph.from_adj(adj)
-                form, _, gens = canonical_search(cand)
-                classes.setdefault(form, (cand, gens))
-        ordered = sorted(classes.items(), key=lambda item: (
-            item[1][0].edge_count(), item[1][0].adj))
+                classes.setdefault(canonical_form(cand), cand)
         expect = EXPECTED_GRAPH_COUNTS.get(n)
-        if expect is not None and len(ordered) != expect:
+        if expect is not None and len(classes) != expect:
             raise RuntimeError(
-                f"graph generation produced {len(ordered)} classes at n={n}, "
+                f"graph generation produced {len(classes)} classes at n={n}, "
                 f"expected {expect}"
             )
-        levels[n] = _Level(
-            [g for _, (g, _) in ordered],
-            {form: i for i, (form, _) in enumerate(ordered)},
-            [gens for _, (_, gens) in ordered],
-        )
+        forms = sorted(classes, key=lambda form: (
+            classes[form].edge_count(), classes[form].adj))
+        reps = [classes[form] for form in forms]
+        for i, form in enumerate(forms):
+            classes[form] = i  # the dict becomes the form index
+        levels[n] = _Level(reps, classes)
     return {n: levels[n].reps for n in range(1, max_n + 1)}
 
 

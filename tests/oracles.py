@@ -17,8 +17,6 @@ from cisgraphs.cliques import maximal_cliques, maximal_stable_sets
 from cisgraphs.gallery import _cross_adjacency
 from cisgraphs.graphs import (
     Graph,
-    _refine,
-    _relabel,
     bits,
     canonical_form,
     complement,
@@ -806,18 +804,53 @@ def all_extensions_graphs(max_n: int):
     return reps
 
 
+def equitable_cells(adj, cells) -> list:
+    """The ordered cells (vertex masks) split until every vertex of a
+    cell has the same number of neighbours in each cell; a cell splits by
+    that count vector, in ascending order.  The refinement the canonical
+    search runs, kept here as its own copy."""
+    while True:
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            groups = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                key = tuple([(row & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | low
+                rest ^= low
+            split.extend(groups[key] for key in sorted(groups))
+        if len(split) == len(cells):
+            return cells
+        cells = split
+
+
 def smallest_leaf_form(g: Graph) -> tuple:
     """The smallest leaf form of the whole search tree over ``g``, with
-    nothing pruned: what ``canonical_form`` returns for every graph."""
+    nothing pruned: what ``canonical_form`` returns for every graph.  A
+    leaf's form is the rows of ``g`` in cell order, each vertex
+    relabelled by its place in that order."""
     adj = g.adj
 
     def leaves(cells):
-        cells = _refine(adj, cells)
+        cells = equitable_cells(adj, cells)
         if len(cells) == g.n:
-            pos = [0] * g.n
+            pos = [0] * g.n  # pos[v]: the bit of v's place in cell order
             for i, c in enumerate(cells):
                 pos[c.bit_length() - 1] = 1 << i
-            yield _relabel([adj[c.bit_length() - 1] for c in cells], pos)
+            form = []
+            for c in cells:
+                row, new = adj[c.bit_length() - 1], 0
+                while row:
+                    low = row & -row
+                    new |= pos[low.bit_length() - 1]
+                    row ^= low
+                form.append(new)
+            yield tuple(form)
             return
         i, cell = next((i, c) for i, c in enumerate(cells) if c & (c - 1))
         for v in bits(cell):

@@ -447,17 +447,34 @@ def test_canonical_form_at_64_vertices():
 
 
 def test_automorphism_generators_against_networkx():
-    # every class with n <= 7: the generators kept by generation, and those
-    # of a relabelled copy, are automorphisms and generate the whole group
+    # every class with n <= 7: the generators that generation reads off
+    # a class's search, and those of a relabelled copy, are automorphisms
+    # and generate the whole group
     rng = random.Random(7)
     for n, reps in nonisomorphic_graphs(7).items():
-        for g, gens in zip(reps, hasse._LEVELS[n].groups):
+        for g in reps:
             h = relabelled(g, rng)
             count = sum(1 for _ in GraphMatcher(to_nx(g), to_nx(g))
                         .isomorphisms_iter())
-            for graph, perms in ((g, gens), (h, canonical_search(h)[2])):
+            for graph in (g, h):
+                perms = canonical_search(graph)[2]
                 assert all(is_automorphism(graph, p) for p in perms)
                 assert group_order(n, perms) == count
+
+
+def test_form_index_and_complement_pairing():
+    # the scan pairs class i with the class that the form of its
+    # complement names; when every class passes every arrow the scan's
+    # output cannot show a wrong pairing, so it is checked here (on a
+    # copy of each representative, so that the cached one keeps no fact)
+    for n, reps in nonisomorphic_graphs(7).items():
+        index = hasse._LEVELS[n].index
+        assert len(index) == len(reps)
+        for i, rep in enumerate(reps):
+            assert index[canonical_form(rep)] == i
+            co = complement(Graph.from_adj(rep.adj))
+            assert nx.is_isomorphic(to_nx(reps[index[canonical_form(co)]]),
+                                    to_nx(co))
 
 
 def test_automorphism_generators_of_circulants():

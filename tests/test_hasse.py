@@ -101,20 +101,34 @@ def test_generation_matches_all_extensions():
         assert [g.adj for g in graphs] == [g.adj for g in oracle[n]]
 
 
-def test_generation_form_count_pinned(monkeypatch):
-    # 11,290 forms without the degree rule and 3,131 without the orbit
-    # rule; a rise means one of them regressed, or the search found only
-    # part of some automorphism group
-    calls = []
+def count_searches(monkeypatch):
+    """Fresh generation caches, and the graphs that generation forms
+    (candidates) and searches for generators (parents), as lists."""
+    forms, searches = [], []
 
-    def counted(g):
-        calls.append(g.n)
+    def counted_form(g):
+        forms.append(g)
+        return canonical_form(g)
+
+    def counted_search(g):
+        searches.append(g)
         return canonical_search(g)
 
     monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
-    monkeypatch.setattr(hasse, "canonical_search", counted)
+    monkeypatch.setattr(hasse, "canonical_form", counted_form)
+    monkeypatch.setattr(hasse, "canonical_search", counted_search)
+    return forms, searches
+
+
+def test_generation_form_count_pinned(monkeypatch):
+    # 11,290 forms without the degree rule and 3,131 without the orbit
+    # rule; a rise means one of them regressed, or the search found only
+    # part of some automorphism group.  Each of the 208 classes with
+    # n <= 6 is searched once, as the parent of its extensions
+    forms, searches = count_searches(monkeypatch)
     reps = hasse.nonisomorphic_graphs(7)
-    assert len(calls) == 1639
+    assert len(forms) == 1639
+    assert searches == [g for n in range(1, 7) for g in reps[n]]
     assert [len(reps[n]) for n in range(1, 8)] == [
         EXPECTED_GRAPH_COUNTS[n] for n in range(1, 8)]
 
@@ -138,28 +152,20 @@ def test_generation_wrong_count_caches_no_form_index(monkeypatch):
 
 def test_generation_counts_n8(monkeypatch):
     # on fresh caches, so that the 12,346 classes are dropped after
-    calls = []
-
-    def counted(g):
-        calls.append(g.n)
-        return canonical_search(g)
-
-    monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
-    monkeypatch.setattr(hasse, "canonical_search", counted)
+    forms, searches = count_searches(monkeypatch)
     reps = nonisomorphic_graphs(8)
     assert len(reps[8]) == EXPECTED_GRAPH_COUNTS[8] == 12346
-    assert len(calls) == 19911  # 32,886 without the orbit rule
+    assert len(forms) == 19911  # 32,886 without the orbit rule
+    assert len(searches) == 1252  # one per class with n <= 7
     # the classes generated before the orbit rule, at the same places
     assert [encode_graph6(reps[8][i]) for i in (0, 6000, 12345)] == [
         "G?????", "GQovFo", "G~~~~{"]
+    assert hasse._LEVELS[8]._fields == ("reps", "index")
     index = hasse._LEVELS[8].index
     assert len(index) == 12346
-    groups = hasse._LEVELS[8].groups
-    assert len(groups) == 12346
+    assert sorted(index.values()) == list(range(12346))
     for i in (0, 6000, 12345):
-        g = reps[8][i]
-        assert index[canonical_form(g)] == i
-        assert groups[i] == canonical_search(g)[2]
+        assert index[canonical_form(reps[8][i])] == i
 
 
 def test_connected_counts():

@@ -45,6 +45,21 @@ def imported_modules(path):
             yield node.lineno, node.module.split(".")[0]
 
 
+def test_oracles_import_no_private_graph_code():
+    # the canonical-form oracle keeps its own refinement and relabelling,
+    # so that a change to the package's refinement cannot pass by
+    # changing the oracle with it
+    path = pathlib.Path(__file__).with_name("oracles.py")
+    found = [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "cisgraphs.graphs"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_only_equistable_imports_fractions():
     # the LP hands back integers over one denominator; Fraction is built
     # only where the equistable module prints a rational or reads one in
