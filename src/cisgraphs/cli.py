@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import equistable as eq
 from . import gallery as gal
@@ -102,15 +103,39 @@ def _set(mask: int):
 
 
 def cmd_classify(args) -> int:
+    """Print every base on the graph and on its complement, and the 17
+    table properties.  The complement copies the graph's verdict on each
+    complement-invariant base.  Up to ``MAX_LP_VERTICES`` vertices the
+    two LP bases follow from the proven arrows when they can
+    (``hasse.lp_bases_by_arrows``: semi-weakly CIS gives both, not
+    triangle denies both), and only a graph in the gap between them runs
+    the exact analysis; past that order they are "unsupported".  The
+    table properties are lifted from the two verdict dicts, so no base
+    is decided twice."""
     g = _load_graph(args)
     cache = hasse.MembershipCache()
-    base = {name: cache.base(name, g) for name in BASE_NAMES}
-    co = {
-        name: base[name] if name in COMPLEMENT_INVARIANT
-        else cache.base(name, complement(g))
-        for name in BASE_NAMES
-    }
-    table_props = {prop: cache.holds(prop, g) for prop in hasse.PROPERTY_ORDER}
+    by_arrows = g.n <= eq.MAX_LP_VERTICES
+
+    def verdicts(h, own=None):
+        # own: the graph's verdicts, when h is its complement
+        v = {}
+        for name in BASE_NAMES:
+            if own is not None and name in COMPLEMENT_INVARIANT:
+                v[name] = own[name]
+            elif by_arrows and name in hasse.LP_BASES:
+                # BASE_NAMES lists the LP bases after the chain's ends
+                known = hasse.lp_bases_by_arrows(v)
+                v[name] = cache.base(name, h) if known is None else known
+            else:
+                v[name] = cache.base(name, h)
+        return v
+
+    base = verdicts(g)
+    co = verdicts(complement(g), base)
+
+    # the source that lift reads: h is g or complement(g)
+    read = SimpleNamespace(base=lambda name, h: (base if h is g else co)[name])
+    table_props = {p: hasse.lift(read, p, g) for p in hasse.PROPERTY_ORDER}
     certs = {}
     pairs = disjoint_pairs(g)
     if pairs:

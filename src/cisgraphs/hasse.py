@@ -121,6 +121,22 @@ TABLE = {
 }
 
 
+def lift(source, prop: str, g: Graph):
+    """A table property id (cap = on g and its complement, cup = on
+    either), or a plain base predicate name, from ``source.base(name,
+    h)``: a base's verdict on h, which is g or ``complement(g)``.  The
+    complement is read only when g's own verdict does not settle the
+    property.  ``MembershipCache.holds`` is this rule with the cache as
+    its source."""
+    name, modifier = PROPERTY_DEFS.get(prop, (prop, "plain"))
+    on_g = source.base(name, g)
+    if modifier == "plain" or on_g == "unsupported":
+        return on_g
+    if on_g == (modifier == "cup"):  # cap of False, cup of True
+        return on_g
+    return source.base(name, complement(g))
+
+
 class MembershipCache:
     """The package's evaluator: memoized base predicates, and their lifts
     to the table properties.  A verdict is True, False, or "unsupported"
@@ -146,16 +162,8 @@ class MembershipCache:
                 verdicts[name] = "unsupported"
         return verdicts[name]
 
-    def holds(self, prop: str, g: Graph):
-        """A table property id (cap = on g and its complement, cup = on
-        either), or a plain base predicate name."""
-        name, modifier = PROPERTY_DEFS.get(prop, (prop, "plain"))
-        on_g = self.base(name, g)
-        if modifier == "plain" or on_g == "unsupported":
-            return on_g
-        if on_g == (modifier == "cup"):  # cap of False, cup of True
-            return on_g
-        return self.base(name, complement(g))
+    # holds(prop, g): the table property prop on g, by lift
+    holds = lift
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +344,25 @@ BASE_ARROWS = (
 SCAN_ARROWS = BASE_ARROWS + (
     ("weakly_cis", "normal"), ("weakly_cis", "cap-wtri"),
 )
+
+# The chain of BASE_ARROWS around the two LP bases, strongest first.
+LP_CHAIN = ("semi_weakly_cis", "strongly_equistable", "equistable",
+            "triangle")
+
+
+def lp_bases_by_arrows(verdicts: dict):
+    """The verdict shared by both LP bases (equistable and strongly
+    equistable) that the arrows semi-weakly CIS => strongly equistable,
+    strongly equistable => equistable and equistable => triangle give
+    from a graph's LP-free verdicts: True when it is semi-weakly CIS,
+    False when it is not triangle, and None in the gap between them,
+    where only the LP decides."""
+    if verdicts[LP_CHAIN[0]] is True:
+        return True
+    if verdicts[LP_CHAIN[-1]] is False:
+        return False
+    return None
+
 
 @dataclass
 class ArrowResult:

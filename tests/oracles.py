@@ -752,16 +752,25 @@ def krausz_partition_by_subcliques(g: Graph):
     return cells
 
 
+def to_nx(g: Graph, weight=None) -> nx.Graph:
+    """g as a networkx graph: vertices 0..n-1 and the edges in
+    ``g.edges()`` order, so each vertex lists its neighbours ascending;
+    with ``weight``, each edge e carries the attribute weight(e)."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    if weight is None:
+        h.add_edges_from(g.edges())
+    else:
+        h.add_edges_from((*e, {"weight": weight(e)}) for e in g.edges())
+    return h
+
+
 def max_weight_matching_networkx(h: Graph, weight) -> tuple:
     """What :func:`cisgraphs.linegraph.max_weight_matching_blossom`
-    returns, by networkx's blossom solver on the same graph: vertices
-    0..n-1 and the edges in ``h.edges()`` order, so each vertex lists its
-    neighbours ascending.  Returns (total, sorted pair list)."""
-    g = nx.Graph()
-    g.add_nodes_from(range(h.n))
-    for e in h.edges():
-        g.add_edge(*e, weight=weight(e))
-    matching = nx.max_weight_matching(g, maxcardinality=False, weight="weight")
+    returns, by networkx's blossom solver on the same graph, as
+    :func:`to_nx` builds it.  Returns (total, sorted pair list)."""
+    matching = nx.max_weight_matching(to_nx(h, weight), maxcardinality=False,
+                                      weight="weight")
     pairs = sorted(tuple(sorted(p)) for p in matching)
     return sum(weight(p) for p in pairs), pairs
 

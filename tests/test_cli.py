@@ -15,7 +15,7 @@ from cisgraphs import (
 from cisgraphs import gallery as gallery_module
 from cisgraphs.cli import main
 from cisgraphs.cliques import maximal_stable_sets
-from cisgraphs.gallery import complete_bipartite, gallery
+from cisgraphs.gallery import complete_bipartite, cycle, gallery
 from cisgraphs.graphs import (
     Graph,
     complement,
@@ -64,13 +64,14 @@ def test_classify_cir9(capsys):
 
 
 def test_classify_computes_each_fact_once(capsys, monkeypatch):
-    # one clique enumeration, one disjointness relation, one polytope
-    # analysis (with its forced-subset join) and one triangle walk per graph
-    # object (G12 and its complement), however many predicates read them;
-    # two holder builds and two coverage-clause builds in all, both on
-    # G12, as the second relation is the first with its families and
-    # clause lists swapped; one disjoint-pair walk, on G12 only, as the
-    # CIS family is complement-invariant
+    # one clique enumeration, one disjointness relation and one triangle
+    # walk per graph object (G12 and its complement), however many
+    # predicates read them; two holder builds and two coverage-clause
+    # builds in all, both on G12, as the second relation is the first with
+    # its families and clause lists swapped; one disjoint-pair walk, on G12
+    # only, as the CIS family is complement-invariant.  Neither G12 nor its
+    # complement is triangle, so the arrows deny both LP bases and no
+    # polytope analysis runs
     calls = {}
     graphs = {}
 
@@ -96,7 +97,7 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     assert sorted(name for name, _ in calls) == [
-        "_analysis", "_analysis", "_bron_kerbosch", "_bron_kerbosch",
+        "_bron_kerbosch", "_bron_kerbosch",
         "_coverage_clauses",
         "_disjointness", "_disjointness",
         "_first_disjoint_pairs",
@@ -111,13 +112,27 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
             if name == "_first_disjoint_pairs"] == [g12]
     assert [g for (name, _), g in graphs.items()
             if name == "_disjointness"] == [g12, complement(g12)]
-    # C4 is equistable, and classify still makes no weighting walk
+    # Cir9 is triangle and not semi-weakly CIS, so the LP decides both of
+    # its LP bases from one analysis; its complement is not triangle
+    calls.clear()
+    graphs.clear()
+    code, out, _ = run(capsys, "classify", "-i", "gallery:Cir9",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["base"]["equistable"] is False
+    assert {name: k for (name, _), k in calls.items()
+            if name == "_analysis"} == {"_analysis": 1}
+    assert [g for (name, _), g in graphs.items()
+            if name == "_analysis"] == [gallery("Cir9")]
+    assert all(k == 1 for (name, _), k in calls.items()
+               if name not in ("_coverage_clauses", "_holders"))
+    assert "_find_weighting" not in [name for name, _ in calls]
+    # C4 is equistable by being semi-weakly CIS: no analysis, no walk
     calls.clear()
     code, out, _ = run(capsys, "classify", "-i", "gallery:C4",
                        "--format", "json")
     assert code == 0 and json.loads(out)["base"]["equistable"] is True
     names = [name for name, _ in calls]
-    assert "_analysis" in names and "_find_weighting" not in names
+    assert "_analysis" not in names and "_find_weighting" not in names
 
 
 def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
@@ -144,6 +159,29 @@ def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
     assert len(scans) <= 2
 
 
+def fresh_classify_fields(g):
+    """classify's ``base``, ``complement_base`` and ``properties`` as a
+    fresh ``MembershipCache`` decides them directly: every base computed,
+    the LP bases by the LP up to 16 vertices, and no arrow read."""
+    g = Graph.from_adj(g.adj)
+    co = Graph.from_adj(complement(g).adj)
+    cache = MembershipCache()
+    return {
+        "base": {name: cache.base(name, g) for name in BASE_NAMES},
+        "complement_base": {name: cache.base(name, co) for name in BASE_NAMES},
+        "properties": {p: cache.holds(p, g) for p in hasse.PROPERTY_ORDER},
+    }
+
+
+def classify_fields(capsys, monkeypatch, g):
+    monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(g)))
+    code, out, _ = run(capsys, "classify", "-i", "-", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    return {key: data[key]
+            for key in ("base", "complement_base", "properties")}
+
+
 @pytest.mark.parametrize("source", [
     "FK", "F", "G12", "C5Star", "Cir9", "LK33", "C9", "SK", 1, 2])
 def test_classify_complement_base_matches_fresh_evaluation(
@@ -152,13 +190,26 @@ def test_classify_complement_base_matches_fresh_evaluation(
         g = gallery(source)
     else:
         g = random_graph(20, 0.5, random.Random(source))
-    monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(g)))
-    code, out, _ = run(capsys, "classify", "-i", "-", "--format", "json")
-    assert code == 0
-    fresh = Graph.from_adj(complement(g).adj)
-    cache = MembershipCache()
-    assert json.loads(out)["complement_base"] == {
-        name: cache.base(name, fresh) for name in BASE_NAMES}
+    assert classify_fields(capsys, monkeypatch, g) == fresh_classify_fields(g)
+
+
+def test_classify_arrows_match_fresh_evaluation(capsys, monkeypatch):
+    # classify decides the LP bases by the proven arrows where they
+    # settle them; on every class with n <= 7 and its complement, and on
+    # seeded G(n, p) and random split graphs with 8 <= n <= 16, its
+    # verdicts equal the ones computed directly
+    graphs = [x for reps in hasse.nonisomorphic_graphs(7).values()
+              for g in reps for x in (g, complement(g))]
+    rng = random.Random(20260)
+    graphs += [random_graph(n, p, rng) for n in range(8, 17)
+               for p in (0.3, 0.5, 0.7)]
+    graphs += [gallery_module.random_split(n // 2, n - n // 2, 700 + n)
+               for n in range(8, 17)]
+    assert len(graphs) == 2 * 1252 + 27 + 9
+    mismatched = [encode_graph6(g) for g in graphs
+                  if classify_fields(capsys, monkeypatch, g)
+                  != fresh_classify_fields(g)]
+    assert mismatched == []
 
 
 def test_classify_k1(capsys):
@@ -201,6 +252,23 @@ def test_classify_unsupported_lp(capsys):
     assert data["base"]["equistable"] == "unsupported"
     assert data["base"]["perfect"] == "unsupported"
     assert data["properties"]["cap-eq"] == "unsupported"
+    # both sides of the 16-vertex gate on the arrows: the one-edge graph
+    # is semi-weakly CIS and C17 is not triangle, yet past 16 vertices
+    # neither implies an LP verdict
+    for graph in (Graph(17, [(0, 1)]), cycle(17)):
+        with open(name, "w") as fh:
+            fh.write(encode_graph6(graph))
+        code, out, _ = run(capsys, "classify", "-i", name, "--format",
+                           "json")
+        assert code == 0
+        data = json.loads(out)
+        for key in ("base", "complement_base"):
+            assert {lp: data[key][lp] for lp in hasse.LP_BASES} == {
+                "equistable": "unsupported",
+                "strongly_equistable": "unsupported"}
+        for prop in ("cap-seq", "cap-eq", "cup-seq", "cup-eq"):
+            assert data["properties"][prop] == "unsupported"
+    os.unlink(name)
 
 
 def test_classify_random_split(capsys):

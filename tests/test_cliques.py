@@ -21,6 +21,7 @@ from oracles import (
     covers_vertices,
     maximal_cliques_brute,
     simplicial_cliques,
+    to_nx,
 )
 
 
@@ -67,10 +68,7 @@ def test_stable_sets_are_complement_cliques():
 
 
 def networkx_cliques(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return sorted(mask_of(c) for c in nx.find_cliques(h))
+    return sorted(mask_of(c) for c in nx.find_cliques(to_nx(g)))
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])

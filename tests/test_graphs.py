@@ -38,6 +38,7 @@ from oracles import (
     induced_subgraph,
     relabelled,
     smallest_leaf_form,
+    to_nx,
 )
 
 
@@ -51,13 +52,6 @@ def graphs(max_n=10):
         return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
 
     return build()
-
-
-def to_nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
 
 
 def test_bits_and_mask():

@@ -65,6 +65,19 @@ def test_property_holds_examples():
         assert cache.holds(prop, big) == "unsupported"
 
 
+def test_lp_arrows_are_base_arrows():
+    # the rule classify decides the LP bases by reads only arrows that
+    # the scan checks: LP_CHAIN is a path of BASE_ARROWS through both LP
+    # bases, from semi-weakly CIS to triangle
+    chain = hasse.LP_CHAIN
+    assert set(zip(chain, chain[1:])) <= set(hasse.BASE_ARROWS)
+    assert set(chain[1:-1]) == set(hasse.LP_BASES)
+    rule = hasse.lp_bases_by_arrows
+    assert rule({"semi_weakly_cis": True, "triangle": True}) is True
+    assert rule({"semi_weakly_cis": False, "triangle": False}) is False
+    assert rule({"semi_weakly_cis": False, "triangle": True}) is None
+
+
 def test_verify_table_cells():
     cells = verify_table(include_lp=False)
     assert len(cells) == 17 * 17

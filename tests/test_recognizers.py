@@ -72,6 +72,7 @@ from oracles import (
     split_partition,
     strong_maximal_cliques,
     strong_maximal_cliques_pairwise,
+    to_nx,
     triangle_violating_edge_by_edges,
     verify_cover_certificate,
 )
@@ -133,13 +134,6 @@ def test_split_partition_brute():
             assert g.is_clique(c) and g.is_stable(s)
 
 
-def _nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
 def _from_nx(h):
     h = nx.convert_node_labels_to_integers(h)
     return Graph(h.number_of_nodes(), h.edges())
@@ -158,7 +152,7 @@ def _assert_shortcuts_match_oracles(g):
         is_cograph_by_four_subsets(fresh),
         is_edge_simplicial_by_cliques(fresh),
     ), g.adj
-    assert verdicts[1] == is_threshold_graph(_nx(g)), g.adj
+    assert verdicts[1] == is_threshold_graph(to_nx(g)), g.adj
     return verdicts
 
 
@@ -407,7 +401,7 @@ def test_weakly_triangle():
 def _weakly_triangle_nx(g):
     """(weakly triangle, maximal stable sets with the triangle property,
     maximal stable sets), by networkx."""
-    h = _nx(g)
+    h = to_nx(g)
     stables = [set(s) for s in nx.find_cliques(nx.complement(h))]
     admissible = [
         s for s in stables
@@ -473,7 +467,7 @@ def test_perfect():
 
 def _has_odd_hole_nx(g):
     return any(len(c) >= 5 and len(c) % 2
-               for c in nx.chordless_cycles(_nx(g)))
+               for c in nx.chordless_cycles(to_nx(g)))
 
 
 def _assert_odd_hole_oracles_agree(g):

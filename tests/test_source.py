@@ -96,6 +96,28 @@ def test_equistable_builds_fractions_only_at_its_edges():
     assert found - allowed == set()
 
 
+def test_oracle_evaluators_read_no_arrow():
+    # classify decides the LP bases by the proven arrows; the evaluator,
+    # the table check and the scan decide every base directly, since at
+    # n <= 8 they are the oracle that the arrows are checked against
+    path = PACKAGE_DIR / "hasse.py"
+    tree = ast.parse(path.read_text(), str(path))
+    owners = {"MembershipCache", "verify_table", "scan"}
+    found = []
+    for top in tree.body:
+        if getattr(top, "name", None) not in owners:
+            continue
+        owners.remove(top.name)
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name in ("lp_bases_by_arrows", "LP_CHAIN"):
+                found.append(f"{top.name}:{node.lineno}")
+    assert owners == set()
+    assert found == []
+
+
 def traced_layer_names():
     """The span names that bench/tracer.py reads with ``calls(...)`` or
     ``seconds(...)``, from its source."""
@@ -155,7 +177,8 @@ def test_bench_tracer_installs():
     # hooks MembershipCache.base; renaming either breaks ``--trace 1``.
     # The LP and equistable spans must record calls too: a generator or a
     # call that bypasses the wrapped name would read 0 in the bench's LP
-    # counters without failing anything else
+    # counters without failing anything else.  Cir9 is triangle and not
+    # semi-weakly CIS, so classify runs the LP on it
     code = f"""
 import contextlib, io, json, sys
 sys.dont_write_bytecode = True  # read bench/, write nothing there
@@ -165,7 +188,7 @@ t = tracer.Tracer()
 t.install()
 from cisgraphs import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["classify", "-i", "gallery:C4"])
+    code = cli.main(["classify", "-i", "gallery:Cir9"])
 print(json.dumps([code, t.summary()["names"]]))
 """
     code, names = json.loads(_run_python(code).stdout)
