@@ -174,7 +174,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cells = hasse.verify_table(include_lp=args.include_lp)
+    cells = hasse.verify_table()
     failures = [c for c in cells if c.kind == "witness" and not c.passed]
     payload = {
         "cells": [c.to_dict() for c in cells],
@@ -418,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="reproduce and verify the relation table")
     add_format(p, ("json", "csv", "text"))
-    p.add_argument("--include-lp", action=argparse.BooleanOptionalAction,
-                   default=True)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("scan", help="exhaustive inclusion-arrow scan")

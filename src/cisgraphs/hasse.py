@@ -195,7 +195,7 @@ def _lp_backed(prop: str) -> bool:
     return PROPERTY_DEFS.get(prop, (prop,))[0] in LP_BASES
 
 
-def verify_table(include_lp: bool = True):
+def verify_table():
     """Check every witness cell: the named graph must satisfy the row
     property and violate the column property.  Returns all 289 cells."""
     cache = MembershipCache()
@@ -220,11 +220,6 @@ def verify_table(include_lp: bool = True):
                 results.append(
                     CellResult(row, col, "skipped", witness=cell,
                                detail=SKIPPED_WITNESSES[cell])
-                )
-            elif not include_lp and (_lp_backed(row) or _lp_backed(col)):
-                results.append(
-                    CellResult(row, col, "skipped", witness=cell,
-                               detail="lp-backed cell disabled")
                 )
             else:
                 g = gal.gallery(cell)

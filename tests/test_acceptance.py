@@ -53,7 +53,7 @@ def report(num, title, ok):
 
 def test_acceptance_1_table_reproduction():
     t0 = time.time()
-    cells = verify_table(include_lp=True)
+    cells = verify_table()
     elapsed = time.time() - t0
     witness = [c for c in cells if c.kind == "witness"]
     ok = bool(witness) and all(c.passed for c in witness)
@@ -223,7 +223,7 @@ def test_acceptance_9_out_of_scope_stated():
     ok = "G14" in SKIPPED_WITNESSES and "G22" in SKIPPED_WITNESSES
     printed = [cell for row in TABLE.values() for cell in row]
     ok &= "G14" in printed and "G22" in printed
-    cells = verify_table(include_lp=False)
+    cells = verify_table()
     for c in cells:
         if c.witness in ("G14", "G22"):
             ok &= c.kind == "skipped"

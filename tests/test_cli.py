@@ -212,6 +212,33 @@ def test_classify_arrows_match_fresh_evaluation(capsys, monkeypatch):
     assert mismatched == []
 
 
+def test_classify_runs_the_lp_where_semi_weakly_cis_fails(
+        capsys, monkeypatch):
+    # the arrows give no LP verdict from a failed semi-weakly CIS (that
+    # direction is Orlin's open conjecture): with semi_weakly_cis read as
+    # False everywhere, classify must still find the LP-equistable graphs
+    # (C4 and 117 classes with n <= 6) equistable and strongly
+    # equistable; P4, not triangle, stays neither
+    original = hasse.base_predicate
+
+    def faulty(name):
+        return (lambda g: False) if name == "semi_weakly_cis" \
+            else original(name)
+
+    lp_equistable = [gallery("C4")] + [
+        g for reps in hasse.nonisomorphic_graphs(6).values() for g in reps
+        if equistable.decision(g, strongly=False).verdict
+        and equistable.decision(g, strongly=True).verdict]
+    assert len(lp_equistable) == 1 + 117
+    monkeypatch.setattr(hasse, "base_predicate", faulty)
+    cases = [(g, True) for g in lp_equistable] + [(gallery("P4"), False)]
+    for g, expected in cases:
+        fields = classify_fields(capsys, monkeypatch, g)
+        assert fields["base"]["semi_weakly_cis"] is False
+        assert {fields["base"][name] for name in hasse.LP_BASES} == {expected}
+        assert fields == fresh_classify_fields(g), encode_graph6(g)
+
+
 def test_classify_k1(capsys):
     code, out, _ = run(capsys, "classify", "-i", "gallery:K1", "--format",
                        "json")
@@ -339,6 +366,8 @@ def test_commands_take_only_their_options(capsys):
     for argv in (["classify", "-i", "gallery:P4", "--verify"],
                  ["classify", "-i", "gallery:P4", "--format", "csv"],
                  ["table", "--seed", "1"],
+                 ["table", "--include-lp"],
+                 ["table", "--no-include-lp"],
                  ["scan", "--verify"],
                  ["gallery", "list", "--format", "csv"]):
         with pytest.raises(SystemExit) as exc:
@@ -435,10 +464,10 @@ def test_gallery_list_and_emit(capsys):
 
 
 def test_table_text_and_csv(capsys):
-    code, out, _ = run(capsys, "table", "--no-include-lp")
+    code, out, _ = run(capsys, "table")
     assert code == 0
-    assert "witness cells verified" in out
-    code, out, _ = run(capsys, "table", "--no-include-lp", "--format", "csv")
+    assert out.splitlines()[-1] == "163 witness cells verified, 0 failures"
+    code, out, _ = run(capsys, "table", "--format", "csv")
     assert code == 0
     header = out.splitlines()[0]
     assert header == "row,col,kind,witness,passed,detail"

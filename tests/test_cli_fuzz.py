@@ -124,8 +124,6 @@ def argvs(draw):
         argv.append(flag)
         if values is not None:
             argv.append(draw(values))
-    if command == "table":
-        argv.append("--no-include-lp")
     if command == "scan" and "--max-n" not in argv:
         argv += ["--max-n", "3"]
     return argv

@@ -79,7 +79,7 @@ def test_lp_arrows_are_base_arrows():
 
 
 def test_verify_table_cells():
-    cells = verify_table(include_lp=False)
+    cells = verify_table()
     assert len(cells) == 17 * 17
     kinds = {c.kind for c in cells}
     assert kinds <= {"equal", "subset", "unknown", "skipped", "witness",
@@ -88,11 +88,13 @@ def test_verify_table_cells():
         if c.kind == "witness":
             assert c.passed is not None
         if c.kind == "skipped":
-            assert c.witness in SKIPPED_WITNESSES or "lp" in c.detail
+            assert c.witness in SKIPPED_WITNESSES
         if c.kind == "erratum":
             assert (c.row, c.col) in ERRATA
-    # the non-LP witness cells all verify
-    assert all(c.passed for c in cells if c.kind == "witness")
+    # every witness cell verifies, the LP-backed ones too
+    witness = [c for c in cells if c.kind == "witness"]
+    assert len(witness) == 163
+    assert all(c.passed for c in witness)
     d = cells[1].to_dict()
     assert d["row"] == "aCIS" and d["witness"] == "P4"
 
