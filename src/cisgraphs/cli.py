@@ -105,16 +105,22 @@ def _set(mask: int):
 def cmd_classify(args) -> int:
     """Print every base on the graph and on its complement, and the 17
     table properties.  The complement copies the graph's verdict on each
-    complement-invariant base.  Up to ``MAX_LP_VERTICES`` vertices the
-    two LP bases follow from the proven arrows when they can
-    (``hasse.lp_bases_by_arrows``: semi-weakly CIS gives both, not
-    triangle denies both), and only a graph in the gap between them runs
-    the exact analysis; past that order they are "unsupported".  The
+    complement-invariant base.  The bases are taken in ``BASE_NAMES``
+    order; the cheap ones are always computed, and a costly one
+    (``hasse.COSTLY_BASES``) is computed only when the proven arrows do
+    not settle it from the verdicts before it
+    (``hasse.settled_by_arrows``).  So triangle and weakly triangle
+    follow from semi-weakly CIS, normal from weakly CIS, perfect is
+    denied by a failed normal, and the exact LP runs only between
+    semi-weakly CIS and triangle.  Past ``MAX_LP_VERTICES`` vertices
+    perfect and the LP bases are "unsupported", never settled.  The
     table properties are lifted from the two verdict dicts, so no base
     is decided twice."""
     g = _load_graph(args)
     cache = hasse.MembershipCache()
-    by_arrows = g.n <= eq.MAX_LP_VERTICES
+    # the bases that refuse graphs past 16 vertices (UnsupportedSize)
+    refused = () if g.n <= eq.MAX_LP_VERTICES else (
+        "perfect", *hasse.LP_BASES)
 
     def verdicts(h, own=None):
         # own: the graph's verdicts, when h is its complement
@@ -122,12 +128,11 @@ def cmd_classify(args) -> int:
         for name in BASE_NAMES:
             if own is not None and name in COMPLEMENT_INVARIANT:
                 v[name] = own[name]
-            elif by_arrows and name in hasse.LP_BASES:
-                # BASE_NAMES lists the LP bases after the chain's ends
-                known = hasse.lp_bases_by_arrows(v)
-                v[name] = cache.base(name, h) if known is None else known
-            else:
-                v[name] = cache.base(name, h)
+                continue
+            known = None
+            if name in hasse.COSTLY_BASES and name not in refused:
+                known = hasse.settled_by_arrows(v, name)
+            v[name] = cache.base(name, h) if known is None else known
         return v
 
     base = verdicts(g)
@@ -143,7 +148,7 @@ def cmd_classify(args) -> int:
         certs["disjoint_pair"] = {
             "clique": _set(clique), "stable_set": _set(stable),
         }
-    tv = triangle_violation(g)
+    tv = triangle_violation(g) if base["triangle"] is not True else None
     if tv is not None:
         certs["triangle_violation"] = {
             "stable_set": _set(tv[0]), "edge": list(tv[1]),

@@ -38,7 +38,13 @@ def _bron_kerbosch(g: Graph):
 def _expand(adj, out: list, clique: int, cand: int, excl: int):
     """One Bron-Kerbosch node; appends the maximal cliques below it to out.
     A module-level function rather than a closure, so no reference cycle
-    keeps out alive after the enumeration."""
+    keeps out alive after the enumeration.
+
+    When cand is a clique (each of its k vertices sees the other k - 1),
+    clique | cand is the only candidate below the node, and it is maximal
+    unless a vertex of excl sees all of cand; then the node closes in one
+    step.  Both tests read the counts the pivot loop takes: the counts
+    over cand sum to k(k - 1), and no count reaches k."""
     if not cand:
         if not excl:
             if len(out) >= DEFAULT_FAMILY_CAP:
@@ -47,14 +53,24 @@ def _expand(adj, out: list, clique: int, cand: int, excl: int):
             out.append(clique)
         return
     best = -1
+    inside = 0  # the counts of the vertices of cand, summed
     m = cand | excl
     while m:
         low = m & -m
         m ^= low
         v = low.bit_length() - 1
         covered = (adj[v] & cand).bit_count()
+        if low & cand:
+            inside += covered
         if covered > best:
             best, pivot = covered, v
+    k = cand.bit_count()
+    if best < k and inside == k * (k - 1):
+        if len(out) >= DEFAULT_FAMILY_CAP:
+            raise FamilyCapExceeded(
+                f"more than {DEFAULT_FAMILY_CAP} maximal cliques")
+        out.append(clique | cand)
+        return
     m = cand & ~adj[pivot]
     while m:
         low = m & -m

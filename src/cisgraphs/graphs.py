@@ -155,6 +155,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # column-major)
 
 _G6_HEADER = ">>graph6<<"
+_G6_BITS = [format(d, "06b") for d in range(64)]  # a payload byte's bits
 
 
 def _g6_order(text: str):
@@ -191,21 +192,26 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError("truncated graph6 bit payload")
     if len(payload) > need:
         raise GraphError("trailing bytes after graph6 payload")
-    bitstream = 0
+    groups = []
     for ch in payload:
         d = ord(ch) - 63
         if not 0 <= d < 64:
             raise GraphError(f"bad graph6 payload byte {ch!r}")
-        bitstream = bitstream << 6 | d
-    bitstream >>= 6 * need - nbits
-    edges = []
-    k = nbits
+        groups.append(_G6_BITS[d])
+    stream = "".join(groups)
+    adj = [0] * n
+    start = 0
     for col in range(1, n):
-        for row in range(col):
-            k -= 1
-            if bitstream >> k & 1:
-                edges.append((row, col))
-    return Graph(n, edges)
+        # the column's bits, row 0 first; reversed, row 0 is the low bit
+        below = int(stream[start:start + col][::-1], 2)
+        start += col
+        adj[col] = below
+        bit = 1 << col
+        while below:
+            low = below & -below
+            below ^= low
+            adj[low.bit_length() - 1] |= bit
+    return Graph.from_adj(adj)
 
 
 def encode_graph6(g: Graph) -> str:

@@ -23,7 +23,12 @@ from .graphs import (
     mask_of,
     orbit,
 )
-from .recognizers import UnsupportedSize, base_predicate, has_bad_p4
+from .recognizers import (
+    BASE_NAMES,
+    UnsupportedSize,
+    base_predicate,
+    has_bad_p4,
+)
 
 # ---------------------------------------------------------------------------
 # the 17 self-complementary properties, in table column order
@@ -340,21 +345,71 @@ SCAN_ARROWS = BASE_ARROWS + (
     ("weakly_cis", "normal"), ("weakly_cis", "cap-wtri"),
 )
 
-# The chain of BASE_ARROWS around the two LP bases, strongest first.
-LP_CHAIN = ("semi_weakly_cis", "strongly_equistable", "equistable",
-            "triangle")
+# The arrows that classify reads: the base-to-base arrows of SCAN_ARROWS.
+PROVEN_ARROWS = BASE_ARROWS + (("weakly_cis", "normal"),)
+
+# The bases that classify may settle by the arrows instead of computing
+# them; the cheaper bases before them in BASE_NAMES are always computed.
+COSTLY_BASES = frozenset({
+    "weakly_cis", "triangle", "weakly_triangle", "normal", "perfect",
+    "equistable", "strongly_equistable",
+})
 
 
-def lp_bases_by_arrows(verdicts: dict):
-    """The verdict shared by both LP bases (equistable and strongly
-    equistable) that the arrows semi-weakly CIS => strongly equistable,
-    strongly equistable => equistable and equistable => triangle give
-    from a graph's LP-free verdicts: True when it is semi-weakly CIS,
-    False when it is not triangle, and None in the gap between them,
-    where only the LP decides."""
-    if verdicts[LP_CHAIN[0]] is True:
+def _reached(arrows, name: str) -> set:
+    """The bases that ``name`` reaches by one or more of ``arrows``, an
+    acyclic list of (a, b) read a => b."""
+    out = set()
+    for a, b in arrows:
+        if a == name:
+            out |= {b} | _reached(arrows, b)
+    return out
+
+
+# per base, the bases that reach it and the bases it reaches
+_ABOVE = {name: _reached([(b, a) for a, b in PROVEN_ARROWS], name)
+          for name in BASE_NAMES}
+_BELOW = {name: _reached(PROVEN_ARROWS, name) for name in BASE_NAMES}
+
+
+def settled_by_arrows(verdicts: dict, name: str):
+    """The verdict on the base ``name`` that ``PROVEN_ARROWS`` give from
+    the verdicts already known (a dict over base names), read
+    transitively: True when a base that is True reaches ``name``, False
+    when ``name`` reaches a base that is False, and None otherwise (an
+    "unsupported" verdict is neither, so it settles nothing).
+
+    Each arrow is a theorem, and the scan checks each on every graph up
+    to 8 vertices:
+
+    - threshold => cograph: threshold graphs have no induced P4
+      (Chvátal and Hammer 1977).
+    - cograph => CIS: P4-free graphs are CIS (Gurvich).
+    - CIS => semi-weakly CIS: in a CIS graph every maximal clique is
+      strong, and the maximal cliques cover the edges.
+    - edge simplicial => semi-weakly CIS: the closed neighbourhood N[w]
+      of a simplicial vertex w is a strong clique, since a stable set
+      missing N[w] extends by w.
+    - semi-weakly CIS => strongly equistable => equistable => triangle:
+      semi-weakly CIS graphs are the general partition graphs (McAvaney,
+      Robertson and DeTemple 1993), and the chain is the one the source
+      paper (arXiv 1505.05683) draws from the literature; strongly
+      equistable graphs (Mahadev, Peled and Sun 1994) are equistable.
+    - triangle => weakly triangle: every non-edge lies in a maximal
+      stable set, and in a triangle graph all of them are admissible.
+    - perfect => normal: perfect graphs are normal (Körner 1973).
+    - weakly CIS => normal: the clique family of a weakly-CIS pair
+      covers every vertex with an edge, and the stable-set family every
+      vertex with a non-edge.  An isolated vertex v is in every maximal
+      stable set, so the maximal clique {v} can join the clique family;
+      a universal vertex u is in every maximal clique, so the maximal
+      stable set {u} can join the stable-set family.  With n >= 2 no
+      vertex is both, so the families stay cross-intersecting and now
+      cover every vertex; K1 is normal.
+    """
+    if any(verdicts.get(a) is True for a in _ABOVE[name]):
         return True
-    if verdicts[LP_CHAIN[-1]] is False:
+    if any(verdicts.get(b) is False for b in _BELOW[name]):
         return False
     return None
 

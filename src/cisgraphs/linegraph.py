@@ -208,21 +208,40 @@ def find_bull_subgraph(h: Graph):
     """A (not necessarily induced) bull: triangle plus pendant edges at two
     distinct triangle vertices with distinct outside endpoints.  Returns
     (a, u, v, b, w), pendant a at u and b at v, w the third triangle
-    vertex; or None."""
-    for x, y, z in itertools.combinations(range(h.n), 3):
-        tri = mask_of((x, y, z))
-        if not h.is_clique(tri):
-            continue
-        for u, v in itertools.permutations((x, y, z), 2):
-            outside_u = h.adj[u] & ~tri
-            outside_v = h.adj[v] & ~tri
-            for a in bits(outside_u):
-                b_opts = outside_v & ~(1 << a)
-                if b_opts:
-                    b = (b_opts & -b_opts).bit_length() - 1
-                    return (a, u, v, b) + tuple(
-                        w for w in (x, y, z) if w not in (u, v)
-                    )
+    vertex; or None.  The triangles x < y < z are walked in ascending
+    order, z in N(x) & N(y) above y."""
+    adj = h.adj
+    for x in range(h.n):
+        ys = adj[x] & -(2 << x)
+        while ys:
+            ly = ys & -ys
+            ys ^= ly
+            y = ly.bit_length() - 1
+            zs = adj[x] & adj[y] & -(ly << 1)
+            while zs:
+                lz = zs & -zs
+                zs ^= lz
+                z = lz.bit_length() - 1
+                bull = _bull_at(adj, x, y, z)
+                if bull is not None:
+                    return bull
+    return None
+
+
+def _bull_at(adj, x: int, y: int, z: int):
+    """The first bull on the triangle xyz, as ``find_bull_subgraph``
+    returns it, or None."""
+    tri = 1 << x | 1 << y | 1 << z
+    for u, v in itertools.permutations((x, y, z), 2):
+        outside_u = adj[u] & ~tri
+        outside_v = adj[v] & ~tri
+        for a in bits(outside_u):
+            b_opts = outside_v & ~(1 << a)
+            if b_opts:
+                b = (b_opts & -b_opts).bit_length() - 1
+                return (a, u, v, b) + tuple(
+                    w for w in (x, y, z) if w not in (u, v)
+                )
     return None
 
 

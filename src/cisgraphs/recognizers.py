@@ -13,13 +13,19 @@ simplicial asks every edge for a common simplicial neighbour.
 Semi-weakly CIS and weakly triangle read their coverage clauses off the
 disjointness relation (``search.disjointness``).
 
+The triangle walk is lazy: each maximal stable set is tested for the
+triangle property at most once per graph, when a verdict first needs
+it.  Triangle stops at the first set that fails, and weakly triangle
+asks each non-edge for its lowest admissible holder and stops at the
+first non-edge that has none.  ``classify`` reads neither when the
+proven arrows settle them (``hasse.settled_by_arrows``).
+
 Degenerate verdicts are fixed: edgeless graphs are edge simplicial,
 semi-weakly CIS and triangle vacuously; K1 is CIS and not almost CIS.
 """
 
 from __future__ import annotations
 
-from .cliques import maximal_stable_sets
 from .graphs import Graph, bits, complement, mask_of
 from .search import disjointness, is_normal, is_weakly_cis
 
@@ -206,22 +212,24 @@ def _triangle_violating_edge(g: Graph, s: int):
 
 
 def _triangle_walk(g: Graph):
-    """(first (stable set, edge) violation or None, mask of the maximal
-    stable sets with the triangle property, numbered as in
-    ``disjointness(g).stables``); walked once per graph."""
-    first, admissible = None, 0
-    for j, s in enumerate(maximal_stable_sets(g)):
-        edge = _triangle_violating_edge(g, s)
-        if edge is None:
-            admissible |= 1 << j
-        elif first is None:
-            first = (s, edge)
-    return first, admissible
+    """The triangle tests made so far on g's maximal stable sets, numbered
+    as in ``disjointness(g).stables``: {number: first violating edge, or
+    None when the set has the triangle property}.  Kept once per graph
+    and filled on demand, so each set is tested at most once."""
+    return {}
 
 
 def triangle_violation(g: Graph):
-    """First (stable set, edge) violating the triangle condition, or None."""
-    return g.memo("triangle_walk", _triangle_walk)[0]
+    """First (stable set, edge) violating the triangle condition, or None:
+    the first maximal stable set, in ``disjointness(g).stables`` order,
+    that fails, with its first violating edge."""
+    tested = g.memo("triangle_walk", _triangle_walk)
+    for j, s in enumerate(disjointness(g).stables):
+        if j not in tested:
+            tested[j] = _triangle_violating_edge(g, s)
+        if tested[j] is not None:
+            return s, tested[j]
+    return None
 
 
 def is_triangle(g: Graph) -> bool:
@@ -234,10 +242,29 @@ def is_weakly_triangle(g: Graph) -> bool:
 
     The property is per-set, so the family of *all* admissible maximal
     stable sets is the unique inclusion-maximal candidate; coverage by it
-    decides the class.
+    decides the class.  Each non-edge clause is searched for its lowest
+    admissible holder, unless a set already found admissible holds it,
+    and the walk stops at the first non-edge that has none.
     """
-    admissible = g.memo("triangle_walk", _triangle_walk)[1]
-    return all(m & admissible for m in disjointness(g).nonedge_clauses)
+    rel = disjointness(g)
+    tested = g.memo("triangle_walk", _triangle_walk)
+    admissible = 0  # the sets found admissible by this walk
+    for clause in rel.nonedge_clauses:
+        if clause & admissible:
+            continue
+        m = clause
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            if j not in tested:
+                tested[j] = _triangle_violating_edge(g, rel.stables[j])
+            if tested[j] is None:
+                admissible |= low
+                break
+        else:
+            return False
+    return True
 
 
 def induced_p4s(g: Graph):

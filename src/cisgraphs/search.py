@@ -133,8 +133,14 @@ def _coverage_clauses(g: Graph, holders, edges: bool):
     """Per edge of g (``edges``) or per non-edge, pairs u < v ascending,
     the mask ``holders[u] & holders[v]`` of the members holding both."""
     flip = 0 if edges else g.full
-    return [hu & holders[v] for u, hu in enumerate(holders)
-            for v in bits((g.adj[u] ^ flip) & -(2 << u))]
+    out = []
+    for u, hu in enumerate(holders):
+        m = (g.adj[u] ^ flip) & -(2 << u)
+        while m:
+            low = m & -m
+            m ^= low
+            out.append(hu & holders[low.bit_length() - 1])
+    return out
 
 
 def _exclusions(family, other_holders, other_all: int):
@@ -143,8 +149,10 @@ def _exclusions(family, other_holders, other_all: int):
     out = []
     for mask in family:
         meets = 0
-        for v in bits(mask):
-            meets |= other_holders[v]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            meets |= other_holders[low.bit_length() - 1]
         out.append(other_all & ~meets)
     return out
 

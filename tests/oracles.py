@@ -678,6 +678,41 @@ def triangle_violating_edge_by_edges(g: Graph, s: int):
     return None
 
 
+def triangle_walk_by_every_set(g: Graph):
+    """(first (stable set, edge) violation or None, mask of the maximal
+    stable sets with the triangle property), by testing every maximal
+    stable set in ``maximal_stable_sets(g)`` order."""
+    first, admissible = None, 0
+    for j, s in enumerate(maximal_stable_sets(g)):
+        edge = triangle_violating_edge_by_edges(g, s)
+        if edge is None:
+            admissible |= 1 << j
+        elif first is None:
+            first = (s, edge)
+    return first, admissible
+
+
+def find_bull_subgraph_by_triples(h: Graph):
+    """What :func:`cisgraphs.linegraph.find_bull_subgraph` returns, by
+    testing every vertex triple in ``itertools.combinations`` order with
+    ``is_clique``."""
+    for x, y, z in itertools.combinations(range(h.n), 3):
+        tri = mask_of((x, y, z))
+        if not h.is_clique(tri):
+            continue
+        for u, v in itertools.permutations((x, y, z), 2):
+            outside_u = h.adj[u] & ~tri
+            outside_v = h.adj[v] & ~tri
+            for a in bits(outside_u):
+                b_opts = outside_v & ~(1 << a)
+                if b_opts:
+                    b = (b_opts & -b_opts).bit_length() - 1
+                    return (a, u, v, b) + tuple(
+                        w for w in (x, y, z) if w not in (u, v)
+                    )
+    return None
+
+
 def krausz_partition_by_subcliques(g: Graph):
     """What :func:`cisgraphs.linegraph._krausz_partition` returns, by
     backtracking over every sub-clique of each uncovered edge's usable

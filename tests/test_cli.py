@@ -126,18 +126,24 @@ def test_classify_computes_each_fact_once(capsys, monkeypatch):
     assert all(k == 1 for (name, _), k in calls.items()
                if name not in ("_coverage_clauses", "_holders"))
     assert "_find_weighting" not in [name for name, _ in calls]
-    # C4 is equistable by being semi-weakly CIS: no analysis, no walk
+    # C4 and its complement 2K2 are semi-weakly CIS, so the arrows give
+    # both LP bases, triangle and weakly triangle on both sides: no
+    # analysis, no weighting walk and no triangle walk
     calls.clear()
     code, out, _ = run(capsys, "classify", "-i", "gallery:C4",
                        "--format", "json")
-    assert code == 0 and json.loads(out)["base"]["equistable"] is True
+    data = json.loads(out)
+    assert code == 0 and data["base"]["equistable"] is True
+    assert data["complement_base"]["weakly_triangle"] is True
     names = [name for name, _ in calls]
     assert "_analysis" not in names and "_find_weighting" not in names
+    assert "_triangle_walk" not in names
 
 
 def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
-    # weakly CIS, normal and perfect are decided on G12 only, not again
-    # on its complement
+    # weakly CIS and perfect are decided on G12 only, not again on its
+    # complement; G12 is weakly CIS, so normal follows by the arrow
+    # weakly CIS => normal and its search does not run
     searches, scans = [], []
 
     def counting(module, name, log):
@@ -154,7 +160,7 @@ def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
     code, _, _ = run(capsys, "classify", "-i", "gallery:G12")
     assert code == 0
     g12 = gallery("G12")
-    assert sorted(kwargs["normal"] for _, kwargs in searches) == [False, True]
+    assert [kwargs["normal"] for _, kwargs in searches] == [False]
     assert all(g == g12 for g, _ in searches)
     assert len(scans) <= 2
 
@@ -194,10 +200,11 @@ def test_classify_complement_base_matches_fresh_evaluation(
 
 
 def test_classify_arrows_match_fresh_evaluation(capsys, monkeypatch):
-    # classify decides the LP bases by the proven arrows where they
-    # settle them; on every class with n <= 7 and its complement, and on
-    # seeded G(n, p) and random split graphs with 8 <= n <= 16, its
-    # verdicts equal the ones computed directly
+    # classify settles the costly bases by the proven arrows where they
+    # can; on every class with n <= 7 and its complement, and on seeded
+    # G(n, p) and random split graphs with 8 <= n <= 16 and with
+    # 17 <= n <= 40 (where only perfect and the LP bases stay
+    # "unsupported"), its verdicts equal the ones computed directly
     graphs = [x for reps in hasse.nonisomorphic_graphs(7).values()
               for g in reps for x in (g, complement(g))]
     rng = random.Random(20260)
@@ -205,7 +212,12 @@ def test_classify_arrows_match_fresh_evaluation(capsys, monkeypatch):
                for p in (0.3, 0.5, 0.7)]
     graphs += [gallery_module.random_split(n // 2, n - n // 2, 700 + n)
                for n in range(8, 17)]
-    assert len(graphs) == 2 * 1252 + 27 + 9
+    rng = random.Random(20261)
+    graphs += [random_graph(n, p, rng) for n in range(17, 41, 3)
+               for p in (0.3, 0.5, 0.7)]
+    graphs += [gallery_module.random_split(n // 2, n - n // 2, 800 + n)
+               for n in range(17, 41, 3)]
+    assert len(graphs) == 2 * 1252 + 27 + 9 + 24 + 8
     mismatched = [encode_graph6(g) for g in graphs
                   if classify_fields(capsys, monkeypatch, g)
                   != fresh_classify_fields(g)]
@@ -555,8 +567,11 @@ def test_cis_line_verify_lists_no_stable_sets_of_the_input(
         seen.append(h)
         return maximal_stable_sets(h, *args, **kwargs)
 
-    for module in (cliques, equistable, linegraph, recognizers, search):
+    # every module that calls it (recognizers reads the stable sets off
+    # search.disjointness)
+    for module in (cliques, equistable, linegraph, search):
         monkeypatch.setattr(module, "maximal_stable_sets", spy)
+    assert not hasattr(recognizers, "maximal_stable_sets")
     monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(g)))
     code, out, _ = run(capsys, "cis-line", "-i", "-", "--verify",
                        "--format", "json")

@@ -161,6 +161,32 @@ def test_graph6_errors():
         parse_graph6("~~????")  # order too large
 
 
+def test_graph6_rows_read_off_the_bit_stream():
+    # the rows built straight from the payload are those of the edge-list
+    # constructor, on every class with n <= 7, its complement and seeded
+    # graphs of up to 100 vertices (the "~" header from 63 on)
+    graphs = [x for reps in nonisomorphic_graphs(7).values() for g in reps
+              for x in (g, complement(g))]
+    rng = random.Random(23)
+    graphs += [random_graph(rng.randint(1, 100), rng.random(), rng)
+               for _ in range(60)]
+    assert any(g.n >= 63 for g in graphs)
+    for g in graphs:
+        parsed = parse_graph6(encode_graph6(g))
+        assert parsed == Graph(g.n, list(g.edges()))
+        assert parsed.n == g.n and type(parsed.adj) is tuple
+    # the same errors, with the same messages
+    for text, message in (
+            ("C", "truncated graph6 bit payload"),
+            ("Chh", "trailing bytes after graph6 payload"),
+            ("~?@c" + "?" * 824, "truncated graph6 bit payload"),
+            ("~?@c" + "?" * 826, "trailing bytes after graph6 payload"),
+            ("C!", "bad graph6 payload byte '!'")):
+        with pytest.raises(GraphError) as err:
+            parse_graph6(text)
+        assert str(err.value) == message
+
+
 def test_order_limit():
     # graph6 has no four-byte header above MAX_ORDER; the encoder refuses
     # before its quadratic loop, and the edge-list parser before allocating

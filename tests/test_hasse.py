@@ -66,16 +66,34 @@ def test_property_holds_examples():
 
 
 def test_lp_arrows_are_base_arrows():
-    # the rule classify decides the LP bases by reads only arrows that
-    # the scan checks: LP_CHAIN is a path of BASE_ARROWS through both LP
-    # bases, from semi-weakly CIS to triangle
-    chain = hasse.LP_CHAIN
-    assert set(zip(chain, chain[1:])) <= set(hasse.BASE_ARROWS)
-    assert set(chain[1:-1]) == set(hasse.LP_BASES)
-    rule = hasse.lp_bases_by_arrows
-    assert rule({"semi_weakly_cis": True, "triangle": True}) is True
-    assert rule({"semi_weakly_cis": False, "triangle": False}) is False
-    assert rule({"semi_weakly_cis": False, "triangle": True}) is None
+    # the rule classify settles its costly bases by reads only arrows
+    # that the scan checks: every base-to-base arrow of SCAN_ARROWS, and
+    # nothing else, read transitively
+    bases = set(recognizers.BASE_NAMES)
+    assert set(hasse.PROVEN_ARROWS) == {
+        (a, b) for a, b in hasse.SCAN_ARROWS if a in bases and b in bases}
+    assert hasse.COSTLY_BASES <= bases
+    rule = hasse.settled_by_arrows
+    # the LP bases: semi-weakly CIS gives both, not triangle denies both
+    for lp in hasse.LP_BASES:
+        assert rule({"semi_weakly_cis": True, "triangle": True}, lp) is True
+        assert rule({"semi_weakly_cis": False, "triangle": False},
+                    lp) is False
+        assert rule({"semi_weakly_cis": False, "triangle": True},
+                    lp) is None
+    # transitively, and never against an arrow
+    assert rule({"threshold": True}, "weakly_triangle") is True
+    assert rule({"weakly_triangle": False}, "semi_weakly_cis") is False
+    assert rule({"weakly_triangle": True}, "triangle") is None
+    assert rule({"weakly_cis": True}, "normal") is True
+    assert rule({"normal": False}, "weakly_cis") is False
+    assert rule({"normal": False}, "perfect") is False
+    assert rule({"normal": True}, "weakly_cis") is None
+    assert rule({"normal": True}, "perfect") is None
+    # an unsupported verdict settles nothing
+    assert rule({"equistable": "unsupported"}, "triangle") is None
+    assert rule({"perfect": "unsupported"}, "normal") is None
+    assert rule({}, "weakly_cis") is None
 
 
 def test_verify_table_cells():

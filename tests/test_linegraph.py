@@ -27,6 +27,7 @@ from cisgraphs.linegraph import (
 from cisgraphs.recognizers import is_cis
 from oracles import (
     connected_graphs,
+    find_bull_subgraph_by_triples,
     krausz_partition_by_subcliques,
     max_weight_matching_networkx,
     relabelled,
@@ -277,6 +278,25 @@ def test_find_bull():
     assert g.is_clique(sum(1 << x for x in tri))
     assert a not in tri and b not in tri and a != b
     assert g.has_edge(a, u) and g.has_edge(b, v)
+
+
+def test_find_bull_matches_triple_scan():
+    # the bitmask triangle walk returns the bull the scan of every vertex
+    # triple returns, so every bull certificate keeps its bytes
+    roots = [h for graphs in connected_graphs(7).values() for h in graphs]
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(3, 20)
+        h = random_graph(n, rng.choice((0.1, 0.2, 0.4, 0.7)), rng)
+        if 0 < h.edge_count() <= 64:
+            roots.append(h)
+    found = 0
+    for h in roots:
+        bull = find_bull_subgraph(h)
+        assert bull == find_bull_subgraph_by_triples(h), sorted(h.edges())
+        found += bull is not None
+    assert 0 < found < len(roots)
+    assert max(h.edge_count() for h in roots) > 40
 
 
 def test_neighborhood_subgraph_weights():

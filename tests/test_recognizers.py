@@ -33,7 +33,7 @@ from cisgraphs.graphs import (
     random_graph,
 )
 from cisgraphs.hasse import nonisomorphic_graphs
-from cisgraphs.search import exists_cross_intersecting
+from cisgraphs.search import disjointness, exists_cross_intersecting
 from cisgraphs.recognizers import (
     BASE_NAMES,
     COMPLEMENT_INVARIANT,
@@ -74,6 +74,7 @@ from oracles import (
     strong_maximal_cliques_pairwise,
     to_nx,
     triangle_violating_edge_by_edges,
+    triangle_walk_by_every_set,
     verify_cover_certificate,
 )
 
@@ -387,6 +388,30 @@ def test_triangle_violating_edge_matches_edge_walk():
             violations += edge is not None
             admissible += edge is None
     assert violations and admissible
+
+
+def test_lazy_triangle_walk_matches_every_set_walk():
+    # triangle_violation is the first failing set of a walk over every
+    # maximal stable set, and weakly triangle asks its admissible sets to
+    # cover the non-edges; the lazy walk tests each set at most once,
+    # and triangle_violation stops at the first set that fails
+    tested = 0
+    every = 0
+    for g in _relation_test_graphs():
+        first, admissible = triangle_walk_by_every_set(g)
+        stables = maximal_stable_sets(g)
+        assert triangle_violation(g) == first, encode_graph6(g)
+        walked = g.known("triangle_walk")
+        assert len(walked) == (
+            len(stables) if first is None else stables.index(first[0]) + 1)
+        covered = all(m & admissible
+                      for m in disjointness(g).nonedge_clauses)
+        fresh = Graph.from_adj(g.adj)
+        assert is_weakly_triangle(fresh) == covered
+        assert is_weakly_triangle(g) == covered
+        tested += len(fresh.known("triangle_walk"))
+        every += len(stables)
+    assert 0 < tested < every
 
 
 def test_weakly_triangle():

@@ -97,9 +97,10 @@ def test_equistable_builds_fractions_only_at_its_edges():
 
 
 def test_oracle_evaluators_read_no_arrow():
-    # classify decides the LP bases by the proven arrows; the evaluator,
-    # the table check and the scan decide every base directly, since at
-    # n <= 8 they are the oracle that the arrows are checked against
+    # classify settles its costly bases by the proven arrows; the
+    # evaluator, the table check and the scan decide every base
+    # directly, since at n <= 8 they are the oracle that the arrows are
+    # checked against
     path = PACKAGE_DIR / "hasse.py"
     tree = ast.parse(path.read_text(), str(path))
     owners = {"MembershipCache", "verify_table", "scan"}
@@ -112,7 +113,8 @@ def test_oracle_evaluators_read_no_arrow():
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else None)
-            if name in ("lp_bases_by_arrows", "LP_CHAIN"):
+            if name in ("settled_by_arrows", "PROVEN_ARROWS",
+                        "COSTLY_BASES"):
                 found.append(f"{top.name}:{node.lineno}")
     assert owners == set()
     assert found == []
