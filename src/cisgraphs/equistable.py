@@ -56,7 +56,6 @@ walk's weights, a forced subset's value, and the weights that
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -75,8 +74,7 @@ class WeightingUndecided(RuntimeError):
     built."""
 
 
-@dataclass(frozen=True)
-class EquistableCertificate:
+class EquistableCertificate(NamedTuple):
     verdict: bool
     reason: str  # "weights" | "infeasible" | "forced-subset"
     weights: tuple | None = None  # rational weight per vertex

@@ -132,9 +132,15 @@ def complement(g: Graph) -> Graph:
 
 
 def _complement(g: Graph) -> Graph:
-    co = Graph.from_adj([g.full & ~g.closed_nbhd(v) for v in range(g.n)])
+    co = Graph.from_adj(_complement_rows(g.adj))
     co._facts = {"complement": g}
     return co
+
+
+def _complement_rows(rows) -> tuple:
+    """The adjacency rows of the complement of the graph with ``rows``."""
+    full = (1 << len(rows)) - 1
+    return tuple([full & ~(row | 1 << v) for v, row in enumerate(rows)])
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -296,7 +302,11 @@ def parse_graph(text: str) -> Graph:
 # two paths part.  A disconnected graph, or one with a disconnected
 # complement, needs no search of its own: swapping two isomorphic
 # components is an automorphism like swapping two twins, and the search
-# finds it from two equal leaves.
+# finds it from two equal leaves.  A graph with more than half of the
+# possible edges is searched on its complement's rows, and its form is the
+# complement of the form found, so that the forms of a graph and of its
+# complement are each other's complements unless the graph has exactly
+# half of the edges.
 
 
 def components(g: Graph) -> list:
@@ -429,26 +439,36 @@ def _search(adj) -> tuple:
                 k += 1
             return k
         i, cell = next((i, c) for i, c in enumerate(cells) if c & (c - 1))
-        done = 0  # the children tried, closed under the known automorphisms
+        # done: the children tried, closed under gens, the automorphisms
+        # found by the last closure that fix the node.  A closure applies
+        # the automorphisms found since to all of done, and gens only to
+        # fresh, the vertices added since
+        done = fresh = 0
+        gens = []
         known = 0  # automorphisms found when done was last closed
         for v in bits(cell):
-            if known < len(found):
+            if fresh or known < len(found):
+                reach = 0
+                for p, moved in found[known:]:
+                    if not fixed & moved:
+                        gens.append(p)
+                        reach |= _image(p, done)
                 known = len(found)
-                gens = [p for p, moved in found if not fixed & moved]
-                grown = True
-                while grown:
-                    grown = False
+                fresh |= reach & ~done
+                done |= reach
+                while fresh:
+                    reach = 0
                     for p in gens:
-                        more = _image(p, done) & ~done
-                        if more:
-                            done |= more
-                            grown = True
+                        reach |= _image(p, fresh)
+                    fresh = reach & ~done
+                    done |= fresh
             bit = 1 << v
             if done & bit:
                 continue
             row = adj[v]
             rest = done
             done |= bit
+            fresh = bit
             while rest:
                 low = rest & -rest
                 u = low.bit_length() - 1
@@ -470,38 +490,62 @@ def _search(adj) -> tuple:
     return best[0], best[1], tuple([p for p, _ in found])
 
 
+def _canonical(adj) -> tuple:
+    """``canonical_search`` on the rows ``adj``: ``_search`` on them, or
+    on the complement's rows if they hold more than half of the edges."""
+    n = len(adj)
+    if 2 * sum([row.bit_count() for row in adj]) <= n * (n - 1):
+        return _search(adj)
+    form, order, generators = _search(_complement_rows(adj))
+    return _complement_rows(form), order, generators
+
+
 def canonical_search(g: Graph) -> tuple:
     """(form, order, generators): the canonical form of ``g``, a vertex
     order that relabels ``g`` to it (vertex ``order[i]`` becomes ``i``),
     and permutations (``perm[v]`` is the image of v) that generate the
     automorphism group of ``g``.
 
-    The form is the smallest leaf of a search: each leaf
-    is a discrete partition reached by refining and then individualising,
-    in turn, each vertex of the first non-singleton cell, and its form is
-    the graph's rows relabelled in cell order.  Two leaves with one form
-    give an automorphism, and so does a twin of a vertex already tried.
-    A node tries one child per orbit of the automorphisms found so far
-    that fix its individualised vertices, and a leaf that repeats a form
-    returns to the node where its path parts from the earlier leaf's: an
-    automorphism that fixes a node maps the subtree of one child onto the
-    subtree of the other, leaf form for leaf form, so every pruned
-    subtree is an image of an explored one and the smallest form is
-    unchanged.  The automorphisms found generate the whole group (McKay
-    1981): at each node of the first path, below every child tried that
-    an automorphism fixing the node maps the first path's child to,
-    there is a leaf with the first leaf's form, and the automorphism
-    that leaf gives does the same.  This holds for every graph: swapping
-    two isomorphic components of the graph or of its complement is an
-    automorphism like swapping two twins, found from two equal leaves.
+    With E = n(n - 1)/2, a graph with more than E/2 edges is searched
+    on its complement, and its form is the complement of the form found.
+    The order carries over, since relabelling commutes with complement:
+    the order that relabels the complement to the form found relabels
+    ``g`` to that form's complement.  So do the generators, since a graph
+    and its complement have one automorphism group.  So the form of
+    ``complement(g)`` is the complement of the form of ``g`` unless ``g``
+    has exactly E/2 edges; then both are searched as they are, and no
+    rule could make the two commute, since a self-complementary graph
+    would need a form equal to its own complement.
+
+    The form of a graph with at most E/2 edges is the smallest leaf of a
+    search: each leaf is a discrete partition reached by refining and
+    then individualising, in turn, each vertex of the first
+    non-singleton cell, and its form is the graph's rows relabelled in
+    cell order.  Two leaves with one form give an automorphism, and so
+    does a twin of a vertex already tried.  A node tries one child per
+    orbit of the automorphisms found so far that fix its individualised
+    vertices, and a leaf that repeats a form returns to the node where
+    its path parts from the earlier leaf's: an automorphism that fixes a
+    node maps the subtree of one child onto the subtree of the other,
+    leaf form for leaf form, so every pruned subtree is an image of an
+    explored one and the smallest form is unchanged.  The automorphisms
+    found generate the whole group (McKay 1981): at each node of the
+    first path, below every child tried that an automorphism fixing the
+    node maps the first path's child to, there is a leaf with the first
+    leaf's form, and the automorphism that leaf gives does the same.
+    This holds for every graph: swapping two isomorphic components of
+    the graph or of its complement is an automorphism like swapping two
+    twins, found from two equal leaves.
     """
-    return _search(g.adj)
+    return _canonical(g.adj)
 
 
 def canonical_form(g: Graph) -> tuple:
     """Adjacency rows of a canonical relabelling of ``g``: two graphs
-    have the same form iff they are isomorphic (see ``canonical_search``)."""
-    return _search(g.adj)[0]
+    have the same form iff they are isomorphic, and the form of the
+    complement is the complement of the form unless ``g`` has exactly
+    half of the possible edges (see ``canonical_search``)."""
+    return _canonical(g.adj)[0]
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -10,12 +10,12 @@ LLbar).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import gallery as gal
 from .graphs import (
     Graph,
+    _complement_rows,
     canonical_form,
     canonical_search,
     complement,
@@ -175,8 +175,7 @@ class MembershipCache:
 # table verification
 
 
-@dataclass
-class CellResult:
+class CellResult(NamedTuple):
     row: str
     col: str
     kind: str  # "equal" | "subset" | "unknown" | "skipped" | "witness"
@@ -248,7 +247,7 @@ def verify_table():
 EXPECTED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
                          8: 12346, 9: 274668}  # OEIS A000088
 # the arrow scan stops at 8 although the count at 9 is checked: order 9
-# alone takes about 25 s and 230 MB peak RSS to generate on a 2-core
+# alone takes 14-17 s and 200 MB peak RSS to generate on a 2-core
 # host, and with the LP properties the scan would run about 550,000
 # exact LP analyses
 MAX_SCAN_N = 8
@@ -283,15 +282,36 @@ def nonisomorphic_graphs(max_n: int):
     its orbit.  The degree rule skips whole orbits, since automorphisms
     keep degrees.  The generators of g's group come from one canonical
     search of g, just before its extensions, so no generators are kept
-    between orders.  Returns {n: list of Graph}, each list sorted by
+    between orders.
+
+    Only the sparser half of each order is built this way.  With E(n) =
+    n(n - 1)/2, only representatives with at most E(n - 1)/2 edges are
+    extended, and only extensions with at most E(n)/2 edges are formed.
+    The bound on the parents loses no class with m <= E(n)/2 edges: an
+    extension the degree rule keeps has its new vertex at the largest
+    degree D, so its parent has m - D edges.  If D >= (n - 1)/2, then
+    m - D <= E(n)/2 - (n - 1)/2 = E(n - 1)/2.  Otherwise every degree is
+    below (n - 1)/2, so m <= nD/2 and m - D <= (n - 2)D/2 < E(n - 1)/2.
+    Such a class thus keeps the first extension it had without the
+    bounds, since the classes of each order are sorted by edge count
+    first.  The denser half is the complements of the classes with
+    fewer than E(n)/2 edges: each is represented by the complement of its
+    partner's representative, under the complemented form, which is its
+    canonical form (see ``graphs.canonical_search``).  The class counts
+    are checked against ``EXPECTED_GRAPH_COUNTS``, which covers the
+    pairing as well.  Returns {n: list of Graph}, each list sorted by
     (edge count, adjacency rows).
     """
     levels = _LEVELS
     for n in range(2, max_n + 1):
         if n in levels:
             continue
+        top = n * (n - 1) // 4  # the most edges an extension may have
         classes = {}  # canonical form -> its first extension
         for g in levels[n - 1].reps:
+            m = g.edge_count()
+            if 4 * m > (n - 1) * (n - 2):
+                break  # sorted by edge count: the rest are denser too
             group = canonical_search(g)[2]
             # at_least[d]: the old vertices of degree at least d.  With
             # k = |mask|, an old vertex ends above w's degree k when its
@@ -301,7 +321,8 @@ def nonisomorphic_graphs(max_n: int):
             met = set()  # masks met in the orbit of an earlier one
             for mask in range(1 << (n - 1)):
                 k = mask.bit_count()
-                if at_least[k + 1] or mask & at_least[k] or mask in met:
+                if (m + k > top or at_least[k + 1] or mask & at_least[k]
+                        or mask in met):
                     continue
                 met.update(orbit(mask, group))
                 adj = [row | ((mask >> v & 1) << (n - 1))
@@ -309,6 +330,10 @@ def nonisomorphic_graphs(max_n: int):
                 adj.append(mask)
                 cand = Graph.from_adj(adj)
                 classes.setdefault(canonical_form(cand), cand)
+        for form, rep in list(classes.items()):
+            if 4 * rep.edge_count() < n * (n - 1):
+                classes[_complement_rows(form)] = Graph.from_adj(
+                    _complement_rows(rep.adj))
         expect = EXPECTED_GRAPH_COUNTS.get(n)
         if expect is not None and len(classes) != expect:
             raise RuntimeError(
@@ -322,6 +347,27 @@ def nonisomorphic_graphs(max_n: int):
             classes[form] = i  # the dict becomes the form index
         levels[n] = _Level(reps, classes)
     return {n: levels[n].reps for n in range(1, max_n + 1)}
+
+
+def _complement_classes(n: int) -> list:
+    """The class of each class's complement, by index, over the classes
+    with n vertices (generated already).  The form of the complement of
+    a class is the complement of its form unless the class has exactly
+    half of the possible edges, so only such a class searches its
+    complement, and only if the class it pairs with is not known yet."""
+    reps, index = _LEVELS[n]
+    forms = [None] * len(reps)
+    for form, i in index.items():
+        forms[i] = form
+    partner = [None] * len(reps)
+    for i, form in enumerate(forms):
+        if partner[i] is None:
+            co = _complement_rows(form)
+            if 4 * reps[i].edge_count() == n * (n - 1):
+                co = canonical_form(Graph.from_adj(co))
+            partner[i] = index[co]
+            partner[index[co]] = i
+    return partner
 
 
 # ---------------------------------------------------------------------------
@@ -414,25 +460,25 @@ def settled_by_arrows(verdicts: dict, name: str):
     return None
 
 
-@dataclass
 class ArrowResult:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)  # graph6 strings
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures = []  # graph6 strings
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
 class ScanReport:
-    max_n: int
-    lp_max_n: int
-    counts: dict = field(default_factory=dict)
-    arrows: dict = field(default_factory=dict)
-    subset_cells: dict = field(default_factory=dict)  # (row, col) -> ArrowResult
-    collapse: dict = field(default_factory=dict)  # prop -> ArrowResult
+    def __init__(self, max_n: int, lp_max_n: int):
+        self.max_n = max_n
+        self.lp_max_n = lp_max_n
+        self.counts = {}
+        self.arrows = {}
+        self.subset_cells = {}  # (row, col) -> ArrowResult
+        self.collapse = {}  # prop -> ArrowResult
 
     @property
     def ok(self) -> bool:
@@ -486,10 +532,12 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
     each class that fails one.
 
     The complement of a class is a class, so the scan walks complement
-    pairs: class i's representative g, its complement co, a copy of the
-    class j that the canonical form of co names, and one
-    ``MembershipCache`` serve class i's checks on (g, co) and, if j != i,
-    class j's checks on (co, g).  Each base and each table property in
+    pairs: class i's representative g, its complement co, and one
+    ``MembershipCache`` serve class i's checks on (g, co) and, if the
+    class j of co is not i, class j's checks on (co, g).  The pairing
+    comes from ``_complement_classes``, which reads j off the complement
+    of class i's form, so only a class with exactly half of the possible
+    edges searches its complement.  Each base and each table property in
     play is read from the cache once per graph of a pair, into one dict
     per graph that every check of both classes reads; so each base runs
     once per class, and the collapse check compares two classes'
@@ -536,7 +584,7 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
             out += [res for row, col, res in cells if v[row] and not v[col]]
             return tuple(out)
 
-        index = _LEVELS[n].index
+        partner = _complement_classes(n)
         failed = [None] * len(classes)
         for i, rep in enumerate(classes):
             if failed[i] is not None:
@@ -547,7 +595,7 @@ def scan(max_n: int = 6, include_lp: bool = False) -> ScanReport:
             v_g = {x: cache.holds(x, g) for x in keys}
             v_co = {x: cache.holds(x, co) for x in keys}
             failed[i] = failures(v_g, v_co, g)
-            j = index[canonical_form(co)]
+            j = partner[i]
             if j != i:
                 failed[j] = failures(v_co, v_g, co)
         for res in checked:

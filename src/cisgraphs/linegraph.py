@@ -11,7 +11,7 @@ neighbor of x but not with x.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cliques import maximal_stable_sets
 from .graphs import Graph, GraphError, bits, components, mask_of
@@ -40,10 +40,9 @@ def tilde(h: Graph) -> Graph:
 # root graph via forced Krausz cells
 
 
-@dataclass
-class RootResult:
+class RootResult(NamedTuple):
     kind: str  # "root" | "not-line-graph" | "ambiguous"
-    roots: list = field(default_factory=list)
+    roots: tuple = ()
 
 
 def _krausz_partition(g: Graph):
@@ -136,11 +135,11 @@ def root_graph(g: Graph) -> RootResult:
     if g.n == 3 and g.edge_count() == 3:
         k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
         k13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        return RootResult("ambiguous", [k3, k13])
+        return RootResult("ambiguous", (k3, k13))
     cells = _krausz_partition(g)
     if cells is None:
         return RootResult("not-line-graph")
-    return RootResult("root", [_root_from_cells(g, cells)])
+    return RootResult("root", (_root_from_cells(g, cells),))
 
 
 # ---------------------------------------------------------------------------

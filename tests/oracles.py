@@ -875,9 +875,10 @@ def equitable_cells(adj, cells) -> list:
 
 def smallest_leaf_form(g: Graph) -> tuple:
     """The smallest leaf form of the whole search tree over ``g``, with
-    nothing pruned: what ``canonical_form`` returns for every graph.  A
-    leaf's form is the rows of ``g`` in cell order, each vertex
-    relabelled by its place in that order."""
+    nothing pruned: what ``canonical_form`` returns for every graph with
+    at most half of the possible edges.  A leaf's form is the rows of
+    ``g`` in cell order, each vertex relabelled by its place in that
+    order."""
     adj = g.adj
 
     def leaves(cells):
@@ -902,6 +903,13 @@ def smallest_leaf_form(g: Graph) -> tuple:
                               + cells[i + 1:])
 
     return min(leaves([g.full]))
+
+
+def complement_rows(rows) -> tuple:
+    """The adjacency rows of the complement, built pair by pair."""
+    n = len(rows)
+    return tuple(sum(1 << v for v in range(n)
+                     if v != u and not rows[u] >> v & 1) for u in range(n))
 
 
 def group_order(n: int, generators) -> int:

@@ -34,6 +34,7 @@ from cisgraphs import hasse
 from cisgraphs.hasse import EXPECTED_GRAPH_COUNTS, nonisomorphic_graphs
 from cisgraphs.recognizers import is_edge_simplicial
 from oracles import (
+    complement_rows,
     group_order,
     induced_subgraph,
     relabelled,
@@ -340,10 +341,20 @@ def test_canonical_form_invariant_and_isomorphic(g, rng):
     assert all(is_automorphism(h, p) for p in gens)
 
 
+def leaf_form(g):
+    """The smallest leaf form of g, or for a graph with more than half of
+    the possible edges, the complement of its complement's."""
+    if 4 * g.edge_count() <= g.n * (g.n - 1):
+        return smallest_leaf_form(g)
+    co = Graph.from_adj(complement_rows(g.adj))
+    return complement_rows(smallest_leaf_form(co))
+
+
 def test_canonical_form_is_the_smallest_leaf():
     # pruning skips only images of explored subtrees, so every graph keeps
     # the form of the unpruned search, disconnected or with a disconnected
-    # complement too
+    # complement too; a graph with more than half of the edges has the
+    # complement of its complement's
     rng = random.Random(5)
     petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                      + [(i, i + 5) for i in range(5)]
@@ -356,7 +367,7 @@ def test_canonical_form_is_the_smallest_leaf():
               complement(triangles(4)), matching8]
     for g in cases:
         h = relabelled(g, rng)
-        assert canonical_form(h) == smallest_leaf_form(h)
+        assert canonical_form(h) == leaf_form(h)
     # a 3-regular graph on 10 vertices times P3 (vertex 3u + x): its cells
     # hold several orbits, so returning past the node where two equal
     # leaves' paths part loses forms on some labellings
@@ -369,7 +380,27 @@ def test_canonical_form_is_the_smallest_leaf():
                      for x in range(2)])
     for _ in range(20):
         h = relabelled(prism, rng)
-        assert canonical_form(h) == smallest_leaf_form(h)
+        assert canonical_form(h) == leaf_form(h)
+
+
+def test_canonical_form_commutes_with_complement():
+    # the form of the complement is the complemented form, unless the
+    # graph has exactly half of the possible edges; generation takes the
+    # denser half of each order, and the scan its pairing, from this
+    rng = random.Random(36)
+    cases = [g for graphs in nonisomorphic_graphs(8).values() for g in graphs]
+    cases += [relabelled(random_graph(n, p, rng), rng)
+              for n in range(9, 65, 5) for p in (0.1, 0.5, 0.9)]
+    cases += [circulant(n, (1, 3)) for n in range(10, 65, 11)]
+    cases += [triangles(21), Graph(64)]
+    half = 0
+    for g in cases:
+        if 4 * g.edge_count() == g.n * (g.n - 1):
+            half += 1
+            continue
+        co = Graph.from_adj(complement_rows(g.adj))
+        assert canonical_form(co) == complement_rows(canonical_form(g))
+    assert half == 1 + 3 + 6 + 1646  # the classes with n = 1, 4, 5, 8
 
 
 def test_canonical_form_many_components():
@@ -483,18 +514,26 @@ def test_automorphism_generators_against_networkx():
 
 
 def test_form_index_and_complement_pairing():
-    # the scan pairs class i with the class that the form of its
-    # complement names; when every class passes every arrow the scan's
-    # output cannot show a wrong pairing, so it is checked here (on a
-    # copy of each representative, so that the cached one keeps no fact)
-    for n, reps in nonisomorphic_graphs(7).items():
+    # the scan pairs class i with the class of its complement, as the
+    # pairing helper reads it off the form index; when every class passes
+    # every arrow the scan's output cannot show a wrong pairing, so it is
+    # checked here (on a copy of each representative, so that the cached
+    # one keeps no fact).  The classes paired with themselves are the
+    # self-complementary ones: 1, 0, 0, 1, 2, 0, 0, 10 (OEIS A000171)
+    fixed = []
+    for n, reps in nonisomorphic_graphs(8).items():
         index = hasse._LEVELS[n].index
         assert len(index) == len(reps)
+        partner = hasse._complement_classes(n)
+        assert [partner[j] for j in partner] == list(range(len(reps)))
+        fixed.append(sum(j == i for i, j in enumerate(partner)))
+        if n == 8:
+            continue
         for i, rep in enumerate(reps):
             assert index[canonical_form(rep)] == i
             co = complement(Graph.from_adj(rep.adj))
-            assert nx.is_isomorphic(to_nx(reps[index[canonical_form(co)]]),
-                                    to_nx(co))
+            assert nx.is_isomorphic(to_nx(reps[partner[i]]), to_nx(co))
+    assert fixed == [1, 0, 0, 1, 2, 0, 0, 10]
 
 
 def test_automorphism_generators_of_circulants():

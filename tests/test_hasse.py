@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from cisgraphs.hasse import (
 )
 from oracles import (
     all_extensions_graphs,
+    complement_rows,
     connected_graphs,
     find_separators,
     scan_per_graph,
@@ -128,10 +130,28 @@ def test_generation_counts():
 
 
 def test_generation_matches_all_extensions():
-    # the degree rule skips only extensions whose class an earlier one has
+    # the degree rule and the edge bounds skip only extensions whose class
+    # an earlier one has, so each class with at most half of the edges
+    # keeps its representative, at its index; each denser one is the
+    # complement of the representative of a class with fewer than half
     oracle = all_extensions_graphs(7)
     for n, graphs in nonisomorphic_graphs(7).items():
-        assert [g.adj for g in graphs] == [g.adj for g in oracle[n]]
+        sparse = [g.adj for g in oracle[n]
+                  if 4 * g.edge_count() <= n * (n - 1)]
+        assert [g.adj for g in graphs[:len(sparse)]] == sparse
+        dense = [complement_rows(adj) for adj in sparse
+                 if 2 * sum(map(int.bit_count, adj)) < n * (n - 1)]
+        dense.sort(key=lambda adj: (sum(map(int.bit_count, adj)), adj))
+        assert [g.adj for g in graphs[len(sparse):]] == dense
+
+
+def test_representatives_pinned():
+    # every representative through n = 8, in order: one graph6 line each
+    reps = nonisomorphic_graphs(8)
+    text = "".join(encode_graph6(g) + "\n"
+                   for n in range(1, 9) for g in reps[n])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1cc04ee3726a6efd9949b6400bc095364fc2d820299ab2675da483f4897971fa")
 
 
 def count_searches(monkeypatch):
@@ -154,14 +174,17 @@ def count_searches(monkeypatch):
 
 
 def test_generation_form_count_pinned(monkeypatch):
-    # 11,290 forms without the degree rule and 3,131 without the orbit
+    # 2,418 forms without the degree rule and 1,874 without the orbit
     # rule; a rise means one of them regressed, or the search found only
-    # part of some automorphism group.  Each of the 208 classes with
-    # n <= 6 is searched once, as the parent of its extensions
+    # part of some automorphism group, or an edge bound let denser graphs
+    # through.  Each of the 109 classes with n <= 6 and at most half of
+    # the edges is searched once, as the parent of its extensions
     forms, searches = count_searches(monkeypatch)
     reps = hasse.nonisomorphic_graphs(7)
-    assert len(forms) == 1639
-    assert searches == [g for n in range(1, 7) for g in reps[n]]
+    assert len(forms) == 809
+    assert searches == [g for n in range(1, 7) for g in reps[n]
+                        if 4 * g.edge_count() <= n * (n - 1)]
+    assert len(searches) == 109
     assert [len(reps[n]) for n in range(1, 8)] == [
         EXPECTED_GRAPH_COUNTS[n] for n in range(1, 8)]
 
@@ -188,8 +211,9 @@ def test_generation_counts_n8(monkeypatch):
     forms, searches = count_searches(monkeypatch)
     reps = nonisomorphic_graphs(8)
     assert len(reps[8]) == EXPECTED_GRAPH_COUNTS[8] == 12346
-    assert len(forms) == 19911  # 32,886 without the orbit rule
-    assert len(searches) == 1252  # one per class with n <= 7
+    assert len(forms) == 11105  # 20,626 without the orbit rule
+    # one per class with n <= 7 and at most half of the edges
+    assert len(searches) == 631
     # the classes generated before the orbit rule, at the same places
     assert [encode_graph6(reps[8][i]) for i in (0, 6000, 12345)] == [
         "G?????", "GQovFo", "G~~~~{"]
@@ -252,8 +276,11 @@ def test_scan_reports_a_fault_like_the_oracle(monkeypatch):
 
 
 def test_scan_evaluates_each_class_once(monkeypatch):
-    # 1,252 classes, 4 of them self-complementary: 628 pairs, one clique
-    # enumeration per graph of a pair and one canonical form per pair
+    # 1,252 classes, 4 of them self-complementary: 628 pairs and one
+    # clique enumeration per graph of a pair.  A canonical form is
+    # searched only where the form's complement does not name the pair:
+    # for K1, and for one class of each pair with exactly half of the
+    # edges (2 pairs at n = 4, 4 at n = 5)
     monkeypatch.setattr(hasse, "_LEVELS", {1: hasse._LEVELS[1]})
     nonisomorphic_graphs(7)
     calls = {"_bron_kerbosch": 0, "canonical_form": 0}
@@ -270,7 +297,7 @@ def test_scan_evaluates_each_class_once(monkeypatch):
     counting(cliques, "_bron_kerbosch")
     counting(hasse, "canonical_form")
     assert scan(7).ok
-    assert calls == {"_bron_kerbosch": 1256, "canonical_form": 628}
+    assert calls == {"_bron_kerbosch": 1256, "canonical_form": 7}
 
 
 def test_scan_reads_each_verdict_once_per_graph(monkeypatch):

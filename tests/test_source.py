@@ -174,6 +174,17 @@ print(json.dumps([code, backends, "networkx" in sys.modules]))
     assert json.loads(_run_python(code).stdout) == [0, ["blossom"], False]
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, which nothing else in a run loads;
+    # the result records are named tuples and plain classes
+    code = """
+import json, sys
+from cisgraphs import cli
+print(json.dumps(["dataclasses" in sys.modules, "inspect" in sys.modules]))
+"""
+    assert json.loads(_run_python(code).stdout) == [False, False]
+
+
 def test_bench_tracer_installs():
     # bench/tracer.py wraps the package's public functions by name and
     # hooks MembershipCache.base; renaming either breaks ``--trace 1``.
