@@ -104,39 +104,38 @@ def _set(mask: int):
 
 def cmd_classify(args) -> int:
     """Print every base on the graph and on its complement, and the 17
-    table properties.  The complement copies the graph's verdict on each
-    complement-invariant base.  The bases are taken in ``BASE_NAMES``
-    order; the cheap ones are always computed, and a costly one
-    (``hasse.COSTLY_BASES``) is computed only when the proven arrows do
-    not settle it from the verdicts before it
-    (``hasse.settled_by_arrows``).  So triangle and weakly triangle
-    follow from semi-weakly CIS, normal from weakly CIS, perfect is
-    denied by a failed normal, and the exact LP runs only between
-    semi-weakly CIS and triangle.  Past ``MAX_LP_VERTICES`` vertices
-    perfect and the LP bases are "unsupported", never settled.  The
-    table properties are lifted from the two verdict dicts, so no base
-    is decided twice."""
+    table properties.  The bases are decided on both sides in one pass,
+    in ``BASE_NAMES`` order; the cheap ones are always computed, and a
+    costly one (``hasse.COSTLY_BASES``) is computed only when the proven
+    arrows do not settle it from the verdicts before it
+    (``hasse.settled_by_arrows``).  A complement-invariant base takes one
+    verdict for both sides: a costly one is settled from either side's
+    verdicts, and otherwise it is computed on the graph only.  So
+    triangle and weakly triangle follow from semi-weakly CIS, weakly CIS
+    and with it normal from semi-weakly CIS on either side, weakly
+    triangle from weakly CIS, perfect is denied by a failed normal, and
+    the exact LP runs only between semi-weakly CIS and triangle.  Past
+    ``MAX_LP_VERTICES`` vertices perfect and the LP bases are
+    "unsupported", never settled.  The table properties are lifted from
+    the two verdict dicts, so no base is decided twice."""
     g = _load_graph(args)
     cache = hasse.MembershipCache()
     # the bases that refuse graphs past 16 vertices (UnsupportedSize)
     refused = () if g.n <= eq.MAX_LP_VERTICES else (
         "perfect", *hasse.LP_BASES)
-
-    def verdicts(h, own=None):
-        # own: the graph's verdicts, when h is its complement
-        v = {}
-        for name in BASE_NAMES:
-            if own is not None and name in COMPLEMENT_INVARIANT:
-                v[name] = own[name]
-                continue
-            known = None
-            if name in hasse.COSTLY_BASES and name not in refused:
-                known = hasse.settled_by_arrows(v, name)
-            v[name] = cache.base(name, h) if known is None else known
-        return v
-
-    base = verdicts(g)
-    co = verdicts(complement(g), base)
+    base, co = {}, {}
+    sides = (g, base), (complement(g), co)
+    for name in BASE_NAMES:
+        settles = name in hasse.COSTLY_BASES and name not in refused
+        known = [hasse.settled_by_arrows(v, name) if settles else None
+                 for _, v in sides]
+        if name in COMPLEMENT_INVARIANT:
+            # one verdict for both sides, settled from either
+            x = known[0] if known[0] is not None else known[1]
+            base[name] = co[name] = cache.base(name, g) if x is None else x
+            continue
+        for (h, v), x in zip(sides, known):
+            v[name] = cache.base(name, h) if x is None else x
 
     # the source that lift reads: h is g or complement(g)
     read = SimpleNamespace(base=lambda name, h: (base if h is g else co)[name])

@@ -162,6 +162,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 _G6_HEADER = ">>graph6<<"
 _G6_BITS = [format(d, "06b") for d in range(64)]  # a payload byte's bits
+_G6_BYTES = {b: chr(d + 63) for d, b in enumerate(_G6_BITS)}  # and back
 
 
 def _g6_order(text: str):
@@ -228,18 +229,13 @@ def encode_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    stream = 0
-    nbits = 0
-    for col in range(1, n):
-        for row in range(col):
-            stream = stream << 1 | (g.adj[row] >> col & 1)
-            nbits += 1
-    pad = (-nbits) % 6
-    stream <<= pad
-    nbits += pad
+    # per column, its bits from row 0 down: the low bits, reversed
+    adj = g.adj
+    stream = "".join(format(adj[col] & ~(-1 << col), "b").zfill(col)[::-1]
+                     for col in range(1, n))
+    stream += "0" * (-len(stream) % 6)
     return head + "".join(
-        chr((stream >> s & 63) + 63) for s in range(nbits - 6, -1, -6)
-    )
+        _G6_BYTES[stream[i:i + 6]] for i in range(0, len(stream), 6))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -391,8 +391,13 @@ SCAN_ARROWS = BASE_ARROWS + (
     ("weakly_cis", "normal"), ("weakly_cis", "cap-wtri"),
 )
 
-# The arrows that classify reads: the base-to-base arrows of SCAN_ARROWS.
-PROVEN_ARROWS = BASE_ARROWS + (("weakly_cis", "normal"),)
+# The arrows that classify reads: the base-to-base arrows of SCAN_ARROWS,
+# and two that the scan checks in lifted form, by the subset cell
+# (cup-swCIS, wCIS) and the arrow weakly_cis->cap-wtri.
+PROVEN_ARROWS = BASE_ARROWS + (
+    ("weakly_cis", "normal"), ("semi_weakly_cis", "weakly_cis"),
+    ("weakly_cis", "weakly_triangle"),
+)
 
 # The bases that classify may settle by the arrows instead of computing
 # them; the cheaper bases before them in BASE_NAMES are always computed.
@@ -426,7 +431,7 @@ def settled_by_arrows(verdicts: dict, name: str):
     "unsupported" verdict is neither, so it settles nothing).
 
     Each arrow is a theorem, and the scan checks each on every graph up
-    to 8 vertices:
+    to 8 vertices, as it stands or lifted to the table properties:
 
     - threshold => cograph: threshold graphs have no induced P4
       (Chvátal and Hammer 1977).
@@ -452,6 +457,16 @@ def settled_by_arrows(verdicts: dict, name: str):
       stable set {u} can join the stable-set family.  With n >= 2 no
       vertex is both, so the families stay cross-intersecting and now
       cover every vertex; K1 is normal.
+    - semi-weakly CIS => weakly CIS: each strong clique meets every
+      maximal stable set, so the strong cliques and all the maximal
+      stable sets are cross-intersecting; the strong cliques cover the
+      edges by definition, and the maximal stable sets cover the
+      non-edges.
+    - weakly CIS => weakly triangle: take a set S of the stable-set
+      family of a weakly-CIS pair, and an edge uv outside S.  A clique of
+      the family holds uv and meets S in a vertex w, a common neighbour
+      of u and v.  So every set of the family has the triangle property,
+      and the family covers the non-edges.
     """
     if any(verdicts.get(a) is True for a in _ABOVE[name]):
         return True

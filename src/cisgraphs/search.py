@@ -19,18 +19,30 @@ is non-empty: an edge lies in a maximal clique, a non-edge in a maximal
 stable set, a vertex in both.  The search state is two masks, the
 candidates chosen and the candidates ruled out; choosing a candidate
 rules out what it excludes, so no open candidate excludes a chosen one
-(exclusion is symmetric).  Each node branches on the first unsatisfied
-clause with the fewest open candidates, its options (the clique clauses
-come before the stable-set ones).  When there are two or more, every
-child chooses one of them, so a candidate that each option excludes can
-never be chosen below the node: those are ruled out at the node
-(forward checking on the branching clause, after Haralick and Elliott
-1980), and the clause is selected again if any of them was still open.
-The children try the options least constraining first: fewest excluded
-candidates, the lowest number on ties, so certificates are
-reproducible.  A backtrack is a node below the root left without
-options, by an emptied clause or because every option failed; a
-candidate ruled out at a node is not one.
+(exclusion is symmetric).
+
+The search starts from its forced core, chosen before the first
+branching.  First every candidate that excludes nothing (a strong clique
+or a strong stable set): it meets every member of the other family, so
+any solution stays a solution with it added, and if one exists, one holds
+all such candidates.  Then, until nothing changes, the one open candidate
+of every unsatisfied clause that has just one: every solution holding the
+chosen candidates holds none that they exclude, so it covers that clause
+with its last open candidate.  By the same argument an unsatisfied clause
+with no open candidate left admits no solution holding the chosen ones,
+hence none at all, and the search returns None at once.
+
+From there each node branches on the first unsatisfied clause with the
+fewest open candidates, its options (the clique clauses come before the
+stable-set ones).  When there are two or more, every child chooses one
+of them, so a candidate that each option excludes can never be chosen
+below the node: those are ruled out at the node (forward checking on the
+branching clause, after Haralick and Elliott 1980), and the clause is
+selected again if any of them was still open.  The children try the
+options least constraining first: fewest excluded candidates, the lowest
+number on ties, so certificates are reproducible.  A backtrack is a node
+below the root left without options, by an emptied clause or because
+every option failed; a candidate ruled out at a node is not one.
 
 ``dominated_clique`` decides CIS without listing the maximal stable sets.
 A maximal stable set S misses a maximal clique C exactly when some stable
@@ -54,7 +66,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cliques import maximal_cliques, maximal_stable_sets
-from .graphs import Graph, bits
+from .graphs import Graph, bits, mask_of
 
 DEFAULT_BACKTRACK_CAP = 1_000_000
 
@@ -176,9 +188,13 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
     families = ch, [h << nc for h in sh]
     excl = [x << nc for x in rel.clique_excl] + rel.stable_excl
     every = (1 << len(excl)) - 1
+    clauses = families[0] + families[1]
+    core = _forced_core(clauses, excl, every)
+    if core is None:
+        return None
     backtracks = 0
 
-    def branch(true: int, false: int, clauses=families[0] + families[1],
+    def branch(true: int, false: int, clauses=clauses,
                best=None, fewest=len(excl) + 1):
         """The open candidates of the first unsatisfied clause of
         ``clauses`` with the fewest, if fewer than ``fewest``, else
@@ -199,7 +215,7 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
     # candidates (K32,32 has 1024 maximal cliques): one frame per
     # branching, [chosen, ruled out, candidates not yet tried, the next
     # last], where a tried candidate is ruled out for the later ones
-    true = false = 0
+    true, false = core
     stack = []
     while (options := branch(true, false)) is not None:
         # every child chooses one of the options, so a candidate that
@@ -246,6 +262,29 @@ def exists_cross_intersecting(g: Graph, *, normal: bool):
         [rel.cliques[i] for i in bits(true & (1 << nc) - 1)],
         [rel.stables[j] for j in bits(true >> nc)],
     )
+
+
+def _forced_core(clauses, excl, every: int):
+    """The forced core (module docstring) as (chosen, ruled out) masks,
+    or None when a clause loses its last open candidate."""
+    true = mask_of(v for v, x in enumerate(excl) if not x)
+    false = 0
+    while True:
+        before = true
+        keep = every & ~false
+        for clause in clauses:
+            if clause & true:
+                continue
+            open_ = clause & keep
+            if open_ & open_ - 1:
+                continue
+            if not open_:
+                return None
+            true |= open_
+            false |= excl[open_.bit_length() - 1]
+            keep = every & ~false
+        if true == before:
+            return true, false
 
 
 def dominated_clique(g: Graph):

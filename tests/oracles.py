@@ -398,6 +398,28 @@ def verify_forced_subset(g: Graph, combination):
 # graphs, cliques, line graphs and scans
 
 
+def encode_graph6_by_pairs(g: Graph) -> str:
+    """graph6 of g, shifting one bit per vertex pair, column by column,
+    into a growing int."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    stream = 0
+    nbits = 0
+    for col in range(1, n):
+        for row in range(col):
+            stream = stream << 1 | (g.adj[row] >> col & 1)
+            nbits += 1
+    pad = (-nbits) % 6
+    stream <<= pad
+    nbits += pad
+    return head + "".join(
+        chr((stream >> s & 63) + 63) for s in range(nbits - 6, -1, -6)
+    )
+
+
 def relabelled(g: Graph, rng) -> Graph:
     """g with its vertices renumbered by a permutation drawn from rng."""
     perm = list(range(g.n))

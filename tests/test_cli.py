@@ -165,6 +165,51 @@ def test_classify_reads_invariant_bases_once_per_pair(capsys, monkeypatch):
     assert len(scans) <= 2
 
 
+def count_searches(monkeypatch):
+    """The graphs and keyword arguments of every cross-intersecting
+    search from here on."""
+    searches = []
+    original = search.exists_cross_intersecting
+
+    def wrapper(g, *args, **kwargs):
+        searches.append((g, kwargs))
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(search, "exists_cross_intersecting", wrapper)
+    return searches
+
+
+def test_classify_settles_weakly_cis_from_the_complement(capsys, monkeypatch):
+    # SK is semi-weakly CIS and its complement is not: classify on the
+    # complement reads semi-weakly CIS => weakly CIS on SK's side, so
+    # weakly CIS, and with it normal, need no search on either side
+    sk = gallery("SK")
+    g = complement(sk)
+    assert not recognizers.is_semi_weakly_cis(g)
+    assert recognizers.is_semi_weakly_cis(sk)
+    searches = count_searches(monkeypatch)
+    fields = classify_fields(capsys, monkeypatch, g)
+    assert searches == []
+    for key in ("base", "complement_base"):
+        assert fields[key]["weakly_cis"] is True
+        assert fields[key]["normal"] is True
+
+
+def test_classify_semi_weakly_cis_split_graph_runs_no_search(
+        capsys, monkeypatch):
+    # a 36-vertex random split graph that is semi-weakly CIS: weakly CIS
+    # and normal follow by the arrows
+    searches = count_searches(monkeypatch)
+    code, out, _ = run(capsys, "classify", "-i", "random-split:18,18",
+                       "--seed", "1", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 36 and data["base"]["semi_weakly_cis"] is True
+    assert data["base"]["weakly_cis"] is True
+    assert data["base"]["normal"] is True
+    assert searches == []
+
+
 def fresh_classify_fields(g):
     """classify's ``base``, ``complement_base`` and ``properties`` as a
     fresh ``MembershipCache`` decides them directly: every base computed,

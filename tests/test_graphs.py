@@ -35,6 +35,7 @@ from cisgraphs.hasse import EXPECTED_GRAPH_COUNTS, nonisomorphic_graphs
 from cisgraphs.recognizers import is_edge_simplicial
 from oracles import (
     complement_rows,
+    encode_graph6_by_pairs,
     group_order,
     induced_subgraph,
     relabelled,
@@ -186,6 +187,20 @@ def test_graph6_rows_read_off_the_bit_stream():
         with pytest.raises(GraphError) as err:
             parse_graph6(text)
         assert str(err.value) == message
+
+
+def test_graph6_encoder_matches_pairwise_encoder():
+    # the column-wise encoder gives the strings of the pair-by-pair one on
+    # every class with n <= 7, its complement and seeded graphs of up to
+    # 100 vertices (the "~" header from 63 on)
+    graphs = [x for reps in nonisomorphic_graphs(7).values() for g in reps
+              for x in (g, complement(g))]
+    rng = random.Random(29)
+    graphs += [random_graph(rng.randint(1, 100), rng.random(), rng)
+               for _ in range(60)]
+    assert any(g.n >= 63 for g in graphs)
+    for g in graphs:
+        assert encode_graph6(g) == encode_graph6_by_pairs(g)
 
 
 def test_order_limit():

@@ -67,13 +67,42 @@ def test_property_holds_examples():
         assert cache.holds(prop, big) == "unsupported"
 
 
+# The proven arrows that the scan checks in lifted form, each with the
+# scan result that checks it: a subset cell (row, col), or an arrow name.
+# semi-weakly CIS on g gives cup-swCIS, and cup-swCIS <= wCIS; cap-wtri
+# on g holds weakly triangle on g.
+LIFTED_ARROW_CHECKS = {
+    ("semi_weakly_cis", "weakly_cis"): ("cup-swCIS", "wCIS"),
+    ("weakly_cis", "weakly_triangle"): "weakly_cis->cap-wtri",
+}
+
+
+def unchecked_arrows(arrows):
+    """The arrows among ``arrows`` that the scan does not check: neither a
+    base-to-base arrow of SCAN_ARROWS nor checked in lifted form by a
+    result that the scan to n = 8 reports."""
+    bases = set(recognizers.BASE_NAMES)
+    direct = {(a, b) for a, b in hasse.SCAN_ARROWS
+              if a in bases and b in bases}
+    report = hasse._new_report(8, True)
+    results = {**report.arrows, **report.subset_cells}
+    return [arrow for arrow in arrows if arrow not in direct
+            and LIFTED_ARROW_CHECKS.get(arrow) not in results]
+
+
 def test_lp_arrows_are_base_arrows():
     # the rule classify settles its costly bases by reads only arrows
     # that the scan checks: every base-to-base arrow of SCAN_ARROWS, and
-    # nothing else, read transitively
+    # the arrows it checks in lifted form, read transitively
     bases = set(recognizers.BASE_NAMES)
-    assert set(hasse.PROVEN_ARROWS) == {
-        (a, b) for a, b in hasse.SCAN_ARROWS if a in bases and b in bases}
+    assert {(a, b) for a, b in hasse.SCAN_ARROWS
+            if a in bases and b in bases} <= set(hasse.PROVEN_ARROWS)
+    assert unchecked_arrows(hasse.PROVEN_ARROWS) == []
+    assert set(LIFTED_ARROW_CHECKS) <= set(hasse.PROVEN_ARROWS)
+    # a true arrow that the scan does not check is refused
+    assert unchecked_arrows(
+        hasse.PROVEN_ARROWS + (("split", "perfect"),)) == [
+        ("split", "perfect")]
     assert hasse.COSTLY_BASES <= bases
     rule = hasse.settled_by_arrows
     # the LP bases: semi-weakly CIS gives both, not triangle denies both
@@ -92,6 +121,17 @@ def test_lp_arrows_are_base_arrows():
     assert rule({"normal": False}, "perfect") is False
     assert rule({"normal": True}, "weakly_cis") is None
     assert rule({"normal": True}, "perfect") is None
+    # semi-weakly CIS => weakly CIS => weakly triangle
+    assert rule({"semi_weakly_cis": True}, "weakly_triangle") is True
+    assert rule({"semi_weakly_cis": True}, "weakly_cis") is True
+    assert rule({"semi_weakly_cis": True}, "normal") is True
+    assert rule({"weakly_cis": True}, "weakly_triangle") is True
+    assert rule({"weakly_cis": True}, "triangle") is None
+    assert rule({"weakly_triangle": False}, "weakly_cis") is False
+    assert rule({"normal": False}, "semi_weakly_cis") is False
+    assert rule({"weakly_cis": False}, "semi_weakly_cis") is False
+    assert rule({"weakly_cis": False}, "triangle") is None
+    assert rule({"semi_weakly_cis": False}, "weakly_cis") is None
     # an unsupported verdict settles nothing
     assert rule({"equistable": "unsupported"}, "triangle") is None
     assert rule({"perfect": "unsupported"}, "normal") is None
