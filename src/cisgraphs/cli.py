@@ -8,6 +8,11 @@ walk of ``equistable`` found no weighting; the other commands read the
 equistable verdicts from the forced-subset join and never walk), 141
 (128 + SIGPIPE) when standard output is closed before the output is
 written, as by ``| head``; nothing is printed on standard error then.
+
+``--format json`` prints the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True)``: a two-space indent, keys sorted, and every string in
+ASCII with ``\\uXXXX`` escapes.  One writer, ``_json``, prints them.  The
+text lines are rendered only for ``--format text``.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import equistable as eq
@@ -85,13 +90,56 @@ def _load_graph(args) -> Graph:
     return g
 
 
-def _emit(args, payload, text_render):
+# json's text for each scalar type; a finite float's repr holds no inf or nan
+_SCALAR = {
+    str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+    type(None): lambda o: "null",
+    float: lambda o: float.__repr__(o).replace("inf", "Infinity")
+    .replace("nan", "NaN"),
+}
+
+
+def _json(o, pad: str = "\n") -> str:
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` prints it, byte
+    for byte, without the pure-Python encoder that ``indent`` makes json
+    use; ``pad`` is the newline and indent of o's line.  Like json, it
+    sorts dict items by their keys as given, and raises TypeError for a
+    value that json refuses."""
+    scalar = _SCALAR.get(o.__class__)
+    if scalar is not None:
+        return scalar(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        return "{" + inner + ("," + inner).join([
+            f"{_quote(k) if k.__class__ is str else _json_key(k)}: "
+            f"{_json(v, inner)}" for k, v in sorted(o.items())
+        ]) + pad + "}" if o else "{}"
+    if isinstance(o, (list, tuple)):
+        return "[" + inner + ("," + inner).join(
+            [_json(v, inner) for v in o]) + pad + "]" if o else "[]"
+    for t in (str, int, float):  # a subclass prints as its base type
+        if isinstance(o, t):
+            return _SCALAR[t](o)
+    raise TypeError(
+        f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(k) -> str:
+    """A dict key as json prints it: json takes str, int, float, bool and
+    None keys, and quotes the scalar's text."""
+    if isinstance(k, tuple):
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        "not tuple")
+    return _quote(k if isinstance(k, str) else _json(k))
+
+
+def _emit(args, payload, render):
+    """Print ``payload`` as JSON, or for ``--format text`` the lines that
+    ``render()`` returns: text is built only when it is printed."""
     if args.format == "json":
-        payload = dict(payload)
-        payload["schema_version"] = JSON_SCHEMA_VERSION
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json({**payload, "schema_version": JSON_SCHEMA_VERSION}))
     else:
-        print(text_render)
+        print("\n".join(render()))
 
 
 def _set(mask: int):
@@ -127,14 +175,15 @@ def cmd_classify(args) -> int:
     sides = (g, base), (complement(g), co)
     for name in BASE_NAMES:
         settles = name in hasse.COSTLY_BASES and name not in refused
-        known = [hasse.settled_by_arrows(v, name) if settles else None
-                 for _, v in sides]
         if name in COMPLEMENT_INVARIANT:
-            # one verdict for both sides, settled from either
-            x = known[0] if known[0] is not None else known[1]
+            # one verdict for both sides, settled from g's side or else co's
+            x = hasse.settled_by_arrows(base, name) if settles else None
+            if x is None and settles:
+                x = hasse.settled_by_arrows(co, name)
             base[name] = co[name] = cache.base(name, g) if x is None else x
             continue
-        for (h, v), x in zip(sides, known):
+        for h, v in sides:
+            x = hasse.settled_by_arrows(v, name) if settles else None
             v[name] = cache.base(name, h) if x is None else x
 
     # the source that lift reads: h is g or complement(g)
@@ -161,15 +210,18 @@ def cmd_classify(args) -> int:
         "properties": table_props,
         "certificates": certs,
     }
-    lines = [f"graph {payload['graph6']}  (n={g.n}, m={payload['m']})"]
-    for name in sorted(base):
-        lines.append(f"  {name:<22} {base[name]!s:<12} co: {co[name]}")
-    lines.append("table properties:")
-    for prop in hasse.PROPERTY_ORDER:
-        lines.append(f"  {prop:<12} {table_props[prop]}")
-    for key, val in certs.items():
-        lines.append(f"certificate {key}: {val}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        yield f"graph {payload['graph6']}  (n={g.n}, m={payload['m']})"
+        for name in sorted(base):
+            yield f"  {name:<22} {base[name]!s:<12} co: {co[name]}"
+        yield "table properties:"
+        for prop in hasse.PROPERTY_ORDER:
+            yield f"  {prop:<12} {table_props[prop]}"
+        for key, val in certs.items():
+            yield f"certificate {key}: {val}"
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -196,34 +248,33 @@ def cmd_table(args) -> int:
             )
         print(buf.getvalue(), end="")
     else:
-        by_row = {}
-        for c in cells:
-            by_row.setdefault(c.row, []).append(c)
-
-        def cell_text(c):
-            if c.kind == "equal":
-                return "="
-            if c.kind == "subset":
-                return "<="
-            if c.kind == "unknown":
-                return "?"
-            if c.kind == "erratum":
-                return f"?[{c.witness}]"
-            if c.kind == "skipped":
-                return f"skip[{c.witness}]"
-            return f"{c.witness}{'' if c.passed else '!FAIL'}"
-
-        lines = ["row: " + " ".join(hasse.PROPERTY_ORDER)]
-        for row in hasse.PROPERTY_ORDER:
-            lines.append(
-                f"{row:<10} " + " ".join(cell_text(c) for c in by_row[row])
-            )
-        lines.append(
-            f"{payload['witness_cells']} witness cells verified, "
-            f"{len(failures)} failures"
-        )
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, payload, lambda: _table_text(cells, payload))
     return 1 if failures else 0
+
+
+def _table_text(cells, payload):
+    by_row = {}
+    for c in cells:
+        by_row.setdefault(c.row, []).append(c)
+
+    def cell_text(c):
+        if c.kind == "equal":
+            return "="
+        if c.kind == "subset":
+            return "<="
+        if c.kind == "unknown":
+            return "?"
+        if c.kind == "erratum":
+            return f"?[{c.witness}]"
+        if c.kind == "skipped":
+            return f"skip[{c.witness}]"
+        return f"{c.witness}{'' if c.passed else '!FAIL'}"
+
+    yield "row: " + " ".join(hasse.PROPERTY_ORDER)
+    for row in hasse.PROPERTY_ORDER:
+        yield f"{row:<10} " + " ".join(cell_text(c) for c in by_row[row])
+    yield (f"{payload['witness_cells']} witness cells verified, "
+           f"{payload['failures']} failures")
 
 
 def cmd_scan(args) -> int:
@@ -231,26 +282,22 @@ def cmd_scan(args) -> int:
         raise InputError(f"--max-n must be between 1 and {hasse.MAX_SCAN_N}")
     report = hasse.scan(max_n=args.max_n, include_lp=args.include_lp)
     payload = report.to_dict()
-    lines = [
-        f"scan n <= {report.max_n} (lp properties up to n = {report.lp_max_n})",
-        f"graph counts: {report.counts}",
-    ]
-    for name, a in sorted(report.arrows.items()):
-        lines.append(
-            f"  arrow {name:<32} checked {a.checked:<6} "
-            + ("ok" if a.ok else f"FAIL {a.failures[:3]}")
-        )
-    bad_subset = [k for k, a in report.subset_cells.items() if not a.ok]
-    bad_collapse = [k for k, a in report.collapse.items() if not a.ok]
-    lines.append(
-        f"  table subset cells: {len(report.subset_cells)} checked, "
-        f"failures: {bad_subset or 'none'}"
-    )
-    lines.append(
-        f"  complement collapse: failures: {bad_collapse or 'none'}"
-    )
-    lines.append("scan " + ("passed" if report.ok else "FAILED"))
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        yield (f"scan n <= {report.max_n} "
+               f"(lp properties up to n = {report.lp_max_n})")
+        yield f"graph counts: {report.counts}"
+        for name, a in sorted(report.arrows.items()):
+            yield (f"  arrow {name:<32} checked {a.checked:<6} "
+                   + ("ok" if a.ok else f"FAIL {a.failures[:3]}"))
+        bad_subset = [k for k, a in report.subset_cells.items() if not a.ok]
+        bad_collapse = [k for k, a in report.collapse.items() if not a.ok]
+        yield (f"  table subset cells: {len(report.subset_cells)} checked, "
+               f"failures: {bad_subset or 'none'}")
+        yield f"  complement collapse: failures: {bad_collapse or 'none'}"
+        yield "scan " + ("passed" if report.ok else "FAILED")
+
+    _emit(args, payload, text)
     return 0 if report.ok else 1
 
 
@@ -261,15 +308,17 @@ def cmd_scan(args) -> int:
 def cmd_gallery(args) -> int:
     if args.action == "list":
         payload = {"graphs": list(gal.GALLERY_NAMES)}
-        lines = []
-        for name in gal.GALLERY_NAMES:
-            g = gal.gallery(name)
-            lines.append(f"{name:<8} n={g.n:<3} m={g.edge_count()}")
-        _emit(args, payload, "\n".join(lines))
+
+        def text():
+            for name in gal.GALLERY_NAMES:
+                g = gal.gallery(name)
+                yield f"{name:<8} n={g.n:<3} m={g.edge_count()}"
+
+        _emit(args, payload, text)
         return 0
     g = gal.gallery(args.id)
     payload = {"id": args.id, "n": g.n, "graph6": encode_graph6(g)}
-    _emit(args, payload, encode_graph6(g))
+    _emit(args, payload, lambda: [payload["graph6"]])
     return 0
 
 
@@ -327,20 +376,19 @@ def cmd_cis_line(args) -> int:
         "verdicts": verdicts,
         "conditions_checked": ["bull-subgraph", "weighted-matching"],
     }
-    lines = [f"input interpreted as: {role}"]
-    for e in verdicts:
-        lines.append(
-            f"root {e['root_graph6']}: line graph is "
-            + ("CIS" if e["cis"] else "not CIS")
-        )
-        if "bull_vertices" in e:
-            lines.append(f"  bull subgraph on vertices {e['bull_vertices']}")
-        if "violating_vertex" in e:
-            lines.append(
-                f"  vertex {e['violating_vertex']} has a neighborhood-"
-                f"covering matching {e['violating_matching']}"
-            )
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        yield f"input interpreted as: {role}"
+        for e in verdicts:
+            yield (f"root {e['root_graph6']}: line graph is "
+                   + ("CIS" if e["cis"] else "not CIS"))
+            if "bull_vertices" in e:
+                yield f"  bull subgraph on vertices {e['bull_vertices']}"
+            if "violating_vertex" in e:
+                yield (f"  vertex {e['violating_vertex']} has a neighborhood-"
+                       f"covering matching {e['violating_matching']}")
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -370,19 +418,18 @@ def cmd_equistable(args) -> int:
                   file=sys.stderr)
             return 1
         payload["verified"] = True
-    lines = [f"graph {payload['graph6']}"]
-    for label, c in (("equistable", cert), ("strongly equistable", strong)):
-        lines.append(f"{label}: {c.verdict} ({c.reason})")
-        if c.weights is not None:
-            lines.append(
-                "  weights: " + " ".join(str(w) for w in c.weights)
-            )
-        if c.forced_subset is not None:
-            lines.append(
-                f"  subset {_set(c.forced_subset)} forced to "
-                f"{c.forced_value}"
-            )
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        yield f"graph {payload['graph6']}"
+        for label, c in (("equistable", cert), ("strongly equistable", strong)):
+            yield f"{label}: {c.verdict} ({c.reason})"
+            if c.weights is not None:
+                yield "  weights: " + " ".join(str(w) for w in c.weights)
+            if c.forced_subset is not None:
+                yield (f"  subset {_set(c.forced_subset)} forced to "
+                       f"{c.forced_value}")
+
+    _emit(args, payload, text)
     return 0
 
 

@@ -418,9 +418,9 @@ def _reached(arrows, name: str) -> set:
 
 
 # per base, the bases that reach it and the bases it reaches
-_ABOVE = {name: _reached([(b, a) for a, b in PROVEN_ARROWS], name)
+_ABOVE = {name: tuple(_reached([(b, a) for a, b in PROVEN_ARROWS], name))
           for name in BASE_NAMES}
-_BELOW = {name: _reached(PROVEN_ARROWS, name) for name in BASE_NAMES}
+_BELOW = {name: tuple(_reached(PROVEN_ARROWS, name)) for name in BASE_NAMES}
 
 
 def settled_by_arrows(verdicts: dict, name: str):
@@ -468,9 +468,10 @@ def settled_by_arrows(verdicts: dict, name: str):
       of u and v.  So every set of the family has the triangle property,
       and the family covers the non-edges.
     """
-    if any(verdicts.get(a) is True for a in _ABOVE[name]):
+    # no verdict is a 1 or 0 that ``in`` would take for True or False
+    if True in map(verdicts.get, _ABOVE[name]):
         return True
-    if any(verdicts.get(b) is False for b in _BELOW[name]):
+    if False in map(verdicts.get, _BELOW[name]):
         return False
     return None
 

@@ -6,8 +6,11 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cisgraphs import (
     cli, cliques, equistable, hasse, linegraph, recognizers, search,
@@ -664,20 +667,128 @@ EQUISTABLE_PINS = {
 }
 
 
+def _graph_source(source, tmp_path):
+    """``source`` as an ``--input`` spec: ``random:N,P,SEED`` names a
+    seeded G(n, p) graph, written to a file."""
+    if not source.startswith("random:"):
+        return source
+    n, p, seed = source.split(":")[1].split(",")
+    g = random_graph(int(n), float(p), random.Random(int(seed)))
+    spec = str(tmp_path / "g.g6")
+    with open(spec, "w") as fh:
+        fh.write(encode_graph6(g))
+    return spec
+
+
 @pytest.mark.parametrize("source,digest", sorted(EQUISTABLE_PINS.items()))
 def test_equistable_certificates_pinned(capsys, tmp_path, source, digest):
-    spec = source
-    if source.startswith("random:"):
-        n, p, seed = source.split(":")[1].split(",")
-        g = random_graph(int(n), float(p), random.Random(int(seed)))
-        spec = str(tmp_path / "g.g6")
-        with open(spec, "w") as fh:
-            fh.write(encode_graph6(g))
+    spec = _graph_source(source, tmp_path)
     code, out, _ = run(capsys, "equistable", "-i", spec, "--verify",
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["verified"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `--format text` stdout, recorded while every command still
+# built its text lines before printing; rendering them only for
+# `--format text` may move no byte.
+TEXT_PINS = {
+    "classify -i gallery:G12":
+        "c32125b175af2f6e6b662aa27a862f56bc99424a68d5bf9f57915ad4b7445940",
+    "classify -i gallery:FK":
+        "c8a041645b0826cb495e2e3dde3d21d28ff162ce92bf7ac9ff060880725b3fb0",
+    # perfect and the LP bases read "unsupported" past 16 vertices
+    "classify -i random:20,0.5,20":
+        "5e774914df3f87be7cd851ca398ead11e6a8891df5567f8d9ed466d45b40160e",
+    "equistable -i gallery:C4 --verify":
+        "6fb4e8b8d46aa8cf161d0792ccac41aa65038b6acb949e851801f69e538984be",
+    "equistable -i gallery:G12 --verify":
+        "61e37dba800180ed9bdb25532e4d8755f7de0d7c3a81c282740f5fec06ea553c",
+    "equistable -i gallery:C5Star --verify":
+        "e3e9759b8113859726ad95ab5addeccde7e1b1862d5fc89fd149c5b7e1325500",
+    "cis-line -i gallery:LK33 --verify":
+        "161e1117b9486fa45ae6398504730d49a1d9a930ef3bb09daa0132f70bcede90",
+    # G12 is not a line graph: it is read as the root graph
+    "cis-line -i gallery:G12 --verify":
+        "19e7e7056373d61a9a04ce7784ce2129f0a12fb44a5dee7b76b67e64a8dc8616",
+    "scan --max-n 5":
+        "c72d2ec00a5b7784d2622f14eb3621cc7df6177d73047a51f94bed23b2cdd584",
+    "table":
+        "ff9940d063617328a5f3f769f8559025eee21fa714a9de94dd18f5602be7925a",
+    "gallery list":
+        "cd4f0be3e28f4ece9a5edd11ed3e61857e66ef5fe615adc03cf555afd833e9a3",
+}
+
+
+@pytest.mark.parametrize("command,digest", sorted(TEXT_PINS.items()))
+def test_text_output_pinned(capsys, tmp_path, command, digest):
+    argv = [_graph_source(a, tmp_path) for a in command.split()]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# non-ASCII, control characters, backslash and quote in strings; bool
+# beside int; empty and non-empty containers; keys of every type json takes
+_strings = st.text(st.characters() | st.sampled_from('\\"\x00\x1f\u2028'),
+                   max_size=6)
+_payload_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4)
+    | st.dictionaries(st.booleans() | st.none() | st.floats(), inner,
+                      max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payload_values)
+def test_json_writer_matches_stdlib(value):
+    # the writer prints what json prints, and refuses what it refuses
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._json(value)
+    else:
+        assert cli._json(value) == expected
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, frozenset(), object(), b"bytes", 1 + 2j,
+    [Fraction(1, 2)], {(1, 2): 0}, {frozenset(): 0}, {1: 0, "a": 0},
+    {"a": {"b": [set()]}},
+])
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_json_output_is_the_stdlib_bytes(capsys, monkeypatch):
+    # every payload that table, scan and gallery print in JSON; classify,
+    # equistable and cis-line payloads are pinned by the bench digests
+    sent = []
+    emit = cli._emit
+
+    def keep(args, payload, render):
+        sent.append({**payload, "schema_version": cli.JSON_SCHEMA_VERSION})
+        emit(args, payload, render)
+
+    monkeypatch.setattr(cli, "_emit", keep)
+    requests = [["table"], ["scan", "--max-n", "6", "--include-lp"],
+                ["gallery", "list"]]
+    requests += [["gallery", "emit", name]
+                 for name in gallery_module.GALLERY_NAMES]
+    for argv in requests:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(sent.pop(), indent=2, sort_keys=True) + "\n"
 
 
 def test_cis_line_rejects_claw_before_krausz_search(capsys):

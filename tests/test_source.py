@@ -147,6 +147,54 @@ def test_bench_layer_names_resolve():
     assert missing == ["recognizers.count_split_partitions"]
 
 
+def test_one_json_writer():
+    # ``--format json`` prints through ``cli._json`` alone: no package
+    # module calls json.dump or json.dumps
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "json"):
+                names = [node.attr]
+            else:
+                continue
+            if {"dump", "dumps"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_json_requests_render_no_text(capsys, monkeypatch):
+    # each command hands its text lines to ``_emit`` as a renderer, which
+    # runs once for ``--format text`` and never for ``--format json``
+    from cisgraphs import cli
+
+    emit = cli._emit
+    rendered = []
+
+    def spy(args, payload, render):
+        def counted():
+            rendered.append(args.format)
+            return render()
+        emit(args, payload, counted)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    requests = [
+        ["classify", "-i", "gallery:G12"],
+        ["equistable", "-i", "gallery:C4", "--verify"],
+        ["cis-line", "-i", "gallery:LK33", "--verify"],
+        ["scan", "--max-n", "4"], ["table"],
+        ["gallery", "list"], ["gallery", "emit", "C4"],
+    ]
+    for argv in requests:
+        for fmt in ("json", "text"):
+            assert cli.main([*argv, "--format", fmt]) == 0
+    capsys.readouterr()
+    assert rendered == ["text"] * len(requests)
+
+
 def test_cli_import_leaves_networkx_out():
     # networkx is a test oracle only: no package module imports it, and
     # a blossom-backed request (every H(x) of K6,6 has 30 edges) ends
